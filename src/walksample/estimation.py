@@ -71,20 +71,6 @@ class Distribution:
         return cls(np.arange(len(mass), dtype=np.int64), mass)
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    """One estimate with its sampling effort."""
-
-    value: float | None
-    distribution: Distribution | None
-    sample_size: int
-    unique_nodes: int
-
-    def __post_init__(self):
-        if self.unique_nodes > self.sample_size:
-            raise ValueError("unique_nodes exceeds sample size")
-
-
 def _aligned(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Masses of p and q on the union of their supports."""
     union = np.union1d(p.support, q.support)

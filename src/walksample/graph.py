@@ -19,6 +19,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 
+# Node ids are kept as int64 labels.
+_MAX_ID = 2**63 - 1
+
+
 class EdgeListParseError(ValueError):
     """Raised when an edge-list line cannot be parsed; names the line number."""
 
@@ -123,14 +127,16 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
     """Parse a text edge list into a normalized simple undirected Graph.
 
     Each non-comment, non-blank line must contain exactly two nonnegative
-    integer tokens. Self-loops and duplicate edges (in either orientation)
-    are dropped and counted in the report. Node ids are densified in order
-    of first appearance within kept edges.
+    integer tokens; the ids of kept edges must fit in int64. Self-loops and
+    duplicate edges (in either orientation) are dropped and counted in the
+    report. Node ids are densified in order of first appearance within kept
+    edges.
 
     Raises
     ------
     EdgeListParseError
-        On a malformed line (names the 1-based line number).
+        On a malformed line or an id beyond int64 (names the 1-based line
+        number).
     EmptyGraphError
         If no edges survive normalization.
     """
@@ -165,9 +171,13 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
             continue
         ia = internal.get(a)
         if ia is None:
+            if a > _MAX_ID:
+                raise EdgeListParseError(f"line {lineno}: node id {a} exceeds {_MAX_ID}")
             ia = internal[a] = len(internal)
         ib = internal.get(b)
         if ib is None:
+            if b > _MAX_ID:
+                raise EdgeListParseError(f"line {lineno}: node id {b} exceeds {_MAX_ID}")
             ib = internal[b] = len(internal)
         us.append(ia)
         vs.append(ib)
@@ -211,6 +221,15 @@ def write_edge_list(graph: Graph, stream: IO[str]) -> None:
                 stream.write(f"{labels[v]} {labels[u]}\n")
 
 
+def components(graph: Graph) -> tuple[int, np.ndarray]:
+    """Number of connected components and each node's component label."""
+    adj = csr_matrix(
+        (np.ones(len(graph.indices), dtype=np.int8), graph.indices, graph.indptr),
+        shape=(graph.n, graph.n),
+    )
+    return connected_components(adj, directed=False, return_labels=True)
+
+
 def largest_connected_component(graph: Graph) -> Graph:
     """Induced subgraph on the largest component, ids re-densified.
 
@@ -219,11 +238,7 @@ def largest_connected_component(graph: Graph) -> Graph:
     """
     if graph.n == 0:
         return graph
-    adj = csr_matrix(
-        (np.ones(len(graph.indices), dtype=np.int8), graph.indices, graph.indptr),
-        shape=(graph.n, graph.n),
-    )
-    ncomp, comp = connected_components(adj, directed=False, return_labels=True)
+    ncomp, comp = components(graph)
     if ncomp <= 1:
         return graph
     sizes = np.bincount(comp, minlength=ncomp)

@@ -31,7 +31,6 @@ from .graph import Graph, average_degree, graph_stats, largest_connected_compone
 from .samplers import (
     RNG_ALGORITHM,
     SamplerError,
-    SamplerKind,
     WalkConfig,
     derive_seed,
     run_walk,
@@ -180,21 +179,15 @@ class _Task:
     burn_in: int
     timing: bool
 
-    def sort_key(self):
-        c = self.c if self.c is not None else -1
-        return (SAMPLER_ORDER.index(self.sampler), self.budget, c, self.repetition)
 
+def _walk_config(sampler: str, c: Optional[int], alpha: Optional[float], **walk) -> WalkConfig:
+    """WalkConfig of one sampler with its resolved (c, alpha).
 
-def _walk_config(task: _Task) -> WalkConfig:
-    kind = SamplerKind(task.sampler)
-    return WalkConfig(
-        kind=kind,
-        alpha=task.alpha if kind is SamplerKind.RWE else None,
-        c=task.c if kind in (SamplerKind.GMD, SamplerKind.WJRW) else None,
-        budget=task.budget,
-        seed=task.seed,
-        burn_in=task.burn_in,
-    )
+    ``c`` and ``alpha`` are None where the sampler takes none, as
+    ``_resolve_sampler_params`` leaves them; ``walk`` carries the per-walk
+    fields (budget, seed, burn_in).
+    """
+    return WalkConfig(kind=sampler, alpha=alpha, c=c, **walk)
 
 
 def estimation_weights(graph: Graph, config: WalkConfig, mode: str) -> np.ndarray:
@@ -207,7 +200,7 @@ def estimation_weights(graph: Graph, config: WalkConfig, mode: str) -> np.ndarra
 
 
 def _execute_task(graph: Graph, truth: Distribution, weights: np.ndarray, task: _Task) -> ReportRow:
-    cfg = _walk_config(task)
+    cfg = _walk_config(task.sampler, task.c, task.alpha, budget=task.budget, seed=task.seed, burn_in=task.burn_in)
     t0 = time.perf_counter() if task.timing else None
     trace = run_walk(graph, cfg)
     estimate = degree_distribution_estimate(trace, weights, graph)
@@ -228,46 +221,51 @@ def _execute_task(graph: Graph, truth: Distribution, weights: np.ndarray, task: 
     )
 
 
-_WORKER: dict = {}
+class _TaskRunner:
+    """Runs tasks on one graph, computing each group's weights once."""
+
+    def __init__(self, graph: Graph, weight_mode: str):
+        self.graph = graph
+        self.truth = true_degree_distribution(graph)
+        self.weight_mode = weight_mode
+        self.weights: dict = {}
+
+    def __call__(self, task: _Task) -> ReportRow:
+        key = (task.sampler, task.c, task.alpha)
+        if key not in self.weights:
+            self.weights[key] = estimation_weights(self.graph, _walk_config(*key), self.weight_mode)
+        return _execute_task(self.graph, self.truth, self.weights[key], task)
 
 
-def _worker_init(dataset_path: str, weight_mode: str) -> None:
-    graph, _ = load_edge_list(dataset_path)
-    graph = largest_connected_component(graph)
-    _WORKER["graph"] = graph
-    _WORKER["truth"] = true_degree_distribution(graph)
-    _WORKER["mode"] = weight_mode
-    _WORKER["weights"] = {}
+_POOL_RUNNER: Optional[_TaskRunner] = None  # set in each pool worker
+
+
+def _worker_init(graph: Graph, weight_mode: str) -> None:
+    global _POOL_RUNNER
+    _POOL_RUNNER = _TaskRunner(graph, weight_mode)
 
 
 def _worker_run(task: _Task) -> ReportRow:
-    graph = _WORKER["graph"]
-    cache = _WORKER["weights"]
-    key = (task.sampler, task.c, task.alpha)
-    if key not in cache:
-        cache[key] = estimation_weights(graph, _walk_config(task), _WORKER["mode"])
-    return _execute_task(graph, _WORKER["truth"], cache[key], task)
+    return _POOL_RUNNER(task)
 
 
 def _run_tasks(config: ExperimentConfig, graph: Graph, tasks: list[_Task]) -> list[ReportRow]:
+    """Run every task, in a process pool or in this process, sorted by group.
+
+    Pool workers receive the graph as an initializer argument; under the
+    fork start method they inherit it without copying or re-parsing.
+    """
     workers = config.parallel if config.parallel else (os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(config.dataset_path, config.weight_mode),
+            initargs=(graph, config.weight_mode),
         ) as pool:
             rows = list(pool.map(_worker_run, tasks, chunksize=chunk))
     else:
-        truth = true_degree_distribution(graph)
-        cache: dict = {}
-        rows = []
-        for task in tasks:
-            key = (task.sampler, task.c, task.alpha)
-            if key not in cache:
-                cache[key] = estimation_weights(graph, _walk_config(task), config.weight_mode)
-            rows.append(_execute_task(graph, truth, cache[key], task))
+        rows = list(map(_TaskRunner(graph, config.weight_mode), tasks))
     rows.sort(key=lambda r: (SAMPLER_ORDER.index(r.sampler), r.budget, r.c if r.c is not None else -1, r.repetition))
     return rows
 
@@ -499,11 +497,7 @@ def cmd_analyze(config: ExperimentConfig) -> str:
         )
     kind = config.samplers[0]
     c, alpha = _resolve_sampler_params(graph, config, kind)
-    cfg = WalkConfig(
-        kind=SamplerKind(kind),
-        alpha=alpha if kind == "rwe" else None,
-        c=c if kind in ("gmd", "wjrw") else None,
-    )
+    cfg = _walk_config(kind, c, alpha)
     matrix = dense_transition_matrix(graph, cfg)
     report = spectrum(matrix)
     closed = stationary_closed_form(graph, cfg)

@@ -1,36 +1,42 @@
-"""Five random-walk node samplers over undirected graphs.
+"""Five random-walk node samplers over undirected graphs, one transition law.
 
-Transition laws (n nodes, d_v = degree, N(v) = neighbors):
+All five walks follow the same law (n nodes, d_v = degree, N(v) =
+neighbors). Each node v has a size big_v >= d_v and a padding
+pad_v = big_v - d_v. From v the walk moves to a uniform member of N(v)
+with probability d_v/big_v; otherwise it escapes to a uniform member of
+its escape target. The kinds differ only in big and in that target:
 
-* ``srw``  - simple random walk: uniform over N(v).
-* ``rwe``  - random walk with escaping: with weight ``alpha`` per node, jump
-  uniformly over all n nodes (self included) with probability
-  alpha/(d_v+alpha), else walk to a uniform neighbor.
-* ``md``   - maximum-degree walk: pad every node with virtual self-loops up
-  to the graph's maximum degree; equivalently ``gmd`` with c bound to d_max.
-* ``gmd``  - generalized maximum-degree walk: with M = max(c, d_v), stay put
-  with probability (M-d_v)/M, else walk to a uniform neighbor.
-* ``wjrw`` - weighted-jump random walk: the self-loop mass of ``gmd`` is
-  routed instead to the jump set U = {u : d_u < c}, uniformly (self
-  included when v is in U).
+* ``srw``  - simple random walk: big_v = d_v, so it never escapes.
+* ``rwe``  - random walk with escaping: big_v = d_v + alpha, escaping to
+  all n nodes (self included); Avrachenkov, Ribeiro & Towsley, WAW 2010.
+* ``gmd``  - generalized maximum-degree walk: big_v = max(c, d_v), escaping
+  to v itself (a virtual self-loop); Li et al., ICDE 2015.
+* ``md``   - maximum-degree walk: ``gmd`` with c bound to the graph's
+  maximum degree.
+* ``wjrw`` - weighted-jump random walk: ``gmd``'s big, but the padding
+  escapes to the jump set U = {u : d_u < c} (self included when v is in U).
 
-Each sampler is exposed three ways: exact per-node transition rows, a
-seeded stochastic stepper, and stationary distributions (closed form and an
-exact numeric fixed-point solver). The closed form for ``wjrw`` weights
-each node in U by the average padding (c - d_u) over U; it coincides with
-the numeric stationary when all members of U share one degree, and it is
-what the ``paper`` estimation-weights mode uses even where the two disagree.
+``WalkLaw`` holds big, pad and the target for one (graph, config). The
+seeded stepper, the exact transition rows, the sparse product pi @ P, the
+closed-form and numeric stationary distributions, and the dense matrix and
+its diagonal (``spectral``) are all derived from it.
+
+The closed form weights each node by big_v, except that escaping mass is
+spread evenly over a target array. For ``wjrw`` that gives every member of
+U the average padding over U; it coincides with the numeric stationary
+when all members of U share one degree, and it is what the ``paper``
+estimation-weights mode uses even where the two disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, components
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -151,99 +157,77 @@ def resolve_cap(graph: Graph, config: WalkConfig) -> Optional[int]:
     return None
 
 
-class _WalkContext:
-    """Resolved per-walk state shared by the stepper and the row builder."""
+class WalkLaw:
+    """The transition law every walk kind is an instance of.
 
-    __slots__ = ("kind", "n", "degrees", "indptr", "indices", "alpha", "cap", "jump")
+    From node v the walk escapes with probability ``pad[v] / big[v]``, else
+    it moves to a uniform neighbor (probability ``d_v / big[v]``, so
+    ``big = d + pad``). An escape lands on a uniform member of ``targets``,
+    or stays at v when ``targets`` is None. Built once per (graph, config);
+    the stepper, rows, ``pi @ P``, the diagonal, the dense matrix and the
+    closed-form stationary are all derived from these three arrays.
+    """
 
-    def __init__(self, graph: Graph, config: WalkConfig, jump: Optional[JumpSet] = None):
-        self.kind = config.kind
-        self.n = graph.n
-        self.degrees = graph.degrees
-        self.indptr = graph.indptr
-        self.indices = graph.indices
-        self.alpha = config.alpha
-        self.cap = resolve_cap(graph, config)
-        if self.kind is SamplerKind.WJRW:
-            self.jump = jump if jump is not None else jump_set(graph, self.cap)
+    __slots__ = ("big", "pad", "targets")
+
+    def __init__(self, graph: Graph, config: WalkConfig):
+        kind = config.kind
+        targets = None
+        if kind is SamplerKind.SRW:
+            pad = np.zeros(graph.n)
+        elif kind is SamplerKind.RWE:
+            pad = np.full(graph.n, config.alpha)
+            targets = np.arange(graph.n, dtype=np.int64)
         else:
-            self.jump = None
+            pad = np.maximum(resolve_cap(graph, config) - graph.degrees, 0).astype(np.float64)
+            if kind is SamplerKind.WJRW:
+                targets = jump_set(graph, config.c).members
+        if not pad.any():  # nothing escapes: no target array is ever empty
+            targets = None
+        self.big = graph.degrees + pad
+        self.pad = pad
+        self.targets = targets
 
 
-def _advance(ctx: _WalkContext, v: int, r_mode: float, r_pick: float) -> int:
-    """One transition from v driven by two uniforms (mode, then target)."""
-    d = int(ctx.degrees[v])
-    kind = ctx.kind
-    if kind is SamplerKind.SRW:
+def _stepper(graph: Graph, law: WalkLaw):
+    """One transition from v driven by two uniforms (escape test, then pick).
+
+    Per-node values are read from Python lists, which index faster than
+    arrays; the 2m-long neighbor array stays an array, as a list of it would
+    cost more time and memory than a walk saves.
+    """
+    big, pad, targets = law.big.tolist(), law.pad.tolist(), law.targets
+    degrees, indptr, indices = graph.degrees.tolist(), graph.indptr.tolist(), graph.indices
+    size = 0 if targets is None else len(targets)
+
+    def advance(v: int, r_mode: float, r_pick: float) -> int:
+        if r_mode * big[v] < pad[v]:
+            if targets is None:
+                return v
+            j = int(r_pick * size)
+            return int(targets[j if j < size else size - 1])
+        d = degrees[v]
         if d == 0:
             raise SamplerError(f"no outgoing transition from isolated node {v}")
         j = int(r_pick * d)
-        if j >= d:
-            j = d - 1
-        return int(ctx.indices[int(ctx.indptr[v]) + j])
-    if kind is SamplerKind.RWE:
-        denom = d + ctx.alpha
-        if denom == 0:
-            raise SamplerError(f"no outgoing transition from isolated node {v}")
-        if r_mode * denom < ctx.alpha:
-            j = int(r_pick * ctx.n)
-            return j if j < ctx.n else ctx.n - 1
-        j = int(r_pick * d)
-        if j >= d:
-            j = d - 1
-        return int(ctx.indices[int(ctx.indptr[v]) + j])
-    cap = ctx.cap
-    pad = cap - d if cap > d else 0
-    if kind is SamplerKind.WJRW:
-        if pad and r_mode * (d + pad) < pad:
-            size = ctx.jump.size
-            j = int(r_pick * size)
-            if j >= size:
-                j = size - 1
-            return int(ctx.jump.members[j])
-    else:  # md / gmd: padding is self-loop mass
-        if pad and r_mode * (d + pad) < pad:
-            return v
-    if d == 0:
-        raise SamplerError(f"no outgoing transition from isolated node {v}")
-    j = int(r_pick * d)
-    if j >= d:
-        j = d - 1
-    return int(ctx.indices[int(ctx.indptr[v]) + j])
+        return int(indices[indptr[v] + (j if j < d else d - 1)])
+
+    return advance
 
 
 def transition_row(graph: Graph, config: WalkConfig, v: int) -> np.ndarray:
     """Exact one-step transition probabilities from node v (dense length n)."""
     if not 0 <= v < graph.n:
         raise SamplerError(f"node {v} out of range")
-    n = graph.n
-    d = int(graph.degrees[v])
-    nbrs = graph.neighbors(v)
-    row = np.zeros(n)
-    kind = config.kind
-    if kind is SamplerKind.SRW:
-        if d == 0:
-            raise SamplerError(f"no outgoing transition from isolated node {v}")
-        row[nbrs] = 1.0 / d
-        return row
-    if kind is SamplerKind.RWE:
-        denom = d + config.alpha
-        if denom == 0:
-            raise SamplerError(f"no outgoing transition from isolated node {v}")
-        row[:] = config.alpha / (denom * n)
-        row[nbrs] += 1.0 / denom
-        return row
-    cap = resolve_cap(graph, config)
-    big = max(cap, d)
-    if kind is SamplerKind.WJRW:
-        row[nbrs] += 1.0 / big
-        if big > d:
-            jump = jump_set(graph, cap)
-            row[jump.members] += (big - d) / (big * jump.size)
-        return row
-    # md / gmd
-    row[v] = (big - d) / big
-    row[nbrs] += 1.0 / big
+    law = WalkLaw(graph, config)
+    big, pad = law.big[v], law.pad[v]
+    if big == 0:
+        raise SamplerError(f"no outgoing transition from isolated node {v}")
+    row = np.zeros(graph.n)
+    if pad:
+        to = [v] if law.targets is None else law.targets
+        row[to] += pad / (big * len(to))
+    row[graph.neighbors(v)] += 1.0 / big
     return row
 
 
@@ -254,12 +238,16 @@ def step(
     v: int,
     rng: np.random.Generator,
 ) -> int:
-    """Draw the next node from v; consumes exactly two uniform variates."""
+    """Draw the next node from v; consumes exactly two uniform variates.
+
+    Builds the walk's law on every call (O(n)); ``run_walk`` builds it once
+    per walk. ``jump`` is accepted for compatibility and unused: the law
+    derives the jump set from (graph, config) itself.
+    """
     if not 0 <= v < graph.n:
         raise SamplerError(f"node {v} out of range")
-    ctx = _WalkContext(graph, config, jump)
     r = rng.random(2)
-    return _advance(ctx, v, float(r[0]), float(r[1]))
+    return _stepper(graph, WalkLaw(graph, config))(v, float(r[0]), float(r[1]))
 
 
 def _draw_start(graph: Graph, config: WalkConfig, rng: np.random.Generator) -> int:
@@ -285,76 +273,56 @@ def run_walk(graph: Graph, config: WalkConfig) -> Trace:
     """
     if graph.n == 0:
         raise SamplerError("cannot walk an empty graph")
-    ctx = _WalkContext(graph, config)
+    advance = _stepper(graph, WalkLaw(graph, config))
     rng = make_rng(config.seed)
     start = _draw_start(graph, config, rng)
     budget = config.budget
+    burn_in = config.burn_in
     out = np.empty(budget, dtype=np.int64)
     v = start
-    total_steps = config.burn_in + budget - 1
+    total_steps = burn_in + budget - 1
     recorded = 0
-    if config.burn_in == 0:
+    if burn_in == 0:
         out[0] = v
         recorded = 1
     chunk = 1 << 15
     done = 0
-    advance = _advance
     while done < total_steps:
         k = min(chunk, total_steps - done)
         buf = rng.random(2 * k).tolist()
         for i in range(k):
-            v = advance(ctx, v, buf[2 * i], buf[2 * i + 1])
+            v = advance(v, buf[2 * i], buf[2 * i + 1])
             done += 1
-            if done >= config.burn_in:
+            if done >= burn_in:
                 out[recorded] = v
                 recorded += 1
-    if recorded != budget:  # burn_in landed exactly on the first record
-        out[recorded:] = v
     return Trace(nodes=out, config=config, start=start)
 
 
 def stationary_closed_form(graph: Graph, config: WalkConfig) -> np.ndarray:
     """Stationary distribution by formula, normalized to sum 1.
 
-    srw: proportional to d_v; rwe: to d_v + alpha; md: uniform; gmd: to
-    max(c, d_v); wjrw: to d_v plus, for members of the jump set U, the
-    average padding sum(c - d_u)/|U|. The wjrw formula is exact only when
-    all members of U share the same degree (see module docstring).
+    Proportional to ``big = d + pad``, except that mass escaping to a
+    target array is spread evenly over it: each target gets d_v plus the
+    total padding over the number of targets. That is srw: d_v; rwe:
+    d_v + alpha; md: uniform; gmd: max(c, d_v); wjrw: d_v plus, on U, the
+    average padding sum(c - d_u)/|U|, which is exact only when all members
+    of U share one degree (see module docstring).
     """
-    kind = config.kind
-    deg = graph.degrees.astype(np.float64)
-    if kind is SamplerKind.SRW:
-        weights = deg
-    elif kind is SamplerKind.RWE:
-        weights = deg + config.alpha
-    elif kind is SamplerKind.MD:
-        weights = np.ones(graph.n)
-    elif kind is SamplerKind.GMD:
-        weights = np.maximum(resolve_cap(graph, config), deg)
-    else:  # wjrw
-        jump = jump_set(graph, config.c)
-        weights = deg.copy()
-        if jump.size:
-            weights[jump.members] += jump.total_alpha / jump.size
+    law = WalkLaw(graph, config)
+    weights = law.big
+    targets = law.targets
+    if targets is not None:
+        shares = law.pad[targets]
+        # When every target pads equally the even split is that padding
+        # itself, which ``big`` already holds exactly.
+        if shares.min() < shares.max():
+            weights = weights.copy()
+            weights[targets] = graph.degrees[targets] + law.pad.sum() / len(targets)
     total = weights.sum()
     if total <= 0:
         raise SamplerError("graph has no edges; stationary undefined")
     return weights / total
-
-
-def _is_connected(graph: Graph) -> bool:
-    if graph.n <= 1:
-        return True
-    if np.any(graph.degrees == 0):
-        return False
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    adj = csr_matrix(
-        (np.ones(len(graph.indices), dtype=np.int8), graph.indices, graph.indptr),
-        shape=(graph.n, graph.n),
-    )
-    return connected_components(adj, directed=False, return_labels=False) == 1
 
 
 def _neighbor_sums(indptr: np.ndarray, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -369,28 +337,14 @@ def _neighbor_sums(indptr: np.ndarray, indices: np.ndarray, x: np.ndarray) -> np
     return out
 
 
-def _apply_transition(graph: Graph, config: WalkConfig, pi: np.ndarray) -> np.ndarray:
-    """Row-vector product pi @ P in O(m + n) using the jump structure."""
-    kind = config.kind
-    deg = graph.degrees
-    if kind is SamplerKind.SRW:
-        return _neighbor_sums(graph.indptr, graph.indices, pi / deg)
-    if kind is SamplerKind.RWE:
-        y = pi / (deg + config.alpha)
-        out = _neighbor_sums(graph.indptr, graph.indices, y)
-        out += config.alpha * y.sum() / graph.n
-        return out
-    cap = resolve_cap(graph, config)
-    big = np.maximum(cap, deg)
-    y = pi / big
-    out = _neighbor_sums(graph.indptr, graph.indices, y)
-    pad_mass = pi * (big - deg) / big
-    if kind is SamplerKind.WJRW:
-        jump = jump_set(graph, cap)
-        if jump.size:
-            out[jump.members] += pad_mass.sum() / jump.size
+def _apply_transition(graph: Graph, law: WalkLaw, pi: np.ndarray) -> np.ndarray:
+    """Row-vector product pi @ P in O(m + n)."""
+    out = _neighbor_sums(graph.indptr, graph.indices, pi / law.big)
+    escaped = pi * law.pad / law.big
+    if law.targets is None:
+        out += escaped
     else:
-        out += pad_mass
+        out[law.targets] += escaped.sum() / len(law.targets)
     return out
 
 
@@ -408,12 +362,14 @@ def stationary_numeric(
     """
     if graph.n == 0:
         raise SamplerError("empty graph")
-    jumps_everywhere = config.kind is SamplerKind.RWE and config.alpha > 0
-    if not jumps_everywhere and not _is_connected(graph):
+    law = WalkLaw(graph, config)
+    # A walk that can escape from every node to every node is irreducible.
+    jumps_everywhere = law.targets is not None and len(law.targets) == graph.n and law.pad.all()
+    if not jumps_everywhere and components(graph)[0] != 1:
         raise SamplerError("graph must be connected for a unique stationary distribution")
     pi = np.full(graph.n, 1.0 / graph.n)
     for _ in range(max_iters):
-        nxt = _apply_transition(graph, config, pi)
+        nxt = _apply_transition(graph, law, pi)
         residual = float(np.abs(nxt - pi).sum())
         if residual <= tol:
             return pi / pi.sum()
@@ -423,8 +379,3 @@ def stationary_numeric(
         f"stationary iteration did not reach tol={tol:g} within "
         f"{max_iters} iterations (residual={residual:.3e})"
     )
-
-
-def with_seed(config: WalkConfig, seed: int) -> WalkConfig:
-    """Copy of the config with a different seed."""
-    return replace(config, seed=seed)

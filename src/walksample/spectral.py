@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimation import Distribution
 from .graph import Graph
-from .samplers import SamplerError, SamplerKind, WalkConfig, jump_set, resolve_cap, transition_row
+from .samplers import SamplerError, WalkConfig, WalkLaw
 
 DENSE_CAP = 4096
 
@@ -70,12 +70,20 @@ class SpectrumReport:
 
 
 def dense_transition_matrix(graph: Graph, config: WalkConfig, cap: int = DENSE_CAP) -> WalkMatrix:
-    """Assemble all n transition rows into one dense matrix (n <= cap)."""
+    """The full transition matrix in one dense array (n <= cap)."""
     if graph.n > cap:
         raise SamplerError(f"graph has {graph.n} nodes; dense analysis capped at {cap}")
-    entries = np.empty((graph.n, graph.n))
-    for v in range(graph.n):
-        entries[v] = transition_row(graph, config, v)
+    law = WalkLaw(graph, config)
+    isolated = np.flatnonzero(law.big == 0)
+    if len(isolated):
+        raise SamplerError(f"no outgoing transition from isolated node {isolated[0]}")
+    entries = np.zeros((graph.n, graph.n))
+    if law.targets is None:
+        np.fill_diagonal(entries, law.pad / law.big)
+    else:
+        entries[:, law.targets] = (law.pad / (law.big * len(law.targets)))[:, None]
+    src = np.repeat(np.arange(graph.n), graph.degrees)
+    entries[src, graph.indices] += 1.0 / law.big[src]
     matrix = WalkMatrix(n=graph.n, entries=entries, config=config)
     matrix.validate()
     return matrix
@@ -137,34 +145,25 @@ def spectrum(matrix: WalkMatrix) -> SpectrumReport:
     return report
 
 
-def _dense_pi(graph: Graph, pi: Distribution) -> np.ndarray:
-    out = np.zeros(graph.n)
-    support = np.asarray(pi.support, dtype=np.int64)
-    if len(support) and (support.min() < 0 or support.max() >= graph.n):
+def _dense_pi(n: int, pi: Distribution) -> np.ndarray:
+    """pi as a dense length-n vector; its support must be node ids."""
+    support = pi.support
+    if len(support) and (support.min() < 0 or support.max() >= n):
         raise ValueError("distribution support is not a set of node ids")
+    out = np.zeros(n)
     out[support] = pi.mass
     return out
 
 
 def self_transition_probabilities(graph: Graph, config: WalkConfig) -> np.ndarray:
     """Diagonal of the transition matrix, one value per node."""
-    n = graph.n
-    deg = graph.degrees.astype(np.float64)
-    kind = config.kind
-    if kind is SamplerKind.SRW:
-        return np.zeros(n)
-    if kind is SamplerKind.RWE:
-        return config.alpha / ((deg + config.alpha) * n)
-    cap = resolve_cap(graph, config)
-    big = np.maximum(cap, deg)
-    if kind is SamplerKind.WJRW:
-        diag = np.zeros(n)
-        jump = jump_set(graph, cap)
-        if jump.size:
-            m = jump.members
-            diag[m] = (big[m] - deg[m]) / (big[m] * jump.size)
-        return diag
-    return (big - deg) / big
+    law = WalkLaw(graph, config)
+    if law.targets is None:
+        return law.pad / law.big
+    diag = np.zeros(graph.n)
+    t = law.targets
+    diag[t] = law.pad[t] / (law.big[t] * len(t))
+    return diag
 
 
 def expected_repeat_probability(graph: Graph, config: WalkConfig, pi: Distribution) -> float:
@@ -173,21 +172,16 @@ def expected_repeat_probability(graph: Graph, config: WalkConfig, pi: Distributi
     Equals sum over nodes of pi_v times the self-transition probability of
     the configured walk at v.
     """
-    weights = _dense_pi(graph, pi)
-    return float(weights @ self_transition_probabilities(graph, config))
+    return float(_dense_pi(graph.n, pi) @ self_transition_probabilities(graph, config))
 
 
 def reversibility_residual(matrix: WalkMatrix, pi: Distribution, graph: Optional[Graph] = None) -> float:
     """Worst detailed-balance violation max |pi_v P_vu - pi_u P_uv|.
 
-    Zero (to rounding) iff the chain is reversible under pi. ``graph`` is
-    only used to validate the support when given.
+    Zero (to rounding) iff the chain is reversible under pi. The support of
+    pi is always validated against the matrix; ``graph`` is accepted for
+    compatibility and unused.
     """
     matrix.validate()
-    support = np.asarray(pi.support, dtype=np.int64)
-    if len(support) and (support.min() < 0 or support.max() >= matrix.n):
-        raise ValueError("distribution support is not a set of node ids")
-    weights = np.zeros(matrix.n)
-    weights[support] = pi.mass
-    flow = weights[:, None] * matrix.entries
+    flow = _dense_pi(matrix.n, pi)[:, None] * matrix.entries
     return float(np.max(np.abs(flow - flow.T)))

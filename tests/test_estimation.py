@@ -8,7 +8,6 @@ import pytest
 from conftest import random_connected_graph
 from walksample import (
     Distribution,
-    EstimateResult,
     WalkConfig,
     ZeroInclusionProbability,
     degree_distribution_estimate,
@@ -49,11 +48,6 @@ def test_distribution_from_weights_normalizes():
     assert np.allclose(d.mass, [0.25, 0.75, 0.0])
     with pytest.raises(ValueError):
         Distribution.from_weights([1], [0.0])
-
-
-def test_estimate_result_invariant():
-    with pytest.raises(ValueError):
-        EstimateResult(value=1.0, distribution=None, sample_size=3, unique_nodes=4)
 
 
 # ------------------------------------------------------------- metrics

@@ -69,6 +69,14 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list(io.StringIO("-1 2\n"))
 
 
+def test_parse_rejects_node_ids_beyond_int64():
+    assert parse_edge_list(io.StringIO(f"1 2\n2 {2**63 - 1}\n"))[0].labels[-1] == 2**63 - 1
+    with pytest.raises(EdgeListParseError, match="line 2"):
+        parse_edge_list(io.StringIO(f"1 2\n2 {2**63}\n"))
+    with pytest.raises(EdgeListParseError, match="line 1"):
+        parse_edge_list(io.StringIO(f"{2**70} 1\n"))
+
+
 def test_parse_rejects_inputs_without_edges():
     with pytest.raises(EmptyGraphError):
         parse_edge_list(io.StringIO(""))

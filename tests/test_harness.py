@@ -386,6 +386,13 @@ def test_cli_exit_codes(tmp_path, example_file, capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_cli_node_id_beyond_int64_is_an_input_error(tmp_path, capsys):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1 2\n2 9223372036854775808\n", encoding="utf-8")
+    assert main(["stats", "--dataset", str(huge)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_cli_json_format(example_file, capsys):
     rc = main(
         [

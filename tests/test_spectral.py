@@ -20,6 +20,7 @@ from walksample import (
     spectrum,
     stationary_closed_form,
     stationary_numeric,
+    transition_row,
 )
 
 MU_WJRW = (math.sqrt(5) - 1) / 6
@@ -119,6 +120,24 @@ def test_self_transition_diagonal_matches_dense_matrix(example_graph):
         diag = self_transition_probabilities(example_graph, cfg)
         dense = np.diag(dense_transition_matrix(example_graph, cfg).entries)
         assert np.max(np.abs(diag - dense)) <= 1e-15
+
+
+def test_dense_matrix_equals_stacked_rows_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        g = random_connected_graph(rng, int(rng.integers(4, 14)))
+        c = int(rng.integers(1, g.d_max + 2))
+        for cfg in (
+            WalkConfig(kind="srw"),
+            WalkConfig(kind="rwe", alpha=float(rng.uniform(0.1, 4))),
+            WalkConfig(kind="md"),
+            WalkConfig(kind="gmd", c=c),
+            WalkConfig(kind="wjrw", c=c),
+        ):
+            rows = np.array([transition_row(g, cfg, v) for v in range(g.n)])
+            dense = dense_transition_matrix(g, cfg).entries
+            assert np.array_equal(dense, rows), cfg.kind
+            assert np.array_equal(self_transition_probabilities(g, cfg), np.diag(dense)), cfg.kind
 
 
 def test_expected_repeat_probability_examples(example_graph):
