@@ -114,7 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--timing",
             action="store_true",
             default=None,
-            help="fill wall_millis (makes output non-reproducible)",
+            help=(
+                "fill wall_millis (makes output non-reproducible): each repetition's share of its "
+                "lockstep batch's walk time, by burn-in plus budget, plus its own scoring time"
+            ),
         )
 
     p_stats = sub.add_parser("stats", help="dataset summary (n, m, degrees, component sizes)")

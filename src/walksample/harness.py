@@ -33,7 +33,7 @@ from .samplers import (
     SamplerError,
     WalkConfig,
     derive_seed,
-    run_walk,
+    run_walks,
     stationary_closed_form,
     stationary_numeric,
 )
@@ -199,30 +199,32 @@ def estimation_weights(graph: Graph, config: WalkConfig, mode: str) -> np.ndarra
     raise UsageError(f"unknown weights mode {mode!r}")
 
 
-def _execute_task(graph: Graph, truth: Distribution, weights: np.ndarray, task: _Task) -> ReportRow:
-    cfg = _walk_config(task.sampler, task.c, task.alpha, budget=task.budget, seed=task.seed, burn_in=task.burn_in)
-    t0 = time.perf_counter() if task.timing else None
-    trace = run_walk(graph, cfg)
-    estimate = degree_distribution_estimate(trace, weights, graph)
-    kl = kl_divergence(truth, estimate)
-    millis = (time.perf_counter() - t0) * 1000.0 if t0 is not None else None
-    return ReportRow(
-        dataset=task.dataset,
-        sampler=task.sampler,
-        c=task.c,
-        alpha=task.alpha,
-        budget=task.budget,
-        repetition=task.repetition,
-        seed=task.seed,
-        kl=kl,
-        log10_kl=math.log10(kl) if kl > 0 else None,
-        unique_nodes=unique_count(trace),
-        wall_millis=millis,
-    )
+# Whole walkers are batched into one ``run_walks`` call up to this many
+# recorded nodes, which bounds the traces held at once.
+_BATCH_NODES = 1 << 20
+
+
+def _batches(tasks: Sequence[_Task]):
+    """Consecutive runs of tasks whose budgets sum to at most ``_BATCH_NODES``."""
+    batch, nodes = [], 0
+    for task in tasks:
+        if batch and nodes + task.budget > _BATCH_NODES:
+            yield batch
+            batch, nodes = [], 0
+        batch.append(task)
+        nodes += task.budget
+    if batch:
+        yield batch
 
 
 class _TaskRunner:
-    """Runs tasks on one graph, computing each group's weights once."""
+    """Runs slices of tasks on one graph, computing each group's weights once.
+
+    The walks of a slice run in lockstep batches; each trace is then scored
+    in task order. Under ``timing`` a row's ``wall_millis`` is its share of
+    its batch's walk time, in proportion to its burn-in plus budget, plus
+    the time spent scoring its own trace.
+    """
 
     def __init__(self, graph: Graph, weight_mode: str):
         self.graph = graph
@@ -230,11 +232,68 @@ class _TaskRunner:
         self.weight_mode = weight_mode
         self.weights: dict = {}
 
-    def __call__(self, task: _Task) -> ReportRow:
+    def __call__(self, tasks: Sequence[_Task]) -> list[ReportRow]:
+        rows = []
+        for batch in _batches(tasks):
+            configs = [
+                _walk_config(t.sampler, t.c, t.alpha, budget=t.budget, seed=t.seed, burn_in=t.burn_in) for t in batch
+            ]
+            t0 = time.perf_counter()
+            traces = run_walks(self.graph, configs)
+            walk_s_per_step = (time.perf_counter() - t0) / sum(t.burn_in + t.budget for t in batch)
+            for task, trace in zip(batch, traces):
+                rows.append(self._score(task, trace, walk_s_per_step * (task.burn_in + task.budget)))
+        return rows
+
+    def _score(self, task: _Task, trace, walk_s: float) -> ReportRow:
         key = (task.sampler, task.c, task.alpha)
         if key not in self.weights:
             self.weights[key] = estimation_weights(self.graph, _walk_config(*key), self.weight_mode)
-        return _execute_task(self.graph, self.truth, self.weights[key], task)
+        t0 = time.perf_counter()
+        kl = kl_divergence(self.truth, degree_distribution_estimate(trace, self.weights[key], self.graph))
+        unique = unique_count(trace)
+        millis = (walk_s + time.perf_counter() - t0) * 1000.0 if task.timing else None
+        return ReportRow(
+            dataset=task.dataset,
+            sampler=task.sampler,
+            c=task.c,
+            alpha=task.alpha,
+            budget=task.budget,
+            repetition=task.repetition,
+            seed=task.seed,
+            kl=kl,
+            log10_kl=math.log10(kl) if kl > 0 else None,
+            unique_nodes=unique,
+            wall_millis=millis,
+        )
+
+
+def _group_slices(tasks: Sequence[_Task], parts: int) -> list[list[_Task]]:
+    """At most ``parts`` contiguous slices of whole (sampler, C, alpha) groups.
+
+    Each group's tasks land in exactly one slice, so each group's weights
+    are solved by one process. Cuts fall where the running total of walk
+    steps (burn-in plus budget) is nearest an equal share.
+    """
+    groups: dict = {}
+    for task in tasks:
+        groups.setdefault((task.sampler, task.c, task.alpha), []).append(task)
+    groups = list(groups.values())
+    steps = [sum(t.burn_in + t.budget for t in group) for group in groups]
+    parts = max(1, min(parts, len(groups)))
+    share = sum(steps) / parts
+    slices, current, done = [], [], 0
+    for i, group in enumerate(groups):
+        current += group
+        done += steps[i]
+        left = parts - len(slices) - 1  # slices still to open after this one
+        # Cut when every group left must open a slice of its own, or when the
+        # next group would overshoot this slice's share by more than half.
+        if left and (len(groups) - i - 1 == left or done + steps[i + 1] / 2 >= share * (len(slices) + 1)):
+            slices.append(current)
+            current = []
+    slices.append(current)
+    return slices
 
 
 _POOL_RUNNER: Optional[_TaskRunner] = None  # set in each pool worker
@@ -245,27 +304,27 @@ def _worker_init(graph: Graph, weight_mode: str) -> None:
     _POOL_RUNNER = _TaskRunner(graph, weight_mode)
 
 
-def _worker_run(task: _Task) -> ReportRow:
-    return _POOL_RUNNER(task)
+def _worker_run(tasks: list[_Task]) -> list[ReportRow]:
+    return _POOL_RUNNER(tasks)
 
 
 def _run_tasks(config: ExperimentConfig, graph: Graph, tasks: list[_Task]) -> list[ReportRow]:
     """Run every task, in a process pool or in this process, sorted by group.
 
-    Pool workers receive the graph as an initializer argument; under the
-    fork start method they inherit it without copying or re-parsing.
+    The pool maps one slice of whole groups to each worker. Workers receive
+    the graph as an initializer argument; under the fork start method they
+    inherit it without copying or re-parsing.
     """
-    workers = config.parallel if config.parallel else (os.cpu_count() or 1)
-    if workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (workers * 4))
+    slices = _group_slices(tasks, config.parallel or os.cpu_count() or 1)
+    if len(slices) > 1:
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=len(slices),
             initializer=_worker_init,
             initargs=(graph, config.weight_mode),
         ) as pool:
-            rows = list(pool.map(_worker_run, tasks, chunksize=chunk))
+            rows = [row for part in pool.map(_worker_run, slices) for row in part]
     else:
-        rows = list(map(_TaskRunner(graph, config.weight_mode), tasks))
+        rows = _TaskRunner(graph, config.weight_mode)(tasks)
     rows.sort(key=lambda r: (SAMPLER_ORDER.index(r.sampler), r.budget, r.c if r.c is not None else -1, r.repetition))
     return rows
 
@@ -369,7 +428,7 @@ def _resolve_sampler_params(graph: Graph, config: ExperimentConfig, kind: str, c
     return c, alpha
 
 
-def _make_tasks(config: ExperimentConfig, graph: Graph, combos) -> list[_Task]:
+def _make_tasks(config: ExperimentConfig, combos) -> list[_Task]:
     """combos: iterable of (sampler, c, alpha, budget)."""
     name = _dataset_name(config.dataset_path)
     tasks = []
@@ -422,7 +481,7 @@ def cmd_run(config: ExperimentConfig) -> str:
     graph = _load_component(config)
     kind = config.samplers[0]
     c, alpha = _resolve_sampler_params(graph, config, kind)
-    tasks = _make_tasks(config, graph, [(kind, c, alpha, config.budgets[0])])
+    tasks = _make_tasks(config, [(kind, c, alpha, config.budgets[0])])
     rows = _run_tasks(config, graph, tasks)
     meta = {"samplers": [kind], "budgets": list(config.budgets), "c": c, "alpha": _round12(alpha)}
     return render_rows(config, "run", rows, meta)
@@ -444,7 +503,7 @@ def cmd_sweep_budget(config: ExperimentConfig) -> str:
         resolved[kind] = {"c": c, "alpha": _round12(alpha)}
         for budget in config.budgets:
             combos.append((kind, c, alpha, budget))
-    tasks = _make_tasks(config, graph, combos)
+    tasks = _make_tasks(config, combos)
     rows = _run_tasks(config, graph, tasks)
     rows = rows + aggregate_rows(rows)
     meta = {"samplers": list(config.samplers), "budgets": list(config.budgets), "resolved": resolved}
@@ -472,7 +531,7 @@ def cmd_sweep_c(config: ExperimentConfig) -> str:
         cs = list(dict.fromkeys(config.c_values))
     budget = config.budgets[0]
     combos = [(kind, c, None, budget) for kind in samplers for c in cs]
-    tasks = _make_tasks(config, graph, combos)
+    tasks = _make_tasks(config, combos)
     rows = _run_tasks(config, graph, tasks)
     rows = rows + aggregate_rows(rows)
     meta = {

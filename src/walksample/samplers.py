@@ -21,6 +21,13 @@ seeded stepper, the exact transition rows, the sparse product pi @ P, the
 closed-form and numeric stationary distributions, and the dense matrix and
 its diagonal (``spectral``) are all derived from it.
 
+Walks run on two engines that give the same traces. ``run_walk`` is the
+scalar reference: one walker, one Python step at a time (~1 us a step).
+``run_walks`` is the lockstep engine: it advances a whole batch of walkers,
+each with its own law, budget, burn-in, start and Philox stream, one numpy
+step at a time (~15 us a step at any width), so it pays off from a few
+dozen walkers on; the harness runs every sweep through it.
+
 The closed form weights each node by big_v, except that escaping mass is
 spread evenly over a target array. For ``wjrw`` that gives every member of
 U the average padding over U; it coincides with the numeric stationary
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -297,6 +304,108 @@ def run_walk(graph: Graph, config: WalkConfig) -> Trace:
                 out[recorded] = v
                 recorded += 1
     return Trace(nodes=out, config=config, start=start)
+
+
+# Steps x walkers advanced per chunk of drawn variates (two per step), so a
+# chunk holds about as many variates as one of ``run_walk``'s.
+_LOCKSTEP_CHUNK = 1 << 15
+
+
+def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
+    """Run many seeded walks in lockstep; trace i equals ``run_walk(graph, configs[i])``.
+
+    Every walker of the batch takes its step t in the same numpy operations,
+    whatever its law, budget, burn-in or start policy. The laws are
+    flattened: ``big``/``pad`` of law l are read at ``l * n + v``. Every
+    pick is a uniform index into a block of one pool array, which holds the
+    neighbor array, ``arange(n)`` (an escape to self enters it at v, a
+    block of size 1) and each law's targets. Each walker keeps its own
+    Philox stream, drawn in chunks; ``random(a)`` then ``random(b)`` yields
+    the numbers of one ``random(a + b)``, so the chunk size changes no
+    trace. The escape test and both picks are the scalar stepper's
+    comparisons, bit for bit.
+    """
+    if graph.n == 0:
+        raise SamplerError("cannot walk an empty graph")
+    if not configs:
+        return []
+    n = graph.n
+    keys = [(cfg.kind, cfg.alpha, cfg.c) for cfg in configs]
+    laws: dict = {}  # key -> (law id, escape block size)
+    pool = [graph.indices, np.arange(n, dtype=np.int64)]
+    big, pad, escape_first = [], [], []
+    offset = len(graph.indices) + n
+    for key, cfg in zip(keys, configs):
+        if key in laws:
+            continue
+        law = WalkLaw(graph, cfg)
+        big.append(law.big)
+        pad.append(law.pad)
+        if law.targets is None:
+            escape_first.append(pool[1] + len(graph.indices))
+            laws[key] = (len(laws), 1)
+        else:
+            escape_first.append(np.full(n, offset, dtype=np.int64))
+            laws[key] = (len(laws), len(law.targets))
+            pool.append(law.targets)
+            offset += len(law.targets)
+    pool, big, pad, escape_first = (np.concatenate(x) for x in (pool, big, pad, escape_first))
+    escapes = bool(pad.any())
+    degrees, indptr = graph.degrees, graph.indptr[:-1]
+    isolated = not degrees.all()
+
+    rngs = [make_rng(cfg.seed) for cfg in configs]
+    starts = [_draw_start(graph, cfg, rng) for cfg, rng in zip(configs, rngs)]
+    outs = [np.empty(cfg.budget, dtype=np.int64) for cfg in configs]
+    for cfg, out, start in zip(configs, outs, starts):
+        if cfg.burn_in == 0:
+            out[0] = start
+    # Walkers sorted by steps to take, most first: those still walking at
+    # any step are a prefix of this order.
+    steps = [cfg.burn_in + cfg.budget - 1 for cfg in configs]
+    order = sorted(range(len(configs)), key=lambda i: -steps[i])
+    totals = [steps[i] for i in order]
+    burn = [configs[i].burn_in for i in order]
+    law_of = np.array([laws[keys[i]] for i in order], dtype=np.int64)
+    base, escape_size = law_of[:, 0] * n, law_of[:, 1]
+    walker_rngs = [rngs[i] for i in order]
+    walker_outs = [outs[i] for i in order]
+    v = np.array([starts[i] for i in order], dtype=np.int64)
+
+    done, active = 0, len(order)
+    while done < totals[0]:
+        while totals[active - 1] <= done:
+            active -= 1
+        k = min(max(1, _LOCKSTEP_CHUNK // active), totals[0] - done)
+        draws = np.empty((active, 2 * k))
+        for i in range(active):
+            walker_rngs[i].random(out=draws[i, : 2 * min(k, totals[i] - done)])
+        draws = draws.T.copy()  # row 2r: escape tests of step r; row 2r + 1: picks
+        visits = np.empty((k, active), dtype=np.int64)
+        a = active
+        for r in range(k):
+            while totals[a - 1] <= done + r:
+                a -= 1
+            v = v[:a]
+            if escapes:
+                idx = base[:a] + v
+                esc = draws[2 * r, :a] * big.take(idx) < pad.take(idx)
+                first = np.where(esc, escape_first.take(idx), indptr.take(v))
+                size = np.where(esc, escape_size[:a], degrees.take(v))
+            else:
+                first, size = indptr.take(v), degrees.take(v)
+            if isolated and not size.all():
+                raise SamplerError(f"no outgoing transition from isolated node {int(v[size == 0][0])}")
+            j = (draws[2 * r + 1, :a] * size).astype(np.int64)
+            np.minimum(j, size - 1, out=j)
+            v = visits[r, :a]
+            pool.take(np.add(first, j, out=j), out=v)
+        for i in range(active):
+            lo, hi = max(burn[i], done + 1), min(totals[i], done + k)
+            if lo <= hi:
+                walker_outs[i][lo - burn[i] : hi - burn[i] + 1] = visits[lo - done - 1 : hi - done, i]
+        done += k
+    return [Trace(nodes=out, config=cfg, start=start) for cfg, out, start in zip(configs, outs, starts)]
 
 
 def stationary_closed_form(graph: Graph, config: WalkConfig) -> np.ndarray:

@@ -28,6 +28,7 @@ from walksample import (
     ht_ratio_estimate,
     load_edge_list,
     run_walk,
+    run_walks,
     spectrum,
     stationary_closed_form,
     stationary_numeric,
@@ -215,10 +216,8 @@ def test_criterion_04_stationary_closed_vs_numeric(example_graph, path3_graph):
 def test_criterion_05_estimator_consistency(example_graph):
     indicator = (example_graph.degrees == 2).astype(float)
     srw_pi = stationary_closed_form(example_graph, WalkConfig(kind="srw"))
-    values = []
-    for rep in range(20):
-        cfg = WalkConfig(kind="srw", budget=200_000, seed=derive_seed(5, rep))
-        values.append(ht_ratio_estimate(run_walk(example_graph, cfg), srw_pi, indicator))
+    configs = [WalkConfig(kind="srw", budget=200_000, seed=derive_seed(5, rep)) for rep in range(20)]
+    values = [ht_ratio_estimate(trace, srw_pi, indicator) for trace in run_walks(example_graph, configs)]
     mean = float(np.mean(values))
 
     const_worst = 0.0

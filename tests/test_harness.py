@@ -13,6 +13,8 @@ from walksample.harness import (
     ReportRow,
     UsageError,
     _fmt,
+    _group_slices,
+    _make_tasks,
     aggregate_rows,
     cmd_analyze,
     cmd_run,
@@ -179,6 +181,15 @@ def test_cmd_run_timing_fills_wall_millis(example_file):
         assert float(cells(r)[10]) >= 0.0
 
 
+def test_timed_cells_are_finite_and_positive(example_file):
+    cfg = example_config(
+        example_file, samplers=("srw", "wjrw"), budgets=(1, 40), repetitions=3, c_values=(3,), burn_in=2, timing=True
+    )
+    for r in data_lines(cmd_sweep_budget(cfg)):
+        millis = float(cells(r)[10])
+        assert math.isfinite(millis) and millis > 0.0, r
+
+
 def test_sweep_budget_counts_sorting_and_means(example_file):
     cfg = example_config(
         example_file,
@@ -208,6 +219,37 @@ def test_sweep_budget_parallel_matches_sequential(example_file):
     seq = cmd_sweep_budget(example_config(example_file, parallel=1, **base))
     par = cmd_sweep_budget(example_config(example_file, parallel=2, **base))
     assert seq == par
+
+
+def test_sweep_budget_parallel_matches_sequential_with_oracle_weights_and_burn_in(example_file):
+    base = dict(
+        samplers=("srw", "rwe", "md", "gmd", "wjrw"),
+        budgets=(40, 90),
+        repetitions=3,
+        c_values=(3,),
+        weight_mode="oracle",
+        burn_in=3,
+        output_format="json",
+    )
+    seq = cmd_sweep_budget(example_config(example_file, parallel=1, **base))
+    par = cmd_sweep_budget(example_config(example_file, parallel=2, **base))
+    assert seq == par
+
+
+def test_group_slices_keep_every_weight_group_in_one_slice(example_file):
+    cfg = example_config(example_file, repetitions=4, burn_in=1)
+    groups = (("srw", None, None), ("rwe", None, 2.5), ("gmd", 2, None), ("gmd", 3, None), ("wjrw", 3, None))
+    tasks = _make_tasks(cfg, [(kind, c, alpha, budget) for kind, c, alpha in groups for budget in (10, 300)])
+    for parts in range(1, 8):
+        slices = _group_slices(tasks, parts)
+        assert len(slices) == min(parts, 5)
+        assert all(slices)
+        assert [t for part in slices for t in part] == tasks  # contiguous, in order
+        owner = {}
+        for i, part in enumerate(slices):
+            for t in part:
+                assert owner.setdefault((t.sampler, t.c, t.alpha), i) == i
+        assert len(owner) == 5
 
 
 def test_sweep_budget_shares_seeds_across_samplers(example_file):
