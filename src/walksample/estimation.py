@@ -73,6 +73,8 @@ class Distribution:
 
 def _aligned(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Masses of p and q on the union of their supports."""
+    if p.support is q.support:  # e.g. both over a graph's cached degree support
+        return p.support, p.mass, q.mass
     union = np.union1d(p.support, q.support)
     pv = np.zeros(len(union))
     qv = np.zeros(len(union))
@@ -95,7 +97,7 @@ def kl_divergence(true_p: Distribution, est_q: Distribution, eps: float = 1e-12)
     a large but finite penalty. Terms with zero true mass contribute 0.
     """
     union, pv, qv = _aligned(true_p, est_q)
-    in_true = np.isin(union, true_p.support)
+    in_true = union is true_p.support or np.isin(union, true_p.support)
     q_smooth = qv + eps * in_true
     q_smooth /= q_smooth.sum()
     pos = pv > 0
@@ -150,19 +152,19 @@ def degree_distribution_estimate(trace, pi: WeightFunction, graph: "Graph") -> D
     """
     nodes = _trace_nodes(trace)
     w = _inclusion_weights(pi, nodes)
-    support = np.unique(graph.degrees)
-    sums = np.zeros(len(support))
-    cat = np.searchsorted(support, graph.degrees[nodes])
-    np.add.at(sums, cat, w)
+    support, category = graph.degree_classes
+    sums = np.bincount(category[nodes], weights=w, minlength=len(support))
     return Distribution.from_weights(support, sums)
 
 
 def true_degree_distribution(graph: "Graph") -> Distribution:
     """Exact degree distribution of the graph (the estimation target)."""
-    support, counts = np.unique(graph.degrees, return_counts=True)
+    support, category = graph.degree_classes
+    counts = np.bincount(category, minlength=len(support))
     return Distribution.from_weights(support, counts.astype(np.float64))
 
 
 def unique_count(trace) -> int:
     """Number of distinct node ids in a trace."""
-    return int(len(np.unique(_trace_nodes(trace))))
+    nodes = np.sort(_trace_nodes(trace))
+    return 1 + int(np.count_nonzero(nodes[1:] != nodes[:-1]))

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -71,6 +72,20 @@ class Graph:
         """Mapping from original external id back to internal id."""
         return {int(lab): i for i, lab in enumerate(self.labels)}
 
+    @cached_property
+    def components(self) -> tuple[int, np.ndarray]:
+        """Number of connected components and each node's component label."""
+        adj = csr_matrix(
+            (np.ones(len(self.indices), dtype=np.int8), self.indices, self.indptr),
+            shape=(self.n, self.n),
+        )
+        return connected_components(adj, directed=False, return_labels=True)
+
+    @cached_property
+    def degree_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct degree values (increasing) and each node's index among them."""
+        return np.unique(self.degrees, return_inverse=True)
+
     @property
     def d_max(self) -> int:
         return int(self.degrees.max()) if self.n else 0
@@ -101,16 +116,20 @@ def build_graph(
     """Assemble a Graph from deduplicated edge endpoints with internal ids.
 
     ``u``/``v`` hold one entry per undirected edge (no self-loops, no
-    duplicates); both orientations are generated here.
+    duplicates); both orientations are generated here. Arcs are ordered by
+    one sort of the key ``src * n + dst`` (row major, sorted rows), so
+    ``n * n`` must fit in int64.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if labels is None:
         labels = np.arange(n, dtype=np.int64)
     src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    indices = dst[order]
+    keys = src * np.int64(n)
+    keys[: len(u)] += v
+    keys[len(u) :] += u
+    keys.sort()
+    indices = keys % n
     degrees = np.bincount(src, minlength=n).astype(np.int64)
     indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
     return Graph(
@@ -123,29 +142,63 @@ def build_graph(
     )
 
 
-def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
-    """Parse a text edge list into a normalized simple undirected Graph.
+# Edge lists are read in blocks of whole lines of about this many characters.
+# A block's numpy temporaries are a few times its size; at 1 << 20 they raised
+# the peak RSS of commands on ~1 MB inputs, and larger blocks parse no faster.
+_CHUNK_CHARS = 1 << 18
+# Longest id the numpy scan converts; 18 digits always fit in int64.
+_SCAN_DIGITS = 18
 
-    Each non-comment, non-blank line must contain exactly two nonnegative
-    integer tokens; the ids of kept edges must fit in int64. Self-loops and
-    duplicate edges (in either orientation) are dropped and counted in the
-    report. Node ids are densified in order of first appearance within kept
-    edges.
 
-    Raises
-    ------
-    EdgeListParseError
-        On a malformed line or an id beyond int64 (names the 1-based line
-        number).
-    EmptyGraphError
-        If no edges survive normalization.
+def _blocks(stream: Iterable[str]) -> Iterator[str | list[str]]:
+    """Split the input into blocks of whole lines, about ``_CHUNK_CHARS`` each.
+
+    A block is either a string whose lines end at '\n' (the last line of the
+    input may lack it) or, for a plain iterable whose lines themselves
+    contain '\n', the list of those lines. A stream with ``read`` is read in
+    blocks and split at '\n', as iterating a text stream splits it.
     """
-    internal: dict[int, int] = {}
-    us: list[int] = []
-    vs: list[int] = []
+    read = getattr(stream, "read", None)
+    if read is not None:
+        carry = ""
+        while chunk := read(_CHUNK_CHARS):
+            chunk = carry + chunk
+            cut = chunk.rfind("\n") + 1
+            carry = chunk[cut:]
+            if cut:
+                yield chunk[:cut]
+        if carry:
+            yield carry
+        return
+    lines = iter(stream)
+    while batch := list(islice(lines, _CHUNK_CHARS // 16 or 1)):  # ~16 characters a line
+        text = "\n".join(batch) + "\n"
+        yield text if text.count("\n") == len(batch) else batch
+
+
+def _block_lines(block: str | list[str]) -> list[str]:
+    """The lines of a block, as iterating the input gave them (minus '\n')."""
+    if isinstance(block, list):
+        return block
+    lines = block.split("\n")
+    if block.endswith("\n"):
+        lines.pop()
+    return lines
+
+
+def _tokenise_lines(lines: list[str], first_lineno: int) -> tuple[np.ndarray, int, int]:
+    """Per-line tokeniser: kept-edge endpoints, self-loop and comment counts.
+
+    Endpoints come as one int64 array in file order (u, v, u, v, ...).
+
+    Each non-comment, non-blank line must hold two tokens ``int()`` accepts,
+    neither negative; a kept edge's ids must fit in int64. Errors name the
+    line, counted from ``first_lineno``.
+    """
+    ends: list[int] = []
     self_loops = 0
     comments = 0
-    for lineno, raw in enumerate(stream, 1):
+    for lineno, raw in enumerate(lines, first_lineno):
         line = raw.strip()
         if not line:
             continue
@@ -169,38 +222,157 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
         if a == b:
             self_loops += 1
             continue
-        ia = internal.get(a)
-        if ia is None:
-            if a > _MAX_ID:
-                raise EdgeListParseError(f"line {lineno}: node id {a} exceeds {_MAX_ID}")
-            ia = internal[a] = len(internal)
-        ib = internal.get(b)
-        if ib is None:
-            if b > _MAX_ID:
-                raise EdgeListParseError(f"line {lineno}: node id {b} exceeds {_MAX_ID}")
-            ib = internal[b] = len(internal)
-        us.append(ia)
-        vs.append(ib)
+        for label in (a, b):
+            if label > _MAX_ID:
+                raise EdgeListParseError(f"line {lineno}: node id {label} exceeds {_MAX_ID}")
+        ends += (a, b)
+    return np.array(ends, dtype=np.int64), self_loops, comments
 
-    if not us:
+
+def _drop_comments(data: bytes) -> tuple[bytes, int]:
+    """``data`` with the text of its comment lines removed, and their count."""
+    pieces = []
+    comments = 0
+    kept_from = 0
+    at = data.find(b"#")
+    while at >= 0:
+        start = data.rfind(b"\n", 0, at) + 1
+        end = data.find(b"\n", at)
+        end = len(data) if end < 0 else end
+        if not data[start:at].strip():
+            pieces.append(data[kept_from:start])
+            kept_from = end
+            comments += 1
+        at = data.find(b"#", end)
+    pieces.append(data[kept_from:])
+    return b"".join(pieces), comments
+
+
+def _scan_block(text: str) -> tuple[np.ndarray, int, int] | None:
+    """The numpy tokeniser: ``_tokenise_lines``' result for one block, or None.
+
+    Accepts only blocks whose data lines are two runs of at most
+    ``_SCAN_DIGITS`` ASCII digits separated by ASCII whitespace; any other
+    block (signs, long ids, stray tokens, non-ASCII text, ...) returns None
+    and goes to the per-line tokeniser, which parses or rejects it exactly.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    comments = 0
+    if b"#" in data:
+        data, comments = _drop_comments(data)
+    b = np.frombuffer(data, dtype=np.uint8)
+    digit = (b - np.uint8(48)) < 10
+    allowed = (b - np.uint8(9)) < 5  # \t \n \v \f \r
+    allowed |= b == 32
+    allowed |= digit
+    if not allowed.all():
+        return None
+    del allowed
+    # Digit runs open and close alternately: [start0, stop0, start1, ...].
+    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    del digit
+    if not len(bounds):  # np.fromstring reads a blank block as [0]
+        return np.empty(0, dtype=np.int64), 0, comments
+    starts = bounds[0::2]
+    if len(starts) % 2 or (bounds[1::2] - starts).max() > _SCAN_DIGITS:
+        return None
+    # Exactly two tokens per data line: each pair shares a line, and pairs
+    # sit on strictly increasing lines.
+    line = np.searchsorted(np.flatnonzero(b == 10), starts)
+    if not (np.array_equal(line[0::2], line[1::2]) and (np.diff(line[0::2]) > 0).all()):
+        return None
+    del bounds, starts, line
+    pairs = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
+    kept = pairs[:, 0] != pairs[:, 1]
+    return pairs[kept].ravel(), len(kept) - int(kept.sum()), comments
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values by sort plus mask (numpy 2.4's hash-based
+    ``np.unique`` is many times slower on large int64 arrays)."""
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
+    """Parse a text edge list into a normalized simple undirected Graph.
+
+    Each non-comment, non-blank line must contain exactly two nonnegative
+    integer tokens; the ids of kept edges must fit in int64. Self-loops and
+    duplicate edges (in either orientation) are dropped and counted in the
+    report. Node ids are densified in order of first appearance within kept
+    edges.
+
+    The input is tokenised in blocks of whole lines by numpy; a block that
+    holds anything but ASCII digits and whitespace in its data lines, ids of
+    more than 18 digits, or a line without exactly two tokens is tokenised
+    line by line instead, which raises on the first malformed line.
+
+    Raises
+    ------
+    EdgeListParseError
+        On a malformed line or an id beyond int64 (names the 1-based line
+        number).
+    EmptyGraphError
+        If no edges survive normalization.
+    """
+    # Per block: its distinct labels and, for each endpoint in file order,
+    # the index of its label among them. Densifying block by block keeps the
+    # temporaries small; one np.unique over all endpoints of a 600k-line
+    # file raised the peak RSS above the per-line parser's.
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    self_loops = 0
+    comments = 0
+    lineno = 1
+    for block in _blocks(stream):
+        scanned = _scan_block(block) if isinstance(block, str) else None
+        if scanned is None:
+            lines = _block_lines(block)
+            scanned = _tokenise_lines(lines, lineno)
+            lineno += len(lines)
+        else:
+            lineno += block.count("\n")
+        ends, block_loops, block_comments = scanned
+        self_loops += block_loops
+        comments += block_comments
+        if len(ends):
+            distinct, where = np.unique(ends, return_inverse=True)
+            parts.append((distinct, where.astype(np.int32)))
+    if not parts:
         raise EmptyGraphError("edge list contains no usable edges")
 
-    n = len(internal)
-    u = np.asarray(us, dtype=np.int64)
-    v = np.asarray(vs, dtype=np.int64)
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    keys = lo * np.int64(n) + hi
-    unique_keys = np.unique(keys)
-    dropped_dup = len(keys) - len(unique_keys)
-    lo = unique_keys // n
-    hi = unique_keys % n
-    labels = np.fromiter(internal.keys(), dtype=np.int64, count=n)
-    graph = build_graph(lo, hi, n, labels)
+    # A label's internal id is the rank of its first appearance.
+    labels = _sorted_distinct(np.concatenate([distinct for distinct, _ in parts]))
+    n = len(labels)
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    first = np.full(n, np.iinfo(np.int64).max)
+    offset = 0
+    for i, (distinct, where) in enumerate(parts):
+        where = np.searchsorted(labels, distinct).astype(index)[where]
+        np.minimum.at(first, where, np.arange(offset, offset + len(where)))
+        offset += len(where)
+        parts[i] = where
+    order = np.argsort(first)
+    rank = np.empty(n, dtype=index)
+    rank[order] = np.arange(n, dtype=index)
+    ids = rank[np.concatenate(parts)]
+    del parts
+
+    # Deduplicate by sorting the key lo * n + hi.
+    u, v = ids[0::2], ids[1::2]
+    keys = np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v)
+    del ids, u, v
+    unique_keys = _sorted_distinct(keys)
+    graph = build_graph(unique_keys // n, unique_keys % n, n, labels[order])
     report = IngestReport(
         kept_edges=len(unique_keys),
         dropped_self_loops=self_loops,
-        dropped_duplicates=dropped_dup,
+        dropped_duplicates=len(keys) - len(unique_keys),
         comment_lines=comments,
     )
     return graph, report
@@ -221,15 +393,6 @@ def write_edge_list(graph: Graph, stream: IO[str]) -> None:
                 stream.write(f"{labels[v]} {labels[u]}\n")
 
 
-def components(graph: Graph) -> tuple[int, np.ndarray]:
-    """Number of connected components and each node's component label."""
-    adj = csr_matrix(
-        (np.ones(len(graph.indices), dtype=np.int8), graph.indices, graph.indptr),
-        shape=(graph.n, graph.n),
-    )
-    return connected_components(adj, directed=False, return_labels=True)
-
-
 def largest_connected_component(graph: Graph) -> Graph:
     """Induced subgraph on the largest component, ids re-densified.
 
@@ -238,7 +401,7 @@ def largest_connected_component(graph: Graph) -> Graph:
     """
     if graph.n == 0:
         return graph
-    ncomp, comp = components(graph)
+    ncomp, comp = graph.components
     if ncomp <= 1:
         return graph
     sizes = np.bincount(comp, minlength=ncomp)

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, components
+from .graph import Graph
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -474,7 +474,7 @@ def stationary_numeric(
     law = WalkLaw(graph, config)
     # A walk that can escape from every node to every node is irreducible.
     jumps_everywhere = law.targets is not None and len(law.targets) == graph.n and law.pad.all()
-    if not jumps_everywhere and components(graph)[0] != 1:
+    if not jumps_everywhere and graph.components[0] != 1:
         raise SamplerError("graph must be connected for a unique stationary distribution")
     pi = np.full(graph.n, 1.0 / graph.n)
     for _ in range(max_iters):

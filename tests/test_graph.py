@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 import pytest
 
+import walksample.graph as graph_module
 from conftest import EXAMPLE_EDGES, make_graph, random_connected_graph
 from walksample import (
     EdgeListParseError,
     EmptyGraphError,
+    IngestReport,
     average_degree,
     build_graph,
     graph_stats,
     largest_connected_component,
+    load_edge_list,
     parse_edge_list,
     write_edge_list,
 )
@@ -174,3 +178,216 @@ def test_graph_stats_example(example_graph):
 def test_degrees_match_edge_count():
     g = make_graph(EXAMPLE_EDGES)
     assert int(g.degrees.sum()) == 2 * g.m
+
+
+# --- the chunked numpy parser against the per-line reference ---------------
+
+_MAX_ID = 2**63 - 1
+
+
+def _reference_build(u, v, n, labels):
+    """``build_graph`` as it was before the single-key sort (lexsort)."""
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    indices = dst[np.lexsort((dst, src))]
+    degrees = np.bincount(src, minlength=n).astype(np.int64)
+    indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+    return indptr, indices, degrees, np.asarray(labels, dtype=np.int64)
+
+
+def _reference_parse(stream):
+    """The per-line parser the chunked one replaced: (n, m, arrays, report)."""
+    internal: dict[int, int] = {}
+    us: list[int] = []
+    vs: list[int] = []
+    self_loops = 0
+    comments = 0
+    for lineno, raw in enumerate(stream, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments += 1
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(f"line {lineno}: expected 2 tokens, found {len(parts)}")
+        try:
+            a = int(parts[0])
+            b = int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(f"line {lineno}: non-integer token in {parts!r}") from None
+        if a < 0 or b < 0:
+            raise EdgeListParseError(f"line {lineno}: negative node id")
+        if a == b:
+            self_loops += 1
+            continue
+        ia = internal.get(a)
+        if ia is None:
+            if a > _MAX_ID:
+                raise EdgeListParseError(f"line {lineno}: node id {a} exceeds {_MAX_ID}")
+            ia = internal[a] = len(internal)
+        ib = internal.get(b)
+        if ib is None:
+            if b > _MAX_ID:
+                raise EdgeListParseError(f"line {lineno}: node id {b} exceeds {_MAX_ID}")
+            ib = internal[b] = len(internal)
+        us.append(ia)
+        vs.append(ib)
+    if not us:
+        raise EmptyGraphError("edge list contains no usable edges")
+    n = len(internal)
+    u = np.asarray(us, dtype=np.int64)
+    v = np.asarray(vs, dtype=np.int64)
+    keys = np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
+    unique_keys = np.unique(keys)
+    labels = np.fromiter(internal.keys(), dtype=np.int64, count=n)
+    arrays = _reference_build(unique_keys // n, unique_keys % n, n, labels)
+    report = IngestReport(
+        kept_edges=len(unique_keys),
+        dropped_self_loops=self_loops,
+        dropped_duplicates=len(keys) - len(unique_keys),
+        comment_lines=comments,
+    )
+    return n, len(unique_keys), arrays, report
+
+
+def _assert_same_as_reference(result, lines):
+    graph, report = result
+    n, m, arrays, want_report = _reference_parse(lines)
+    assert (graph.n, graph.m) == (n, m)
+    for name, want in zip(("indptr", "indices", "degrees", "labels"), arrays):
+        got = getattr(graph, name)
+        assert got.dtype == np.int64 and np.array_equal(got, want), name
+    assert report == want_report
+    graph.validate()
+
+
+def _random_edge_lines(rng: np.random.Generator, count: int, long_ids: bool = True) -> list[str]:
+    """Lines of a messy edge list, each ending in '\\n' or '\\r\\n'."""
+    pool = rng.integers(0, 10**6, size=40).tolist() + [10**17 + 7, 10**18 - 1]  # up to 18 digits
+    if long_ids:
+        pool += [10**18, 2**63 - 1]  # 19 digits: the per-line tokeniser reads these
+    seps = [" ", "\t", "  ", " \t "]
+    lines = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.04:
+            lines.append("# comment 1 2\n")
+        elif roll < 0.06:
+            lines.append(rng.choice(["\n", "   \n", "\t\n", " # indented comment\n"]))
+        else:
+            a = pool[int(rng.integers(len(pool)))]
+            b = a if roll < 0.1 else pool[int(rng.integers(len(pool)))]
+            sep = seps[int(rng.integers(len(seps)))]
+            end = "\r\n" if rng.random() < 0.2 else "\n"
+            lines.append(f"{' ' * int(rng.integers(2))}{a}{sep}{b}{end}")
+    return lines
+
+
+@pytest.mark.parametrize("chunk", [16, 100, 1 << 20])
+def test_chunked_parser_matches_per_line_reference(monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr(graph_module, "_CHUNK_CHARS", chunk)
+    rng = np.random.default_rng(chunk)
+    for trial in range(8):
+        lines = _random_edge_lines(rng, int(rng.integers(1, 300)))
+        lines[-1] = lines[-1].rstrip("\r\n")  # no trailing newline
+        text = "".join(lines)
+        _assert_same_as_reference(parse_edge_list(io.StringIO(text)), lines)
+        _assert_same_as_reference(parse_edge_list(lines), lines)
+        _assert_same_as_reference(parse_edge_list([line.rstrip("\r\n") for line in lines]), lines)
+        path = tmp_path / f"edges{trial}.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            _assert_same_as_reference(load_edge_list(path), list(fh))
+
+
+def test_scan_and_per_line_tokenisers_agree(monkeypatch):
+    rng = np.random.default_rng(5)
+    text = "".join(_random_edge_lines(rng, 2000))
+    monkeypatch.setattr(graph_module, "_CHUNK_CHARS", 256)
+    fast = parse_edge_list(io.StringIO(text))
+    monkeypatch.setattr(graph_module, "_scan_block", lambda block: None)
+    slow = parse_edge_list(io.StringIO(text))
+    for name in ("indptr", "indices", "degrees", "labels"):
+        assert np.array_equal(getattr(fast[0], name), getattr(slow[0], name)), name
+    assert fast[1] == slow[1]
+
+
+def test_clean_input_never_reaches_the_per_line_tokeniser(monkeypatch):
+    calls = []
+    per_line = graph_module._tokenise_lines
+    monkeypatch.setattr(graph_module, "_tokenise_lines", lambda *args: calls.append(1) or per_line(*args))
+    monkeypatch.setattr(graph_module, "_CHUNK_CHARS", 64)
+    lines = _random_edge_lines(np.random.default_rng(9), 500, long_ids=False)
+    _assert_same_as_reference(parse_edge_list(io.StringIO("".join(lines))), lines)
+    assert calls == []
+    # A rejected block goes per line; the blocks around it do not.
+    lines[250] = "+5 007\n"
+    _assert_same_as_reference(parse_edge_list(io.StringIO("".join(lines))), lines)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["1 2 3", "7", "1 2 3 4", "7\n8 9 10", "4 x", "3 4:", "-1 2", "3 -4", f"1 {2**63}", f"{2**70} 5",
+     "1 2 # note", "1\xa02 3", "\u0663 \u0664 5"],
+)
+def test_malformed_line_in_a_later_chunk(monkeypatch, bad):
+    monkeypatch.setattr(graph_module, "_CHUNK_CHARS", 128)
+    lines = [f"{i} {i + 1}\n" for i in range(200)]
+    lines[20] = "+5 007\n"  # an earlier block goes per line too
+    lines[157:157] = (bad + "\n").splitlines(keepends=True)
+    with pytest.raises(EdgeListParseError) as want:
+        _reference_parse(lines)
+    with pytest.raises(EdgeListParseError) as got:
+        parse_edge_list(io.StringIO("".join(lines)))
+    assert str(got.value) == str(want.value) and str(got.value).startswith("line 158:")
+    with pytest.raises(EdgeListParseError, match=f"^{re.escape(str(want.value))}$"):
+        parse_edge_list([line.rstrip("\n") for line in lines])
+
+
+def test_per_line_leniency_is_kept(monkeypatch):
+    monkeypatch.setattr(graph_module, "_CHUNK_CHARS", 32)
+    big = 10**30
+    lines = ["+5 007\n", "5 1234567890123456789\n", f"{big} {big}\n", "0000000000000000000000000008 5\n",
+             "1_000 5\n", "\u0663 5\n", "# caf\xe9\n", "\xa07\t5\xa0\n", "9\x0b10\n", "11\x0c12\n"]
+    lines += [f"{i} {i + 3}\n" for i in range(40)]
+    _assert_same_as_reference(parse_edge_list(io.StringIO("".join(lines))), lines)
+    graph, report = parse_edge_list(io.StringIO("".join(lines)))
+    assert graph.labels[:3].tolist() == [5, 7, 1234567890123456789]
+    assert report.dropped_self_loops == 1
+
+
+def test_lines_without_newlines_parse_as_before(monkeypatch):
+    monkeypatch.setattr(graph_module, "_CHUNK_CHARS", 48)
+    lines = ["# header", "1 2", "", "2\t3", "3 1", "1 1", "4 3 "]
+    _assert_same_as_reference(parse_edge_list(lines), lines)
+    # A list element holding two lines is one malformed line, as before.
+    with pytest.raises(EdgeListParseError, match="^line 2: expected 2 tokens, found 4$"):
+        parse_edge_list(["1 2", "2 3\n3 4", "4 5"])
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "  \n\t\n", "# only\n  # comments\n", "6 6\n", "6 6"])
+def test_blank_and_loop_only_blocks(monkeypatch, text):
+    monkeypatch.setattr(graph_module, "_CHUNK_CHARS", 4)
+    with pytest.raises(EmptyGraphError):
+        parse_edge_list(io.StringIO(text))
+    graph, report = parse_edge_list(io.StringIO(text + "\n1 2\n" + text))
+    assert (graph.n, graph.m, report.kept_edges) == (2, 1, 1)
+
+
+def test_build_graph_orders_rows_like_lexsort():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        iu, iv = np.triu_indices(n, k=1)
+        pick = rng.permutation(len(iu))[: int(rng.integers(1, len(iu) + 1))]
+        u, v = iu[pick], iv[pick]
+        flip = rng.random(len(u)) < 0.5
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+        graph = build_graph(u, v, n)
+        want = _reference_build(u.astype(np.int64), v.astype(np.int64), n, np.arange(n))
+        for name, arr in zip(("indptr", "indices", "degrees", "labels"), want):
+            got = getattr(graph, name)
+            assert got.dtype == arr.dtype and np.array_equal(got, arr), name
