@@ -105,10 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--weights",
             choices=WEIGHT_MODES,
-            help="estimation weights: closed-form stationary (paper) or fixed-point solver (oracle)",
+            help="estimation weights: closed-form stationary (paper) or exact stationary, one sparse solve (oracle)",
         )
         p.add_argument("--format", choices=OUTPUT_FORMATS, dest="fmt", help="output format (default csv)")
-        p.add_argument("--parallel", type=int, help="worker processes (default: all cores)")
+        p.add_argument("--parallel", type=int, help="worker processes (default: one per usable CPU)")
         p.add_argument("--burn-in", type=int, dest="burn_in", help="unrecorded steps before the first sample")
         p.add_argument(
             "--timing",

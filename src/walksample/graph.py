@@ -25,7 +25,7 @@ _MAX_ID = 2**63 - 1
 
 
 class EdgeListParseError(ValueError):
-    """Raised when an edge-list line cannot be parsed; names the line number."""
+    """An edge-list line cannot be parsed (names the line) or a file is not UTF-8 (names the file)."""
 
 
 class EmptyGraphError(ValueError):
@@ -381,7 +381,11 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
 def load_edge_list(path: str | Path) -> tuple[Graph, IngestReport]:
     """Parse an edge-list file (UTF-8)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh)
+        try:
+            return parse_edge_list(fh)
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start]
+            raise EdgeListParseError(f"{path}: not UTF-8 (byte 0x{bad:02x}: {exc.reason})") from None
 
 
 def write_edge_list(graph: Graph, stream: IO[str]) -> None:

@@ -180,16 +180,6 @@ class _Task:
     timing: bool
 
 
-def _walk_config(sampler: str, c: Optional[int], alpha: Optional[float], **walk) -> WalkConfig:
-    """WalkConfig of one sampler with its resolved (c, alpha).
-
-    ``c`` and ``alpha`` are None where the sampler takes none, as
-    ``_resolve_sampler_params`` leaves them; ``walk`` carries the per-walk
-    fields (budget, seed, burn_in).
-    """
-    return WalkConfig(kind=sampler, alpha=alpha, c=c, **walk)
-
-
 def estimation_weights(graph: Graph, config: WalkConfig, mode: str) -> np.ndarray:
     """Per-node inclusion weights: formula stationary or the numeric one."""
     if mode == "paper":
@@ -236,7 +226,8 @@ class _TaskRunner:
         rows = []
         for batch in _batches(tasks):
             configs = [
-                _walk_config(t.sampler, t.c, t.alpha, budget=t.budget, seed=t.seed, burn_in=t.burn_in) for t in batch
+                WalkConfig(kind=t.sampler, c=t.c, alpha=t.alpha, budget=t.budget, seed=t.seed, burn_in=t.burn_in)
+                for t in batch
             ]
             t0 = time.perf_counter()
             traces = run_walks(self.graph, configs)
@@ -248,7 +239,8 @@ class _TaskRunner:
     def _score(self, task: _Task, trace, walk_s: float) -> ReportRow:
         key = (task.sampler, task.c, task.alpha)
         if key not in self.weights:
-            self.weights[key] = estimation_weights(self.graph, _walk_config(*key), self.weight_mode)
+            config = WalkConfig(kind=task.sampler, c=task.c, alpha=task.alpha)
+            self.weights[key] = estimation_weights(self.graph, config, self.weight_mode)
         t0 = time.perf_counter()
         kl = kl_divergence(self.truth, degree_distribution_estimate(trace, self.weights[key], self.graph))
         unique = unique_count(trace)
@@ -268,32 +260,16 @@ class _TaskRunner:
         )
 
 
-def _group_slices(tasks: Sequence[_Task], parts: int) -> list[list[_Task]]:
-    """At most ``parts`` contiguous slices of whole (sampler, C, alpha) groups.
+def _even_slices(tasks: Sequence[_Task], parts: int) -> list[list[_Task]]:
+    """At most ``parts`` contiguous, non-empty slices of about equal walk steps.
 
-    Each group's tasks land in exactly one slice, so each group's weights
-    are solved by one process. Cuts fall where the running total of walk
-    steps (burn-in plus budget) is nearest an equal share.
+    A task joins the slice its middle step (burn-in plus budget) falls in, so
+    each slice is within one task of an equal share.
     """
-    groups: dict = {}
-    for task in tasks:
-        groups.setdefault((task.sampler, task.c, task.alpha), []).append(task)
-    groups = list(groups.values())
-    steps = [sum(t.burn_in + t.budget for t in group) for group in groups]
-    parts = max(1, min(parts, len(groups)))
-    share = sum(steps) / parts
-    slices, current, done = [], [], 0
-    for i, group in enumerate(groups):
-        current += group
-        done += steps[i]
-        left = parts - len(slices) - 1  # slices still to open after this one
-        # Cut when every group left must open a slice of its own, or when the
-        # next group would overshoot this slice's share by more than half.
-        if left and (len(groups) - i - 1 == left or done + steps[i + 1] / 2 >= share * (len(slices) + 1)):
-            slices.append(current)
-            current = []
-    slices.append(current)
-    return slices
+    steps = np.array([t.burn_in + t.budget for t in tasks])
+    middles = (np.cumsum(steps) - steps / 2) * parts / steps.sum()
+    bounds = np.searchsorted(middles, np.arange(parts + 1))
+    return [tasks[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 _POOL_RUNNER: Optional[_TaskRunner] = None  # set in each pool worker
@@ -311,11 +287,14 @@ def _worker_run(tasks: list[_Task]) -> list[ReportRow]:
 def _run_tasks(config: ExperimentConfig, graph: Graph, tasks: list[_Task]) -> list[ReportRow]:
     """Run every task, in a process pool or in this process, sorted by group.
 
-    The pool maps one slice of whole groups to each worker. Workers receive
-    the graph as an initializer argument; under the fork start method they
-    inherit it without copying or re-parsing.
+    The pool maps one slice of about equal walk steps to each worker, which
+    computes the weights of every group it touches. Workers receive the
+    graph as an initializer argument; under the fork start method they
+    inherit it without copying or re-parsing. ``parallel`` 0 means one
+    worker per CPU in this process's affinity set.
     """
-    slices = _group_slices(tasks, config.parallel or os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    slices = _even_slices(tasks, config.parallel or cpus)
     if len(slices) > 1:
         with ProcessPoolExecutor(
             max_workers=len(slices),
@@ -556,7 +535,7 @@ def cmd_analyze(config: ExperimentConfig) -> str:
         )
     kind = config.samplers[0]
     c, alpha = _resolve_sampler_params(graph, config, kind)
-    cfg = _walk_config(kind, c, alpha)
+    cfg = WalkConfig(kind=kind, c=c, alpha=alpha)
     matrix = dense_transition_matrix(graph, cfg)
     report = spectrum(matrix)
     closed = stationary_closed_form(graph, cfg)

@@ -17,9 +17,9 @@ its escape target. The kinds differ only in big and in that target:
   escapes to the jump set U = {u : d_u < c} (self included when v is in U).
 
 ``WalkLaw`` holds big, pad and the target for one (graph, config). The
-seeded stepper, the exact transition rows, the sparse product pi @ P, the
-closed-form and numeric stationary distributions, and the dense matrix and
-its diagonal (``spectral``) are all derived from it.
+seeded stepper, the exact transition rows, the closed-form and numeric
+stationary distributions, and the dense matrix and its diagonal
+(``spectral``) are all derived from it.
 
 Walks run on two engines that give the same traces. ``run_walk`` is the
 scalar reference: one walker, one Python step at a time (~1 us a step).
@@ -32,7 +32,10 @@ The closed form weights each node by big_v, except that escaping mass is
 spread evenly over a target array. For ``wjrw`` that gives every member of
 U the average padding over U; it coincides with the numeric stationary
 when all members of U share one degree, and it is what the ``paper``
-estimation-weights mode uses even where the two disagree.
+estimation-weights mode uses even where the two disagree. The ``oracle``
+mode uses the numeric stationary, which solves the law's balance
+equations: for laws that escape to self (srw, md, gmd) they give the
+closed form exactly; for rwe and wjrw, one conjugate-gradient solve.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix, diags
+from scipy.sparse.linalg import cg
 
 from .graph import Graph
 
@@ -56,7 +61,7 @@ class SamplerError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The fixed-point stationary solver did not reach tolerance."""
+    """The stationary solve did not reach tolerance."""
 
 
 class SamplerKind(str, Enum):
@@ -171,8 +176,8 @@ class WalkLaw:
     it moves to a uniform neighbor (probability ``d_v / big[v]``, so
     ``big = d + pad``). An escape lands on a uniform member of ``targets``,
     or stays at v when ``targets`` is None. Built once per (graph, config);
-    the stepper, rows, ``pi @ P``, the diagonal, the dense matrix and the
-    closed-form stationary are all derived from these three arrays.
+    the stepper, rows, the diagonal, the dense matrix and both stationary
+    distributions are all derived from these three arrays.
     """
 
     __slots__ = ("big", "pad", "targets")
@@ -434,40 +439,19 @@ def stationary_closed_form(graph: Graph, config: WalkConfig) -> np.ndarray:
     return weights / total
 
 
-def _neighbor_sums(indptr: np.ndarray, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y[u] = sum of x over the neighbors of u (works with empty rows)."""
-    n = len(indptr) - 1
-    out = np.zeros(n)
-    if len(indices) == 0:
-        return out
-    contrib = x[indices]
-    nonempty = np.flatnonzero(np.diff(indptr) > 0)
-    out[nonempty] = np.add.reduceat(contrib, indptr[:-1][nonempty])
-    return out
-
-
-def _apply_transition(graph: Graph, law: WalkLaw, pi: np.ndarray) -> np.ndarray:
-    """Row-vector product pi @ P in O(m + n)."""
-    out = _neighbor_sums(graph.indptr, graph.indices, pi / law.big)
-    escaped = pi * law.pad / law.big
-    if law.targets is None:
-        out += escaped
-    else:
-        out[law.targets] += escaped.sum() / len(law.targets)
-    return out
-
-
 def stationary_numeric(
     graph: Graph,
     config: WalkConfig,
     tol: float = 1e-12,
     max_iters: int = 10**6,
 ) -> np.ndarray:
-    """Exact stationary distribution by sparse fixed-point iteration.
+    """Exact stationary distribution from the law's balance equations.
 
-    Iterates pi <- pi @ (I + P)/2 (the smoothing preserves the stationary
-    distribution and guarantees aperiodicity) until the L1 residual
-    ||pi @ P - pi|| drops below ``tol``.
+    With pi = big * x and A the adjacency matrix, they read
+    (diag(big) - A) x = 1_targets up to scale. For rwe and wjrw that system
+    is symmetric, diagonally dominant and positive definite, and one
+    Jacobi-preconditioned conjugate-gradient solve gives x, to relative
+    residual ``tol`` within ``max_iters`` iterations.
     """
     if graph.n == 0:
         raise SamplerError("empty graph")
@@ -476,15 +460,17 @@ def stationary_numeric(
     jumps_everywhere = law.targets is not None and len(law.targets) == graph.n and law.pad.all()
     if not jumps_everywhere and graph.components[0] != 1:
         raise SamplerError("graph must be connected for a unique stationary distribution")
-    pi = np.full(graph.n, 1.0 / graph.n)
-    for _ in range(max_iters):
-        nxt = _apply_transition(graph, law, pi)
-        residual = float(np.abs(nxt - pi).sum())
-        if residual <= tol:
-            return pi / pi.sum()
-        pi = 0.5 * (pi + nxt)
-        pi /= pi.sum()
-    raise ConvergenceError(
-        f"stationary iteration did not reach tol={tol:g} within "
-        f"{max_iters} iterations (residual={residual:.3e})"
-    )
+    if law.targets is None:
+        # Self-escaping padding cancels from the balance equations, so
+        # pi / big is constant on a connected graph: the closed form is exact.
+        return stationary_closed_form(graph, config)
+    adjacency = csr_matrix((np.ones(len(graph.indices)), graph.indices, graph.indptr), shape=(graph.n, graph.n))
+    system = diags(law.big) - adjacency
+    rhs = np.zeros(graph.n)
+    rhs[law.targets] = 1.0
+    x, info = cg(system, rhs, rtol=tol, maxiter=max_iters, M=diags(1.0 / law.big))
+    if info:
+        residual = np.linalg.norm(rhs - system @ x) / np.linalg.norm(rhs)
+        raise ConvergenceError(f"stationary solve: residual {residual:.3e} > rtol={tol:g} after {max_iters} iterations")
+    pi = law.big * x
+    return pi / pi.sum()

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from conftest import EXAMPLE_EDGES
+from walksample import harness
 from walksample.cli import main, parse_config_file
 from walksample.harness import (
     CSV_HEADER,
@@ -13,7 +14,7 @@ from walksample.harness import (
     ReportRow,
     UsageError,
     _fmt,
-    _group_slices,
+    _even_slices,
     _make_tasks,
     aggregate_rows,
     cmd_analyze,
@@ -236,20 +237,30 @@ def test_sweep_budget_parallel_matches_sequential_with_oracle_weights_and_burn_i
     assert seq == par
 
 
-def test_group_slices_keep_every_weight_group_in_one_slice(example_file):
+def test_even_slices_are_contiguous_and_balanced(example_file):
     cfg = example_config(example_file, repetitions=4, burn_in=1)
     groups = (("srw", None, None), ("rwe", None, 2.5), ("gmd", 2, None), ("gmd", 3, None), ("wjrw", 3, None))
     tasks = _make_tasks(cfg, [(kind, c, alpha, budget) for kind, c, alpha in groups for budget in (10, 300)])
+    steps = [t.burn_in + t.budget for t in tasks]
     for parts in range(1, 8):
-        slices = _group_slices(tasks, parts)
-        assert len(slices) == min(parts, 5)
+        slices = _even_slices(tasks, parts)
+        assert len(slices) == parts
         assert all(slices)
         assert [t for part in slices for t in part] == tasks  # contiguous, in order
-        owner = {}
-        for i, part in enumerate(slices):
-            for t in part:
-                assert owner.setdefault((t.sampler, t.c, t.alpha), i) == i
-        assert len(owner) == 5
+        for part in slices:  # within one task of an equal share
+            assert abs(sum(t.burn_in + t.budget for t in part) - sum(steps) / parts) <= max(steps)
+
+
+def test_default_parallel_counts_only_cpus_in_the_affinity_set(example_file, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    base = dict(samplers=("srw", "wjrw"), budgets=(30,), repetitions=4, c_values=(3,))
+    assert cmd_sweep_budget(example_config(example_file, **base)) == cmd_sweep_budget(
+        example_config(example_file, parallel=1, **base)
+    )
 
 
 def test_sweep_budget_shares_seeds_across_samplers(example_file):
@@ -433,6 +444,14 @@ def test_cli_node_id_beyond_int64_is_an_input_error(tmp_path, capsys):
     huge.write_text("1 2\n2 9223372036854775808\n", encoding="utf-8")
     assert main(["stats", "--dataset", str(huge)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_input_is_an_input_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("# caf\u00e9\n1 2\n".encode("latin-1"))
+    assert main(["stats", "--dataset", str(latin1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "latin1.txt" in err and "UTF-8" in err
 
 
 def test_cli_json_format(example_file, capsys):

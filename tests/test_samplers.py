@@ -12,6 +12,7 @@ from walksample import (
     SamplerKind,
     WalkConfig,
     build_graph,
+    dense_transition_matrix,
     derive_seed,
     jump_set,
     make_rng,
@@ -337,8 +338,68 @@ def test_numeric_converges_on_bipartite_graphs():
 
 
 def test_numeric_raises_when_iteration_budget_exhausted(example_graph):
-    with pytest.raises(ConvergenceError):
-        stationary_numeric(example_graph, config("srw"), tol=1e-15, max_iters=3)
+    with pytest.raises(ConvergenceError, match="after 1 iterations"):
+        stationary_numeric(example_graph, config("wjrw", c=3), max_iters=1)
+    # srw's stationary is its closed form, with no solve to run out of iterations
+    for max_iters in (1, 3):
+        assert np.array_equal(
+            stationary_numeric(example_graph, config("srw"), max_iters=max_iters),
+            stationary_closed_form(example_graph, config("srw")),
+        )
+
+
+def barbell_graph(clique: int = 40, path: int = 60):
+    """Two cliques joined end to end by a path of ``path`` nodes."""
+    edges = [(a, b) for a in range(clique) for b in range(a + 1, clique)]
+    edges += [(clique + a, clique + b) for a, b in edges]
+    chain = [clique - 1, *range(2 * clique, 2 * clique + path), clique]
+    edges += list(zip(chain, chain[1:]))
+    u, v = np.array(edges).T
+    return build_graph(u, v, 2 * clique + path)
+
+
+BARBELL_KINDS = [("srw", {}), ("rwe", {"alpha": 1.5}), ("md", {}), ("gmd", {"c": 20}), ("wjrw", {"c": 40})]
+
+
+def criterion_04_cases():
+    """The random graphs of acceptance criterion 04, each with all five kinds."""
+    rng, extra = np.random.default_rng(77), np.random.default_rng(78)
+    for _ in range(100):
+        g = random_connected_graph(rng, int(rng.integers(4, 30)))
+        alpha, c = float(rng.uniform(0.5, 3.0)), int(rng.integers(1, g.d_max + 1))
+        kinds = [("srw", {}), ("rwe", {"alpha": alpha}), ("md", {}), ("gmd", {"c": c})]
+        yield g, kinds + [("wjrw", {"c": int(extra.integers(1, g.d_max + 2))})]
+
+
+def test_numeric_is_a_fixed_point_of_the_dense_matrix():
+    # tol bounds the solve's relative residual, not this L1 residual, which
+    # reaches ~3e-13 for rwe and wjrw here at the default 1e-12: each tol is
+    # checked as the bound on its own L1 residual.
+    cases = [(barbell_graph(), BARBELL_KINDS), *criterion_04_cases()]
+    for g, kinds in cases:
+        for kind, kw in kinds:
+            cfg = config(kind, **kw)
+            entries = dense_transition_matrix(g, cfg).entries
+            for tol in (1e-12, 1e-13):
+                pi = stationary_numeric(g, cfg, tol=tol)
+                residual = float(np.abs(pi @ entries - pi).sum())
+                assert residual <= tol, (g.n, kind, kw, tol, residual)
+
+
+def test_numeric_error_on_barbell_is_bounded():
+    g = barbell_graph()
+    srw = stationary_numeric(g, config("srw"))
+    assert float(np.abs(srw - g.degrees / (2 * g.m)).sum()) <= 1e-12
+    adjacency = np.zeros((g.n, g.n))
+    adjacency[np.repeat(np.arange(g.n), g.degrees), g.indices] = 1.0
+    for cfg, big, targets in (
+        (config("rwe", alpha=1.5), g.degrees + 1.5, np.ones(g.n, dtype=bool)),
+        (config("wjrw", c=40), np.maximum(g.degrees, 40.0), g.degrees < 40),
+    ):
+        x = np.linalg.solve(np.diag(big) - adjacency, targets.astype(float))
+        reference = big * x / (big * x).sum()
+        error = float(np.abs(stationary_numeric(g, cfg) - reference).sum())
+        assert error <= 1e-12, (cfg.kind, error)
 
 
 # ----------------------------------------------------------------- seeds
