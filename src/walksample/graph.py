@@ -16,8 +16,6 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 
 # Node ids are kept as int64 labels.
@@ -73,13 +71,32 @@ class Graph:
         return {int(lab): i for i, lab in enumerate(self.labels)}
 
     @cached_property
+    def arc_tails(self) -> np.ndarray:
+        """(2m,) int64, the row of each entry of ``indices``: arc i runs
+        from ``arc_tails[i]`` to ``indices[i]``."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+
+    @cached_property
     def components(self) -> tuple[int, np.ndarray]:
-        """Number of connected components and each node's component label."""
-        adj = csr_matrix(
-            (np.ones(len(self.indices), dtype=np.int8), self.indices, self.indptr),
-            shape=(self.n, self.n),
-        )
-        return connected_components(adj, directed=False, return_labels=True)
+        """Number of connected components and each node's int32 component label.
+
+        Labels are numbered in order of each component's lowest node id.
+        Min-label union-find over the arcs in numpy (hook and shortcut,
+        Shiloach & Vishkin 1982): hook the root of each arc's tail under the
+        root of its head where that is lower, then jump pointers until every
+        node points at a root; repeat until both ends of every arc share a
+        root. A node's parent never exceeds it, so each root is its
+        component's lowest node.
+        """
+        parent = np.arange(self.n, dtype=np.int64)
+        tails, heads = self.arc_tails, self.indices
+        while not np.array_equal(tail_roots := parent[tails], head_roots := parent[heads]):
+            np.minimum.at(parent, tail_roots, head_roots)
+            while not np.array_equal(jumped := parent[parent], parent):
+                parent = jumped
+        is_root = parent == np.arange(self.n)
+        rank = np.cumsum(is_root, dtype=np.int32) - 1
+        return int(is_root.sum()), rank[parent]
 
     @cached_property
     def degree_classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +122,7 @@ class Graph:
             assert np.all(np.diff(nbrs) > 0), f"row {v} not sorted/unique"
             assert v not in nbrs, f"self-loop at {v}"
         # symmetry: the multiset of (u, v) arcs equals the multiset of (v, u)
-        src = np.repeat(np.arange(self.n), self.degrees)
-        fwd = {(int(a), int(b)) for a, b in zip(src, self.indices)}
+        fwd = {(int(a), int(b)) for a, b in zip(self.arc_tails, self.indices)}
         assert fwd == {(b, a) for a, b in fwd}, "adjacency not symmetric"
 
 
@@ -417,7 +433,7 @@ def largest_connected_component(graph: Graph) -> Graph:
     keep = comp == chosen
     new_id = np.full(graph.n, -1, dtype=np.int64)
     new_id[keep] = np.arange(int(keep.sum()), dtype=np.int64)
-    src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
+    src = graph.arc_tails
     mask = keep[src] & (src < graph.indices)
     lo = new_id[src[mask]]
     hi = new_id[graph.indices[mask]]

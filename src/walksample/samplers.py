@@ -45,8 +45,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
-from scipy.sparse.linalg import cg
 
 from .graph import Graph
 
@@ -270,7 +268,7 @@ def _draw_start(graph: Graph, config: WalkConfig, rng: np.random.Generator) -> i
         return v
     r = float(rng.random())
     if config.start_policy == "degree":
-        cum = np.cumsum(graph.degrees)
+        cum = graph.indptr[1:]  # cumulative degrees
         return int(np.searchsorted(cum, r * cum[-1], side="right"))
     v = int(r * graph.n)
     return v if v < graph.n else graph.n - 1
@@ -450,8 +448,10 @@ def stationary_numeric(
     With pi = big * x and A the adjacency matrix, they read
     (diag(big) - A) x = 1_targets up to scale. For rwe and wjrw that system
     is symmetric, diagonally dominant and positive definite, and one
-    Jacobi-preconditioned conjugate-gradient solve gives x, to relative
-    residual ``tol`` within ``max_iters`` iterations.
+    Jacobi-preconditioned conjugate-gradient solve in numpy gives x, to a
+    relative 2-norm residual of ``tol`` within ``max_iters`` iterations. Its
+    products with the matrix sum over the graph's CSR rows (``indptr``,
+    ``indices``); no sparse matrix is built.
     """
     if graph.n == 0:
         raise SamplerError("empty graph")
@@ -464,13 +464,44 @@ def stationary_numeric(
         # Self-escaping padding cancels from the balance equations, so
         # pi / big is constant on a connected graph: the closed form is exact.
         return stationary_closed_form(graph, config)
-    adjacency = csr_matrix((np.ones(len(graph.indices)), graph.indices, graph.indptr), shape=(graph.n, graph.n))
-    system = diags(law.big) - adjacency
     rhs = np.zeros(graph.n)
     rhs[law.targets] = 1.0
-    x, info = cg(system, rhs, rtol=tol, maxiter=max_iters, M=diags(1.0 / law.big))
-    if info:
-        residual = np.linalg.norm(rhs - system @ x) / np.linalg.norm(rhs)
-        raise ConvergenceError(f"stationary solve: residual {residual:.3e} > rtol={tol:g} after {max_iters} iterations")
-    pi = law.big * x
+    pi = law.big * _solve_balance(graph, law.big, rhs, tol, max_iters)
     return pi / pi.sum()
+
+
+def _solve_balance(graph: Graph, big: np.ndarray, rhs: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
+    """Solve (diag(big) - A) x = rhs by Jacobi-preconditioned conjugate
+    gradients (Hestenes & Stiefel 1952) from x = 0, until the residual's
+    2-norm is below ``tol`` times the right-hand side's.
+
+    Raises ``ConvergenceError`` after ``max_iters`` iterations.
+    """
+    # reduceat gives an empty row (an isolated node) the value at its offset,
+    # not 0, so the sums start at non-empty rows only; np.bincount over
+    # ``arc_tails`` gives the same sums but takes twice as long.
+    heads, rows = graph.indices, np.flatnonzero(graph.degrees)
+    starts = graph.indptr[rows]
+
+    def system(x: np.ndarray) -> np.ndarray:
+        out = big * x
+        out[rows] -= np.add.reduceat(x.take(heads), starts)
+        return out
+
+    inverse_big = 1.0 / big
+    x = np.zeros(graph.n)
+    r = rhs.copy()
+    stop = tol * np.linalg.norm(rhs)
+    for iteration in range(max_iters):
+        if np.linalg.norm(r) < stop:
+            return x
+        z = inverse_big * r
+        rho = np.dot(r, z)
+        p = z if iteration == 0 else z + (rho / rho_prev) * p
+        q = system(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    residual = np.linalg.norm(rhs - system(x)) / np.linalg.norm(rhs)
+    raise ConvergenceError(f"stationary solve: residual {residual:.3e} > rtol={tol:g} after {max_iters} iterations")

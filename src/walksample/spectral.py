@@ -82,7 +82,7 @@ def dense_transition_matrix(graph: Graph, config: WalkConfig, cap: int = DENSE_C
         np.fill_diagonal(entries, law.pad / law.big)
     else:
         entries[:, law.targets] = (law.pad / (law.big * len(law.targets)))[:, None]
-    src = np.repeat(np.arange(graph.n), graph.degrees)
+    src = graph.arc_tails
     entries[src, graph.indices] += 1.0 / law.big[src]
     matrix = WalkMatrix(n=graph.n, entries=entries, config=config)
     matrix.validate()

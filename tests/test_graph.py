@@ -391,3 +391,44 @@ def test_build_graph_orders_rows_like_lexsort():
         for name, arr in zip(("indptr", "indices", "degrees", "labels"), want):
             got = getattr(graph, name)
             assert got.dtype == arr.dtype and np.array_equal(got, arr), name
+
+
+def _assert_components_match_scipy(graph):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    adjacency = csr_matrix((np.ones(len(graph.indices)), graph.indices, graph.indptr), shape=(graph.n, graph.n))
+    want_count, want_labels = connected_components(adjacency, directed=False, return_labels=True)
+    count, labels = graph.components
+    assert count == want_count
+    assert labels.dtype == np.int32
+    assert np.array_equal(labels, want_labels)
+
+
+def test_components_match_scipy():
+    rng = np.random.default_rng(606)
+    # A long path with shuffled ids: labels travel far, over many hook rounds.
+    n = 100_000
+    order = rng.permutation(n)
+    _assert_components_match_scipy(build_graph(order[:-1], order[1:], n))
+    # A sparse random graph: thousands of components, many of them single nodes.
+    n = 50_000
+    u, v = rng.integers(0, n, size=(2, int(0.4 * n)))
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    keys = keys[keys // n != keys % n]
+    sparse = build_graph(keys // n, keys % n, n)
+    assert sparse.components[0] > 10_000
+    _assert_components_match_scipy(sparse)
+    # Isolated nodes first, in the middle and last; and graphs with no edges.
+    _assert_components_match_scipy(build_graph([1, 2, 6, 4], [2, 3, 7, 6], 9))
+    _assert_components_match_scipy(build_graph([], [], 4))
+    _assert_components_match_scipy(build_graph([], [], 0))
+    for text in ("1 2\n2 3\n3 1\n10 11\n", "5 6\n1 2\n", EXAMPLE_EDGES):
+        _assert_components_match_scipy(make_graph(text))
+
+
+def test_arc_tails_are_the_rows_of_indices(example_graph):
+    tails = example_graph.arc_tails
+    assert tails.dtype == np.int64 and len(tails) == 2 * example_graph.m
+    for v in range(example_graph.n):
+        assert (tails[example_graph.indptr[v] : example_graph.indptr[v + 1]] == v).all()

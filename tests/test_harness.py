@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -487,3 +491,13 @@ def test_cli_weight_modes_agree_when_closed_form_is_exact(example_file, capsys):
     # equal-degree jump set: formula weights are exact, so rows agree closely
     for cl, orr in zip(data_lines(closed), data_lines(oracle)):
         assert float(cells(cl)[7]) == pytest.approx(float(cells(orr)[7]), abs=1e-9)
+
+
+def test_cli_import_loads_no_scipy():
+    import walksample
+
+    src = str(Path(walksample.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = "import sys, walksample.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

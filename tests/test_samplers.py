@@ -402,6 +402,25 @@ def test_numeric_error_on_barbell_is_bounded():
         assert error <= 1e-12, (cfg.kind, error)
 
 
+def test_numeric_on_graph_with_isolated_nodes_matches_dense_solve():
+    # Isolated nodes (first, in the middle, last) leave empty adjacency rows;
+    # walks that escape to every node still have a unique stationary.
+    base = random_connected_graph(np.random.default_rng(5), 30)
+    keep = base.arc_tails < base.indices
+    u, v = base.arc_tails[keep], base.indices[keep]
+    u, v = u + 1 + (u >= 15), v + 1 + (v >= 15)
+    g = build_graph(u, v, base.n + 3)
+    assert g.degrees[[0, 16, g.n - 1]].tolist() == [0, 0, 0]
+    adjacency = np.zeros((g.n, g.n))
+    adjacency[u, v] = adjacency[v, u] = 1.0
+    for cfg in (config("rwe", alpha=0.75), config("wjrw", c=g.d_max + 1)):
+        big = g.degrees + (0.75 if cfg.kind is SamplerKind.RWE else np.maximum(cfg.c - g.degrees, 0))
+        x = np.linalg.solve(np.diag(big) - adjacency, np.ones(g.n))
+        reference = big * x / (big * x).sum()
+        error = float(np.abs(stationary_numeric(g, cfg) - reference).sum())
+        assert error <= 1e-12, (cfg.kind, error)
+
+
 # ----------------------------------------------------------------- seeds
 
 
