@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=(
                 "fill wall_millis (makes output non-reproducible): each repetition's share of its "
-                "lockstep batch's walk time, by burn-in plus budget, plus its own scoring time"
+                "slice's walk time, by burn-in plus budget, plus its own scoring time"
             ),
         )
 

@@ -170,9 +170,9 @@ def _blocks(stream: Iterable[str]) -> Iterator[str | list[str]]:
     """Split the input into blocks of whole lines, about ``_CHUNK_CHARS`` each.
 
     A block is either a string whose lines end at '\n' (the last line of the
-    input may lack it) or, for a plain iterable whose lines themselves
-    contain '\n', the list of those lines. A stream with ``read`` is read in
-    blocks and split at '\n', as iterating a text stream splits it.
+    input may lack it) or, for a plain iterable whose lines hold a '\n'
+    before their end, the list of those lines. A stream with ``read`` is read
+    in blocks and split at '\n', as iterating a text stream splits it.
     """
     read = getattr(stream, "read", None)
     if read is not None:
@@ -188,7 +188,7 @@ def _blocks(stream: Iterable[str]) -> Iterator[str | list[str]]:
         return
     lines = iter(stream)
     while batch := list(islice(lines, _CHUNK_CHARS // 16 or 1)):  # ~16 characters a line
-        text = "\n".join(batch) + "\n"
+        text = "\n".join(line.removesuffix("\n") for line in batch) + "\n"
         yield text if text.count("\n") == len(batch) else batch
 
 

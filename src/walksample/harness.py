@@ -20,7 +20,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -165,21 +166,6 @@ class ReportRow:
         return out
 
 
-@dataclass(frozen=True)
-class _Task:
-    """One repetition's worth of work; fully determines its ReportRow."""
-
-    dataset: str
-    sampler: str
-    c: Optional[int]
-    alpha: Optional[float]
-    budget: int
-    repetition: int
-    seed: int
-    burn_in: int
-    timing: bool
-
-
 def estimation_weights(graph: Graph, config: WalkConfig, mode: str) -> np.ndarray:
     """Per-node inclusion weights: formula stationary or the numeric one."""
     if mode == "paper":
@@ -189,121 +175,106 @@ def estimation_weights(graph: Graph, config: WalkConfig, mode: str) -> np.ndarra
     raise UsageError(f"unknown weights mode {mode!r}")
 
 
-# Whole walkers are batched into one ``run_walks`` call up to this many
-# recorded nodes, which bounds the traces held at once.
-_BATCH_NODES = 1 << 20
+# A sweep is cut into slices of at most about this many walk steps, each
+# walked as one lockstep batch, which bounds the traces held at once.
+_BATCH_STEPS = 1 << 20
 
 
-def _batches(tasks: Sequence[_Task]):
-    """Consecutive runs of tasks whose budgets sum to at most ``_BATCH_NODES``."""
-    batch, nodes = [], 0
-    for task in tasks:
-        if batch and nodes + task.budget > _BATCH_NODES:
-            yield batch
-            batch, nodes = [], 0
-        batch.append(task)
-        nodes += task.budget
-    if batch:
-        yield batch
+def _even_slices(walks: Sequence[WalkConfig], parts: int) -> list[list[WalkConfig]]:
+    """At most ``parts`` contiguous, non-empty slices of about equal walk steps.
 
-
-class _TaskRunner:
-    """Runs slices of tasks on one graph, computing each group's weights once.
-
-    The walks of a slice run in lockstep batches; each trace is then scored
-    in task order. Under ``timing`` a row's ``wall_millis`` is its share of
-    its batch's walk time, in proportion to its burn-in plus budget, plus
-    the time spent scoring its own trace.
+    A walk joins the slice its middle step (burn-in plus budget) falls in, so
+    each slice is within one walk of an equal share.
     """
+    steps = np.array([w.burn_in + w.budget for w in walks])
+    middles = (np.cumsum(steps) - steps / 2) * parts / steps.sum()
+    bounds = np.searchsorted(middles, np.arange(parts + 1))
+    return [walks[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
 
-    def __init__(self, graph: Graph, weight_mode: str):
-        self.graph = graph
-        self.truth = true_degree_distribution(graph)
-        self.weight_mode = weight_mode
-        self.weights: dict = {}
 
-    def __call__(self, tasks: Sequence[_Task]) -> list[ReportRow]:
-        rows = []
-        for batch in _batches(tasks):
-            configs = [
-                WalkConfig(kind=t.sampler, c=t.c, alpha=t.alpha, budget=t.budget, seed=t.seed, burn_in=t.burn_in)
-                for t in batch
-            ]
-            t0 = time.perf_counter()
-            traces = run_walks(self.graph, configs)
-            walk_s_per_step = (time.perf_counter() - t0) / sum(t.burn_in + t.budget for t in batch)
-            for task, trace in zip(batch, traces):
-                rows.append(self._score(task, trace, walk_s_per_step * (task.burn_in + task.budget)))
-        return rows
+_SWEEP: tuple = ()  # set in each pool worker
 
-    def _score(self, task: _Task, trace, walk_s: float) -> ReportRow:
-        key = (task.sampler, task.c, task.alpha)
-        if key not in self.weights:
-            config = WalkConfig(kind=task.sampler, c=task.c, alpha=task.alpha)
-            self.weights[key] = estimation_weights(self.graph, config, self.weight_mode)
+
+def _worker_init(*sweep) -> None:
+    global _SWEEP
+    _SWEEP = sweep
+
+
+def _walk_slice(walks: list[WalkConfig], sweep: tuple = ()) -> list[tuple]:
+    """(kl, unique nodes, wall millis or None) for each walk of one slice.
+
+    ``sweep`` is (graph, truth, weights by group, timing); a pool worker
+    reads the one its initializer received. The slice runs as one lockstep
+    batch. Under timing a walk's millis are its share of the slice's walk
+    time, in proportion to its burn-in plus budget, plus the time spent
+    scoring its own trace.
+    """
+    graph, truth, weights, timing = sweep or _SWEEP
+    t0 = time.perf_counter()
+    traces = run_walks(graph, walks)
+    walk_s_per_step = (time.perf_counter() - t0) / sum(w.burn_in + w.budget for w in walks)
+    scores = []
+    for walk, trace in zip(walks, traces):
         t0 = time.perf_counter()
-        kl = kl_divergence(self.truth, degree_distribution_estimate(trace, self.weights[key], self.graph))
+        estimate = degree_distribution_estimate(trace, weights[walk.kind, walk.c, walk.alpha], graph)
+        kl = kl_divergence(truth, estimate)
         unique = unique_count(trace)
-        millis = (walk_s + time.perf_counter() - t0) * 1000.0 if task.timing else None
-        return ReportRow(
-            dataset=task.dataset,
-            sampler=task.sampler,
-            c=task.c,
-            alpha=task.alpha,
-            budget=task.budget,
-            repetition=task.repetition,
-            seed=task.seed,
+        walk_s = walk_s_per_step * (walk.burn_in + walk.budget)
+        millis = (walk_s + time.perf_counter() - t0) * 1000.0 if timing else None
+        scores.append((kl, unique, millis))
+    return scores
+
+
+def _run_tasks(config: ExperimentConfig, graph: Graph, combos: Sequence[tuple]) -> list[ReportRow]:
+    """Run R repetitions of every (sampler, c, alpha, budget) combo, sorted by group.
+
+    The truth and each group's weights are computed once, here; the walks
+    are then cut once into slices of about equal walk steps, which this
+    process or a process pool walks. Pool workers receive the graph and
+    weights through the initializer; under the fork start method they
+    inherit them without copying. ``parallel`` 0 means one worker per CPU
+    in this process's affinity set.
+    """
+    walks = _make_tasks(config, combos)
+    truth = true_degree_distribution(graph)
+    weights: dict = {}
+    for walk in walks:
+        group = (walk.kind, walk.c, walk.alpha)
+        if group not in weights:
+            weights[group] = estimation_weights(graph, walk, config.weight_mode)
+    sweep = (graph, truth, weights, config.timing)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = config.parallel or cpus
+    total_steps = sum(w.burn_in + w.budget for w in walks)
+    slices = _even_slices(walks, max(workers, math.ceil(total_steps / _BATCH_STEPS)))
+    if workers > 1 and len(slices) > 1:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(slices)), initializer=_worker_init, initargs=sweep
+        ) as pool:
+            parts = list(pool.map(_walk_slice, slices))
+    else:
+        parts = [_walk_slice(part, sweep) for part in slices]
+
+    name = _dataset_name(config.dataset_path)
+    reps = product(combos, range(config.repetitions))
+    scores = (score for part in parts for score in part)
+    rows = [
+        ReportRow(
+            dataset=name,
+            sampler=sampler,
+            c=c,
+            alpha=alpha,
+            budget=budget,
+            repetition=rep,
+            seed=walk.seed,
             kl=kl,
             log10_kl=math.log10(kl) if kl > 0 else None,
             unique_nodes=unique,
             wall_millis=millis,
         )
-
-
-def _even_slices(tasks: Sequence[_Task], parts: int) -> list[list[_Task]]:
-    """At most ``parts`` contiguous, non-empty slices of about equal walk steps.
-
-    A task joins the slice its middle step (burn-in plus budget) falls in, so
-    each slice is within one task of an equal share.
-    """
-    steps = np.array([t.burn_in + t.budget for t in tasks])
-    middles = (np.cumsum(steps) - steps / 2) * parts / steps.sum()
-    bounds = np.searchsorted(middles, np.arange(parts + 1))
-    return [tasks[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-
-
-_POOL_RUNNER: Optional[_TaskRunner] = None  # set in each pool worker
-
-
-def _worker_init(graph: Graph, weight_mode: str) -> None:
-    global _POOL_RUNNER
-    _POOL_RUNNER = _TaskRunner(graph, weight_mode)
-
-
-def _worker_run(tasks: list[_Task]) -> list[ReportRow]:
-    return _POOL_RUNNER(tasks)
-
-
-def _run_tasks(config: ExperimentConfig, graph: Graph, tasks: list[_Task]) -> list[ReportRow]:
-    """Run every task, in a process pool or in this process, sorted by group.
-
-    The pool maps one slice of about equal walk steps to each worker, which
-    computes the weights of every group it touches. Workers receive the
-    graph as an initializer argument; under the fork start method they
-    inherit it without copying or re-parsing. ``parallel`` 0 means one
-    worker per CPU in this process's affinity set.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    slices = _even_slices(tasks, config.parallel or cpus)
-    if len(slices) > 1:
-        with ProcessPoolExecutor(
-            max_workers=len(slices),
-            initializer=_worker_init,
-            initargs=(graph, config.weight_mode),
-        ) as pool:
-            rows = [row for part in pool.map(_worker_run, slices) for row in part]
-    else:
-        rows = _TaskRunner(graph, config.weight_mode)(tasks)
+        for ((sampler, c, alpha, budget), rep), walk, (kl, unique, millis) in zip(reps, walks, scores)
+    ]
     rows.sort(key=lambda r: (SAMPLER_ORDER.index(r.sampler), r.budget, r.c if r.c is not None else -1, r.repetition))
     return rows
 
@@ -322,16 +293,10 @@ def aggregate_rows(rows: Sequence[ReportRow]) -> list[ReportRow]:
     schema carries only the means.
     """
     groups: dict = {}
-    order = []
     for row in rows:
-        key = (row.sampler, row.c, row.alpha, row.budget)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault((row.sampler, row.c, row.alpha, row.budget), []).append(row)
     out = []
-    for key in order:
-        members = groups[key]
+    for key, members in groups.items():
         kls = [r.kl for r in members]
         uniques = [float(r.unique_nodes) for r in members]
         sampler, c, alpha, budget = key
@@ -391,42 +356,40 @@ def _load_component(config: ExperimentConfig) -> Graph:
     return largest_connected_component(graph)
 
 
-def _resolve_sampler_params(graph: Graph, config: ExperimentConfig, kind: str, c_override: Optional[int] = None):
+def _resolve_sampler_params(graph: Graph, config: ExperimentConfig, kind: str):
     """(c, alpha) actually used for one sampler on this graph."""
     c = None
     alpha = None
     if kind in ("gmd", "wjrw"):
-        if c_override is not None:
-            c = c_override
-        elif config.c_values:
-            c = config.c_values[0]
-        else:
-            c = max(1, graph.d_max // 2)
+        c = config.c_values[0] if config.c_values else max(1, graph.d_max // 2)
     if kind == "rwe":
         alpha = config.alpha if config.alpha is not None else average_degree(graph)
     return c, alpha
 
 
-def _make_tasks(config: ExperimentConfig, combos) -> list[_Task]:
-    """combos: iterable of (sampler, c, alpha, budget)."""
-    name = _dataset_name(config.dataset_path)
-    tasks = []
-    for sampler, c, alpha, budget in combos:
-        for rep in range(config.repetitions):
-            tasks.append(
-                _Task(
-                    dataset=name,
-                    sampler=sampler,
-                    c=c,
-                    alpha=alpha,
-                    budget=budget,
-                    repetition=rep,
-                    seed=derive_seed(config.base_seed, rep),
-                    burn_in=config.burn_in,
-                    timing=config.timing,
-                )
-            )
-    return tasks
+def _check_one_threshold(config: ExperimentConfig, command: str) -> None:
+    """Commands other than sweep-c use a single threshold: one --c at most."""
+    if len(config.c_values) > 1:
+        raise UsageError(f"{command} takes at most one --c (use sweep-c for ranges)")
+    if config.c_fractions:
+        raise UsageError("--c-frac belongs to sweep-c")
+
+
+def _make_tasks(config: ExperimentConfig, combos: Sequence[tuple]) -> list[WalkConfig]:
+    """The walks of (sampler, c, alpha, budget) combos: each combo's
+    repetitions in a row, repetition r seeded by ``derive_seed(base_seed, r)``."""
+    return [
+        WalkConfig(
+            kind=sampler,
+            c=c,
+            alpha=alpha,
+            budget=budget,
+            seed=derive_seed(config.base_seed, rep),
+            burn_in=config.burn_in,
+        )
+        for sampler, c, alpha, budget in combos
+        for rep in range(config.repetitions)
+    ]
 
 
 def cmd_stats(config: ExperimentConfig) -> str:
@@ -455,13 +418,11 @@ def cmd_run(config: ExperimentConfig) -> str:
         raise UsageError("run takes exactly one --sampler")
     if len(config.budgets) != 1:
         raise UsageError("run takes exactly one --budget")
-    if len(config.c_values) > 1 or config.c_fractions:
-        raise UsageError("run takes at most one --c (use sweep-c for ranges)")
+    _check_one_threshold(config, "run")
     graph = _load_component(config)
     kind = config.samplers[0]
     c, alpha = _resolve_sampler_params(graph, config, kind)
-    tasks = _make_tasks(config, [(kind, c, alpha, config.budgets[0])])
-    rows = _run_tasks(config, graph, tasks)
+    rows = _run_tasks(config, graph, [(kind, c, alpha, config.budgets[0])])
     meta = {"samplers": [kind], "budgets": list(config.budgets), "c": c, "alpha": _round12(alpha)}
     return render_rows(config, "run", rows, meta)
 
@@ -472,8 +433,7 @@ def cmd_sweep_budget(config: ExperimentConfig) -> str:
         raise UsageError("sweep-budget needs at least one --sampler")
     if not config.budgets:
         raise UsageError("sweep-budget needs at least one --budget")
-    if config.c_fractions:
-        raise UsageError("--c-frac belongs to sweep-c")
+    _check_one_threshold(config, "sweep-budget")
     graph = _load_component(config)
     combos = []
     resolved = {}
@@ -482,8 +442,7 @@ def cmd_sweep_budget(config: ExperimentConfig) -> str:
         resolved[kind] = {"c": c, "alpha": _round12(alpha)}
         for budget in config.budgets:
             combos.append((kind, c, alpha, budget))
-    tasks = _make_tasks(config, combos)
-    rows = _run_tasks(config, graph, tasks)
+    rows = _run_tasks(config, graph, combos)
     rows = rows + aggregate_rows(rows)
     meta = {"samplers": list(config.samplers), "budgets": list(config.budgets), "resolved": resolved}
     return render_rows(config, "sweep-budget", rows, meta)
@@ -510,8 +469,7 @@ def cmd_sweep_c(config: ExperimentConfig) -> str:
         cs = list(dict.fromkeys(config.c_values))
     budget = config.budgets[0]
     combos = [(kind, c, None, budget) for kind in samplers for c in cs]
-    tasks = _make_tasks(config, combos)
-    rows = _run_tasks(config, graph, tasks)
+    rows = _run_tasks(config, graph, combos)
     rows = rows + aggregate_rows(rows)
     meta = {
         "samplers": list(samplers),
@@ -527,6 +485,7 @@ def cmd_analyze(config: ExperimentConfig) -> str:
     """Dense spectral and stationary diagnostics for one sampler (small graphs)."""
     if len(config.samplers) != 1:
         raise UsageError("analyze takes exactly one --sampler")
+    _check_one_threshold(config, "analyze")
     graph = _load_component(config)
     if graph.n > DENSE_CAP:
         raise SamplerError(

@@ -34,8 +34,9 @@ U the average padding over U; it coincides with the numeric stationary
 when all members of U share one degree, and it is what the ``paper``
 estimation-weights mode uses even where the two disagree. The ``oracle``
 mode uses the numeric stationary, which solves the law's balance
-equations: for laws that escape to self (srw, md, gmd) they give the
-closed form exactly; for rwe and wjrw, one conjugate-gradient solve.
+equations: for laws that escape to self (srw, md, gmd) or with one
+padding to every node (rwe) they give the closed form exactly; for wjrw,
+one conjugate-gradient solve.
 """
 
 from __future__ import annotations
@@ -446,8 +447,9 @@ def stationary_numeric(
     """Exact stationary distribution from the law's balance equations.
 
     With pi = big * x and A the adjacency matrix, they read
-    (diag(big) - A) x = 1_targets up to scale. For rwe and wjrw that system
-    is symmetric, diagonally dominant and positive definite, and one
+    (diag(big) - A) x = 1_targets up to scale. For srw, md, gmd and rwe x is
+    constant, so the closed form is exact. For wjrw the system is symmetric,
+    diagonally dominant and positive definite, and one
     Jacobi-preconditioned conjugate-gradient solve in numpy gives x, to a
     relative 2-norm residual of ``tol`` within ``max_iters`` iterations. Its
     products with the matrix sum over the graph's CSR rows (``indptr``,
@@ -463,6 +465,10 @@ def stationary_numeric(
     if law.targets is None:
         # Self-escaping padding cancels from the balance equations, so
         # pi / big is constant on a connected graph: the closed form is exact.
+        return stationary_closed_form(graph, config)
+    if jumps_everywhere and law.pad.min() == law.pad.max():
+        # One padding p escaping to every node (rwe): (diag(d + p) - A) 1/p = 1,
+        # so again pi / big is constant and the closed form is exact.
         return stationary_closed_form(graph, config)
     rhs = np.zeros(graph.n)
     rhs[law.targets] = 1.0

@@ -321,11 +321,16 @@ def test_clean_input_never_reaches_the_per_line_tokeniser(monkeypatch):
     monkeypatch.setattr(graph_module, "_CHUNK_CHARS", 64)
     lines = _random_edge_lines(np.random.default_rng(9), 500, long_ids=False)
     _assert_same_as_reference(parse_edge_list(io.StringIO("".join(lines))), lines)
+    _assert_same_as_reference(parse_edge_list(lines), lines)  # lines that keep their '\n'
     assert calls == []
     # A rejected block goes per line; the blocks around it do not.
     lines[250] = "+5 007\n"
     _assert_same_as_reference(parse_edge_list(io.StringIO("".join(lines))), lines)
     assert len(calls) == 1
+    # A listed line with a '\n' before its end is one line: its batch goes per line.
+    with pytest.raises(EdgeListParseError, match="^line 2: expected 2 tokens, found 4"):
+        parse_edge_list(["1 2\n", "2 3\n3 4\n", "4 5\n"])
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_EDGES
-from walksample import harness
+from walksample import WalkConfig, harness
 from walksample.cli import main, parse_config_file
 from walksample.harness import (
     CSV_HEADER,
@@ -180,6 +182,17 @@ def test_cmd_run_usage_errors(example_file):
         cmd_run(example_config(example_file, samplers=("gmd",), budgets=(10,), c_fractions=(0.5,)))
 
 
+def test_single_threshold_commands_reject_c_ranges(example_file):
+    with pytest.raises(UsageError, match=r"sweep-budget takes at most one --c \(use sweep-c for ranges\)"):
+        cmd_sweep_budget(example_config(example_file, samplers=("gmd",), budgets=(10,), c_values=(2, 3)))
+    with pytest.raises(UsageError, match=r"analyze takes at most one --c \(use sweep-c for ranges\)"):
+        cmd_analyze(example_config(example_file, samplers=("gmd",), c_values=(2, 3)))
+    with pytest.raises(UsageError, match="--c-frac belongs to sweep-c"):
+        cmd_analyze(example_config(example_file, samplers=("gmd",), c_fractions=(0.25,)))
+    with pytest.raises(UsageError, match="--c-frac belongs to sweep-c"):
+        cmd_sweep_budget(example_config(example_file, samplers=("gmd",), budgets=(10,), c_fractions=(0.25,)))
+
+
 def test_cmd_run_timing_fills_wall_millis(example_file):
     out = cmd_run(example_config(example_file, samplers=("srw",), budgets=(30,), repetitions=2, timing=True))
     for r in data_lines(out):
@@ -253,6 +266,66 @@ def test_even_slices_are_contiguous_and_balanced(example_file):
         assert [t for part in slices for t in part] == tasks  # contiguous, in order
         for part in slices:  # within one task of an equal share
             assert abs(sum(t.burn_in + t.budget for t in part) - sum(steps) / parts) <= max(steps)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    walks=st.lists(st.tuples(st.integers(1, 5000), st.integers(0, 50)), min_size=1, max_size=60),
+    parts=st.integers(1, 80),
+)
+def test_even_slices_property(walks, parts):
+    configs = [WalkConfig(kind="srw", budget=budget, burn_in=burn_in) for budget, burn_in in walks]
+    steps = [budget + burn_in for budget, burn_in in walks]
+    slices = _even_slices(configs, parts)
+    assert 1 <= len(slices) <= parts
+    assert all(slices)
+    assert [w for part in slices for w in part] == configs  # contiguous, in order
+    for part in slices:  # within one walk of an equal share
+        assert abs(sum(w.burn_in + w.budget for w in part) - sum(steps) / parts) <= max(steps)
+
+
+def test_sweep_cut_into_many_slices_matches_one_batch(example_file, monkeypatch):
+    base = dict(
+        samplers=("srw", "rwe", "md", "gmd", "wjrw"),
+        budgets=(40, 90),
+        repetitions=3,
+        c_values=(3,),
+        weight_mode="oracle",
+        burn_in=3,
+    )
+    want = cmd_sweep_budget(example_config(example_file, parallel=1, **base))
+    monkeypatch.setattr(harness, "_BATCH_STEPS", 64)
+    for parallel in (1, 2):
+        assert cmd_sweep_budget(example_config(example_file, parallel=parallel, **base)) == want
+
+
+def test_weights_are_computed_once_per_group_under_a_pool(example_file, monkeypatch):
+    calls, pools = [], []
+    weights, pool = harness.estimation_weights, harness.ProcessPoolExecutor
+
+    def counted_weights(graph, config, mode):
+        calls.append((config.kind.value, config.c, config.alpha))
+        return weights(graph, config, mode)
+
+    def counted_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "estimation_weights", counted_weights)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", counted_pool)
+    cfg = example_config(
+        example_file,
+        samplers=("srw", "rwe", "gmd", "wjrw"),
+        budgets=(40, 90),
+        repetitions=3,
+        c_values=(3,),
+        alpha=2.0,
+        weight_mode="oracle",
+        parallel=2,
+    )
+    cmd_sweep_budget(cfg)
+    assert pools == [2]
+    assert calls == [("srw", None, None), ("rwe", None, 2.0), ("gmd", 3, None), ("wjrw", 3, None)]
 
 
 def test_default_parallel_counts_only_cpus_in_the_affinity_set(example_file, monkeypatch):
@@ -435,6 +508,15 @@ def test_cli_exit_codes(tmp_path, example_file, capsys):
     capsys.readouterr()
     assert main(["run", "--dataset", str(example_file), "--budget", "10"]) == 2
     capsys.readouterr()
+    # a threshold range outside sweep-c -> 2
+    sweep = ["sweep-budget", "--dataset", str(example_file), "--sampler", "gmd", "--budget", "10"]
+    assert main(sweep + ["--c", "10", "--c", "20"]) == 2
+    assert "at most one --c" in capsys.readouterr().err
+    analyze = ["analyze", "--dataset", str(example_file), "--sampler", "gmd"]
+    assert main(analyze + ["--c", "3", "--c", "4"]) == 2
+    assert "at most one --c" in capsys.readouterr().err
+    assert main(analyze + ["--c-frac", "0.25"]) == 2
+    assert "--c-frac belongs to sweep-c" in capsys.readouterr().err
 
     # dense analysis on an oversized graph -> 1 (internal limit, not usage)
     big = tmp_path / "big.txt"

@@ -348,6 +348,15 @@ def test_numeric_raises_when_iteration_budget_exhausted(example_graph):
         )
 
 
+def test_numeric_rwe_is_its_closed_form_without_a_solve(example_graph):
+    # (diag(d + alpha) - A) 1/alpha = 1: the balance system needs no iteration.
+    for alpha in (0.5, 2.8, 7.0):
+        assert np.array_equal(
+            stationary_numeric(example_graph, config("rwe", alpha=alpha), max_iters=1),
+            stationary_closed_form(example_graph, config("rwe", alpha=alpha)),
+        )
+
+
 def barbell_graph(clique: int = 40, path: int = 60):
     """Two cliques joined end to end by a path of ``path`` nodes."""
     edges = [(a, b) for a in range(clique) for b in range(a + 1, clique)]
