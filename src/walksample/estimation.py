@@ -50,7 +50,7 @@ class Distribution:
             raise ValueError("support must be strictly increasing")
         if np.any(mass < -_MASS_TOL):
             raise ValueError("negative mass")
-        if abs(float(mass.sum()) - 1.0) > _MASS_TOL:
+        if not abs(float(mass.sum()) - 1.0) <= _MASS_TOL:  # a NaN mass fails too
             raise ValueError(f"mass sums to {mass.sum()!r}, not 1")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "mass", np.maximum(mass, 0.0))

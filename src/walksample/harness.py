@@ -375,6 +375,14 @@ def _check_one_threshold(config: ExperimentConfig, command: str) -> None:
         raise UsageError("--c-frac belongs to sweep-c")
 
 
+def _check_params_used(config: ExperimentConfig, samplers: Sequence[str]) -> None:
+    """Reject a --c or --alpha that none of the command's samplers reads."""
+    if config.c_values and not any(kind in ("gmd", "wjrw") for kind in samplers):
+        raise UsageError("--c applies only to gmd and wjrw")
+    if config.alpha is not None and "rwe" not in samplers:
+        raise UsageError("--alpha applies only to rwe")
+
+
 def _make_tasks(config: ExperimentConfig, combos: Sequence[tuple]) -> list[WalkConfig]:
     """The walks of (sampler, c, alpha, budget) combos: each combo's
     repetitions in a row, repetition r seeded by ``derive_seed(base_seed, r)``."""
@@ -419,6 +427,7 @@ def cmd_run(config: ExperimentConfig) -> str:
     if len(config.budgets) != 1:
         raise UsageError("run takes exactly one --budget")
     _check_one_threshold(config, "run")
+    _check_params_used(config, config.samplers)
     graph = _load_component(config)
     kind = config.samplers[0]
     c, alpha = _resolve_sampler_params(graph, config, kind)
@@ -434,6 +443,7 @@ def cmd_sweep_budget(config: ExperimentConfig) -> str:
     if not config.budgets:
         raise UsageError("sweep-budget needs at least one --budget")
     _check_one_threshold(config, "sweep-budget")
+    _check_params_used(config, config.samplers)
     graph = _load_component(config)
     combos = []
     resolved = {}
@@ -458,6 +468,7 @@ def cmd_sweep_c(config: ExperimentConfig) -> str:
         raise UsageError("sweep-c takes exactly one --budget")
     if bool(config.c_values) == bool(config.c_fractions):
         raise UsageError("sweep-c needs --c values or --c-frac fractions (not both)")
+    _check_params_used(config, samplers)
     graph = _load_component(config)
     if config.c_fractions:
         cs = []
@@ -486,6 +497,7 @@ def cmd_analyze(config: ExperimentConfig) -> str:
     if len(config.samplers) != 1:
         raise UsageError("analyze takes exactly one --sampler")
     _check_one_threshold(config, "analyze")
+    _check_params_used(config, config.samplers)
     graph = _load_component(config)
     if graph.n > DENSE_CAP:
         raise SamplerError(

@@ -7,7 +7,11 @@ stationarity, and a detailed-balance residual for reversibility checks.
 
 Everything here is dense and exact-arithmetic-friendly on purpose: it is a
 diagnostic path for small graphs (n <= 4096 by default), not a scalable
-eigensolver.
+eigensolver. Memory: one n x n float64 matrix (8n^2 bytes) is held while it
+is analysed. ``np.linalg.eigvals`` hands LAPACK a copy of it, so the
+spectrum, and with it the ``analyze`` command, peaks at two such matrices
+(2 * 8n^2 bytes, ~268 MB at ``DENSE_CAP``). The detailed-balance residual
+works in row blocks of about 1 MB and adds no second matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from .graph import Graph
 from .samplers import SamplerError, WalkConfig, WalkLaw
 
 DENSE_CAP = 4096
+
+# Bytes per temporary in reversibility_residual: it never holds a second
+# n x n array, whatever n is.
+_RESIDUAL_BLOCK_BYTES = 1 << 20
 
 _CROSS_CHECK_N = 4
 _CROSS_CHECK_TOL = 1e-8
@@ -42,7 +50,8 @@ class WalkMatrix:
         if np.any(self.entries < 0):
             raise ValueError("negative transition probability")
         rows = self.entries.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-12:
+        # Written as not (<= tol) so that a NaN entry fails too.
+        if not np.max(np.abs(rows - 1.0)) <= 1e-12:
             raise ValueError("rows must sum to 1")
 
 
@@ -181,7 +190,21 @@ def reversibility_residual(matrix: WalkMatrix, pi: Distribution, graph: Optional
     Zero (to rounding) iff the chain is reversible under pi. The support of
     pi is always validated against the matrix; ``graph`` is accepted for
     compatibility and unused.
+
+    Works on blocks of rows of about ``_RESIDUAL_BLOCK_BYTES`` each: rows
+    ``lo:hi`` of the flow ``pi_v P_vu`` minus the same rows of its transpose
+    are the same products as in the whole ``flow - flow.T``, so the result is
+    the same to the bit.
     """
     matrix.validate()
-    flow = _dense_pi(matrix.n, pi)[:, None] * matrix.entries
-    return float(np.max(np.abs(flow - flow.T)))
+    p = _dense_pi(matrix.n, pi)
+    entries = matrix.entries
+    step = max(1, _RESIDUAL_BLOCK_BYTES // (8 * max(matrix.n, 1)))  # float64 rows
+    block_max = []
+    for lo in range(0, matrix.n, step):
+        hi = lo + step
+        diff = p[lo:hi, None] * entries[lo:hi]
+        diff -= (p[:, None] * entries[:, lo:hi]).T
+        block_max.append(np.max(np.abs(diff, out=diff)))
+    # np.max, not max(): a NaN in any block propagates, as it does one-shot.
+    return float(np.max(block_max))

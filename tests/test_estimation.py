@@ -40,6 +40,8 @@ def test_distribution_validation():
         dist([1, 2], [-0.1, 1.1])
     with pytest.raises(ValueError, match="sums"):
         dist([1, 2], [0.5, 0.6])
+    with pytest.raises(ValueError, match="sums"):
+        dist([1, 2], [np.nan, 1.0])
     with pytest.raises(ValueError):
         Distribution(np.array([[1]]), np.array([[1.0]]))
 

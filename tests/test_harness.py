@@ -517,6 +517,16 @@ def test_cli_exit_codes(tmp_path, example_file, capsys):
     assert "at most one --c" in capsys.readouterr().err
     assert main(analyze + ["--c-frac", "0.25"]) == 2
     assert "--c-frac belongs to sweep-c" in capsys.readouterr().err
+    # a --c or --alpha that none of the command's samplers reads -> 2
+    run_srw = ["run", "--dataset", str(example_file), "--sampler", "srw", "--budget", "10"]
+    assert main(run_srw + ["--c", "3"]) == 2
+    assert "--c applies only to gmd and wjrw" in capsys.readouterr().err
+    assert main(["sweep-c", "--dataset", str(example_file), "--c", "2", "--budget", "10", "--alpha", "3"]) == 2
+    assert "--alpha applies only to rwe" in capsys.readouterr().err
+    assert main(["analyze", "--dataset", str(example_file), "--sampler", "srw", "--alpha", "3"]) == 2
+    assert "--alpha applies only to rwe" in capsys.readouterr().err
+    assert main(sweep + ["--sampler", "srw", "--alpha", "3"]) == 2
+    assert "--alpha applies only to rwe" in capsys.readouterr().err
 
     # dense analysis on an oversized graph -> 1 (internal limit, not usage)
     big = tmp_path / "big.txt"

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
+from conftest import preferential_graph, random_connected_graph
+from walksample import spectral as spectral_module
 from walksample import (
     Distribution,
     SamplerError,
@@ -42,6 +44,9 @@ def test_walk_matrix_validation(example_graph):
     neg = WalkMatrix(n=2, entries=np.array([[1.5, -0.5], [0.5, 0.5]]), config=cfg)
     with pytest.raises(ValueError):
         neg.validate()
+    nan = WalkMatrix(n=2, entries=np.array([[np.nan, 0.5], [0.5, 0.5]]), config=cfg)
+    with pytest.raises(ValueError, match="sum to 1"):
+        nan.validate()
 
 
 def test_dense_cap_enforced():
@@ -191,3 +196,69 @@ def test_reversibility_residuals(example_graph, path3_graph):
     wm = dense_transition_matrix(path3_graph, wj)
     residual = reversibility_residual(wm, node_dist(stationary_closed_form(path3_graph, wj)))
     assert residual > 0.01
+
+
+def one_shot_residual(matrix: WalkMatrix, pi: Distribution) -> float:
+    """The residual over whole n x n temporaries, as first written."""
+    p = np.zeros(matrix.n)
+    p[pi.support] = pi.mass
+    flow = p[:, None] * matrix.entries
+    return float(np.max(np.abs(flow - flow.T)))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8 * 40 * 3, 8 * 40 * 40])
+def test_blocked_residual_equals_one_shot_on_random_graphs(monkeypatch, block_bytes):
+    monkeypatch.setattr(spectral_module, "_RESIDUAL_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(block_bytes)
+    for _ in range(4):
+        g = random_connected_graph(rng, int(rng.integers(5, 41)))
+        c = int(rng.integers(1, g.d_max + 2))
+        kinds = [("srw", {}), ("rwe", {"alpha": float(rng.uniform(0.2, 3))}), ("md", {}), ("gmd", {"c": c}), ("wjrw", {"c": c})]
+        for kind, kw in kinds:
+            cfg = WalkConfig(kind=kind, **kw)
+            wm = dense_transition_matrix(g, cfg)
+            pi = node_dist(stationary_closed_form(g, cfg))
+            assert reversibility_residual(wm, pi) == one_shot_residual(wm, pi)
+
+
+# (n, rows per block): below one block, exactly one, one block plus one row,
+# several blocks with a remainder, and one row per block.
+@pytest.mark.parametrize("n, rows", [(9, 12), (12, 12), (13, 12), (50, 7), (17, 1)])
+def test_blocked_residual_equals_one_shot_at_block_edges(monkeypatch, n, rows):
+    monkeypatch.setattr(spectral_module, "_RESIDUAL_BLOCK_BYTES", 8 * n * rows)
+    rng = np.random.default_rng(n * 100 + rows)
+    cfg = WalkConfig(kind="srw")
+    for _ in range(3):
+        raw = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+        raw[np.arange(n), rng.integers(0, n, n)] += 0.1  # no empty row
+        wm = WalkMatrix(n=n, entries=raw / raw.sum(axis=1, keepdims=True), config=cfg)
+        pi = Distribution.from_weights(np.arange(n), rng.random(n))
+        got = reversibility_residual(wm, pi)
+        assert got > 0 and got == one_shot_residual(wm, pi)
+
+
+def test_blocked_residual_propagates_nan_from_a_later_block(monkeypatch):
+    # Validation rejects NaN entries; with it bypassed, a NaN in the last
+    # block must still reach the result, as np.max does one-shot.
+    monkeypatch.setattr(spectral_module, "_RESIDUAL_BLOCK_BYTES", 1)
+    monkeypatch.setattr(WalkMatrix, "validate", lambda self: None)
+    entries = np.full((4, 4), 0.25)
+    entries[0, 1], entries[0, 2] = 0.5, 0.0
+    entries[3, 3] = np.nan
+    wm = WalkMatrix(n=4, entries=entries, config=WalkConfig(kind="srw"))
+    assert math.isnan(reversibility_residual(wm, node_dist(np.full(4, 0.25))))
+
+
+def test_residual_peak_memory_is_a_fraction_of_the_matrix():
+    g = preferential_graph(1500, 3, seed=5)
+    cfg = WalkConfig(kind="wjrw", c=max(1, g.d_max // 2))
+    wm = dense_transition_matrix(g, cfg)
+    pi = node_dist(stationary_closed_form(g, cfg))
+    tracemalloc.start()
+    try:
+        residual = reversibility_residual(wm, pi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual > 0
+    assert peak < wm.entries.nbytes / 2, f"peak {peak / wm.entries.nbytes:.2f} x the matrix"
