@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,43 +29,8 @@ from .harness import (
     cmd_sweep_c,
 )
 
-_LIST_KEYS = ("sampler", "budget", "c", "c-frac")
-_SCALAR_KEYS = (
-    "dataset",
-    "alpha",
-    "reps",
-    "seed",
-    "weights",
-    "out",
-    "format",
-    "parallel",
-    "burn-in",
-    "timing",
-)
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
-
-
-def parse_config_file(path: str) -> dict[str, list[str]]:
-    """Read flat ``key = value`` lines; later scalar lines win, lists extend."""
-    values: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
-            key = key.strip()
-            val = val.strip()
-            if key in _LIST_KEYS:
-                values.setdefault(key, []).extend(p.strip() for p in val.split(",") if p.strip())
-            elif key in _SCALAR_KEYS:
-                values[key] = [val]
-            else:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-    return values
 
 
 def _parse_bool(text: str) -> bool:
@@ -76,131 +42,139 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"expected a boolean, got {text!r}")
 
 
+# Config key (a flag's name without dashes) -> ExperimentConfig field and the
+# converter of one file value. "dataset" comes first, so a missing dataset is
+# reported before any malformed value. The keys of repeatable flags
+# (``_LIST_KEYS``) accumulate over file lines; for the others the last line
+# wins.
+_KEYS = {
+    "dataset": ("dataset_path", str),
+    "sampler": ("samplers", str),
+    "budget": ("budgets", int),
+    "c": ("c_values", int),
+    "c-frac": ("c_fractions", float),
+    "alpha": ("alpha", float),
+    "reps": ("repetitions", int),
+    "seed": ("base_seed", int),
+    "weights": ("weight_mode", str),
+    "out": ("output_path", str),
+    "format": ("output_format", str),
+    "parallel": ("parallel", int),
+    "burn-in": ("burn_in", int),
+    "timing": ("timing", _parse_bool),
+}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+# Flag -> add_argument keywords, in --help order; the dest is the key with
+# "-" as "_".
+_FLAGS = {
+    "dataset": dict(help="edge-list file (whitespace separated node pairs)"),
+    "config": dict(help="flat key=value config file; flags override it"),
+    "out": dict(help="output file (default: stdout)"),
+    "sampler": dict(action="append", choices=SAMPLER_ORDER, help="repeatable"),
+    "budget": dict(action="append", type=int, help="trace length; repeatable"),
+    "c": dict(action="append", type=int, help="padding threshold; repeatable"),
+    "c-frac": dict(
+        action="append", type=float, help="threshold as a fraction of the maximum degree; repeatable"
+    ),
+    "alpha": dict(type=float, help="uniform-jump weight for rwe (default: mean degree)"),
+    "reps": dict(type=int, help=f"repetitions per configuration (default {_DEFAULTS['repetitions']})"),
+    "seed": dict(type=int, help=f"base seed for derived per-repetition seeds (default {_DEFAULTS['base_seed']})"),
+    "weights": dict(
+        choices=WEIGHT_MODES,
+        help="estimation weights: closed-form stationary (paper) or exact stationary (oracle)",
+    ),
+    "format": dict(choices=OUTPUT_FORMATS, help=f"output format (default {_DEFAULTS['output_format']})"),
+    "parallel": dict(type=int, help="worker processes (default: one per usable CPU)"),
+    "burn-in": dict(type=int, help="unrecorded steps before the first sample"),
+    "timing": dict(
+        action="store_true",
+        default=None,
+        help=(
+            "fill wall_millis (makes output non-reproducible): each repetition's share of its "
+            "slice's walk time, by burn-in plus budget, plus its own scoring time"
+        ),
+    ),
+}
+_COMMON_FLAGS = ("dataset", "config", "out")
+_LIST_KEYS = tuple(flag for flag, kw in _FLAGS.items() if kw.get("action") == "append")
+
+# Subcommand -> handler, help and the flags it takes. analyze walks nothing:
+# its --seed and --format are accepted and ignored, so that one argument list
+# can carry them to every command.
+_COMMANDS = {
+    "stats": (cmd_stats, "dataset summary (n, m, degrees, component sizes)", _COMMON_FLAGS),
+    "run": (cmd_run, "one sampler at one budget, seeded repetitions", tuple(_FLAGS)),
+    "sweep-budget": (cmd_sweep_budget, "samplers x budgets grid with mean rows", tuple(_FLAGS)),
+    "sweep-c": (cmd_sweep_c, "padding-threshold sweep for gmd/wjrw", tuple(_FLAGS)),
+    "analyze": (
+        cmd_analyze,
+        "dense spectral and stationary diagnostics",
+        _COMMON_FLAGS + ("sampler", "c", "c-frac", "alpha", "seed", "format"),
+    ),
+}
+
+
+def parse_config_file(path: str) -> dict[str, list[str]]:
+    """Read flat ``key = value`` lines; later scalar lines win, lists extend."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+    values: dict[str, list[str]] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise UsageError(f"{path}:{lineno}: expected key = value")
+        key = key.strip()
+        val = val.strip()
+        if key in _LIST_KEYS:
+            values.setdefault(key, []).extend(p.strip() for p in val.split(",") if p.strip())
+        elif key in _KEYS:
+            values[key] = [val]
+        else:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walksample",
         description="Random-walk node sampling, estimation, and analysis on edge-list graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dataset", help="edge-list file (whitespace separated node pairs)")
-        p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--out", help="output file (default: stdout)")
-
-    def add_sampling(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--sampler", action="append", choices=SAMPLER_ORDER, help="repeatable")
-        p.add_argument("--budget", action="append", type=int, help="trace length; repeatable")
-        p.add_argument("--c", action="append", type=int, help="padding threshold; repeatable")
-        p.add_argument(
-            "--c-frac",
-            action="append",
-            type=float,
-            dest="c_frac",
-            help="threshold as a fraction of the maximum degree; repeatable",
-        )
-        p.add_argument("--alpha", type=float, help="uniform-jump weight for rwe (default: mean degree)")
-        p.add_argument("--reps", type=int, help="repetitions per configuration (default 100)")
-        p.add_argument("--seed", type=int, help="base seed for derived per-repetition seeds (default 0)")
-        p.add_argument(
-            "--weights",
-            choices=WEIGHT_MODES,
-            help="estimation weights: closed-form stationary (paper) or exact stationary, one sparse solve (oracle)",
-        )
-        p.add_argument("--format", choices=OUTPUT_FORMATS, dest="fmt", help="output format (default csv)")
-        p.add_argument("--parallel", type=int, help="worker processes (default: one per usable CPU)")
-        p.add_argument("--burn-in", type=int, dest="burn_in", help="unrecorded steps before the first sample")
-        p.add_argument(
-            "--timing",
-            action="store_true",
-            default=None,
-            help=(
-                "fill wall_millis (makes output non-reproducible): each repetition's share of its "
-                "slice's walk time, by burn-in plus budget, plus its own scoring time"
-            ),
-        )
-
-    p_stats = sub.add_parser("stats", help="dataset summary (n, m, degrees, component sizes)")
-    add_common(p_stats)
-
-    p_run = sub.add_parser("run", help="one sampler at one budget, seeded repetitions")
-    add_common(p_run)
-    add_sampling(p_run)
-
-    p_sb = sub.add_parser("sweep-budget", help="samplers x budgets grid with mean rows")
-    add_common(p_sb)
-    add_sampling(p_sb)
-
-    p_sc = sub.add_parser("sweep-c", help="padding-threshold sweep for gmd/wjrw")
-    add_common(p_sc)
-    add_sampling(p_sc)
-
-    p_an = sub.add_parser("analyze", help="dense spectral and stationary diagnostics")
-    add_common(p_an)
-    add_sampling(p_an)
-
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
-def _scalar(file_vals: dict[str, list[str]], key: str) -> Optional[str]:
-    vals = file_vals.get(key)
-    return vals[-1] if vals else None
-
-
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Combine flags with the config file (flags win) into one config."""
-    file_vals = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    """Combine flags with the config file (flags win) into one config.
 
-    def pick(flag_value, key: str, convert, default):
-        if flag_value is not None:
-            return flag_value
-        raw = _scalar(file_vals, key)
-        if raw is not None:
+    Only the values a flag or the file gives reach ``ExperimentConfig``, which
+    holds the defaults.
+    """
+    file_vals = parse_config_file(args.config) if args.config else {}
+    given = {}
+    for key, (field, convert) in _KEYS.items():
+        flag = getattr(args, key.replace("-", "_"), None)  # None: not given, or not a flag of this command
+        if flag is not None:
+            given[field] = tuple(flag) if key in _LIST_KEYS else flag
+        elif key in file_vals:
+            raw = file_vals[key]
             try:
-                return convert(raw)
+                given[field] = tuple(map(convert, raw)) if key in _LIST_KEYS else convert(raw[-1])
             except ValueError as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
-        return default
-
-    def pick_list(flag_values, key: str, convert) -> tuple:
-        if flag_values:
-            return tuple(flag_values)
-        raw = file_vals.get(key)
-        if raw:
-            try:
-                return tuple(convert(v) for v in raw)
-            except ValueError as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from exc
-        return ()
-
-    dataset = pick(getattr(args, "dataset", None), "dataset", str, None)
-    if not dataset:
-        raise UsageError("--dataset is required")
-    return ExperimentConfig(
-        dataset_path=dataset,
-        samplers=pick_list(getattr(args, "sampler", None), "sampler", str),
-        budgets=pick_list(getattr(args, "budget", None), "budget", int),
-        c_values=pick_list(getattr(args, "c", None), "c", int),
-        c_fractions=pick_list(getattr(args, "c_frac", None), "c-frac", float),
-        alpha=pick(getattr(args, "alpha", None), "alpha", float, None),
-        repetitions=pick(getattr(args, "reps", None), "reps", int, 100),
-        base_seed=pick(getattr(args, "seed", None), "seed", int, 0),
-        output_path=pick(getattr(args, "out", None), "out", str, None),
-        output_format=pick(getattr(args, "fmt", None), "format", str, "csv"),
-        weight_mode=pick(getattr(args, "weights", None), "weights", str, "paper"),
-        parallel=pick(getattr(args, "parallel", None), "parallel", int, 0),
-        burn_in=pick(getattr(args, "burn_in", None), "burn-in", int, 0),
-        timing=pick(getattr(args, "timing", None), "timing", _parse_bool, False),
-    )
-
-
-_COMMANDS = {
-    "stats": cmd_stats,
-    "run": cmd_run,
-    "sweep-budget": cmd_sweep_budget,
-    "sweep-c": cmd_sweep_c,
-    "analyze": cmd_analyze,
-}
+        if key == "dataset" and not given.get(field):
+            raise UsageError("--dataset is required")
+    return ExperimentConfig(**given)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -208,7 +182,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args)
-        text = _COMMANDS[args.command](config)
+        text = _COMMANDS[args.command][0](config)
         if config.output_path:
             Path(config.output_path).write_text(text, encoding="utf-8", newline="\n")
         else:

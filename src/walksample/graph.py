@@ -419,18 +419,16 @@ def largest_connected_component(graph: Graph) -> Graph:
     """Induced subgraph on the largest component, ids re-densified.
 
     Size ties break toward the component containing the smallest internal
-    node id. A connected (or empty) graph is returned unchanged.
+    node id: components are labelled in order of their lowest node, and
+    ``argmax`` takes the first largest. A connected (or empty) graph is
+    returned unchanged.
     """
     if graph.n == 0:
         return graph
     ncomp, comp = graph.components
     if ncomp <= 1:
         return graph
-    sizes = np.bincount(comp, minlength=ncomp)
-    first_member = np.full(ncomp, graph.n, dtype=np.int64)
-    np.minimum.at(first_member, comp, np.arange(graph.n, dtype=np.int64))
-    candidates = np.flatnonzero(sizes == sizes.max())
-    chosen = candidates[np.argmin(first_member[candidates])]
+    chosen = np.argmax(np.bincount(comp, minlength=ncomp))
 
     keep = comp == chosen
     new_id = np.full(graph.n, -1, dtype=np.int64)

@@ -32,6 +32,7 @@ from .graph import Graph, average_degree, graph_stats, largest_connected_compone
 from .samplers import (
     RNG_ALGORITHM,
     SamplerError,
+    SamplerKind,
     WalkConfig,
     derive_seed,
     run_walks,
@@ -40,9 +41,12 @@ from .samplers import (
 )
 from .spectral import DENSE_CAP, dense_transition_matrix, expected_repeat_probability, reversibility_residual, spectrum
 
-CSV_HEADER = "dataset,sampler,C,alpha,budget,repetition,seed,kl,log10_kl,unique_nodes,wall_millis"
-SAMPLER_ORDER = ("srw", "rwe", "md", "gmd", "wjrw")
-SWEEP_C_SAMPLERS = ("gmd", "wjrw")
+_COLUMNS = (
+    "dataset", "sampler", "C", "alpha", "budget", "repetition", "seed", "kl", "log10_kl", "unique_nodes", "wall_millis"
+)
+CSV_HEADER = ",".join(_COLUMNS)
+SAMPLER_ORDER = tuple(kind.value for kind in SamplerKind)
+SWEEP_C_SAMPLERS = ("gmd", "wjrw")  # the kinds that read --c
 WEIGHT_MODES = ("paper", "oracle")
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -61,7 +65,7 @@ def _fmt(value) -> str:
 
 
 def _round12(value):
-    """Round floats to 12 significant digits for stable JSON output."""
+    """Round floats to 12 significant digits for stable JSON output; other values pass."""
     if isinstance(value, float) and math.isfinite(value):
         return float(f"{value:.12g}")
     return value
@@ -109,6 +113,8 @@ class ExperimentConfig:
             raise UsageError("burn-in must be >= 0")
         if self.parallel < 0:
             raise UsageError("parallel must be >= 0")
+        if self.alpha is not None and not 0 <= self.alpha < math.inf:
+            raise UsageError("alpha must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -129,8 +135,9 @@ class ReportRow:
     kl_std: Optional[float] = None
     unique_nodes_std: Optional[float] = None
 
-    def csv_line(self) -> str:
-        cells = (
+    def _cells(self) -> tuple:
+        """The values of ``_COLUMNS``, in order."""
+        return (
             self.dataset,
             self.sampler,
             self.c,
@@ -143,22 +150,12 @@ class ReportRow:
             self.unique_nodes,
             self.wall_millis,
         )
-        return ",".join(_fmt(c) for c in cells)
+
+    def csv_line(self) -> str:
+        return ",".join(_fmt(c) for c in self._cells())
 
     def to_dict(self) -> dict:
-        out = {
-            "dataset": self.dataset,
-            "sampler": self.sampler,
-            "C": self.c,
-            "alpha": _round12(self.alpha),
-            "budget": self.budget,
-            "repetition": self.repetition,
-            "seed": self.seed,
-            "kl": _round12(self.kl),
-            "log10_kl": _round12(self.log10_kl),
-            "unique_nodes": _round12(self.unique_nodes),
-            "wall_millis": _round12(self.wall_millis),
-        }
+        out = {name: _round12(cell) for name, cell in zip(_COLUMNS, self._cells())}
         if self.kl_std is not None:
             out["kl_std"] = _round12(self.kl_std)
         if self.unique_nodes_std is not None:
@@ -360,7 +357,7 @@ def _resolve_sampler_params(graph: Graph, config: ExperimentConfig, kind: str):
     """(c, alpha) actually used for one sampler on this graph."""
     c = None
     alpha = None
-    if kind in ("gmd", "wjrw"):
+    if kind in SWEEP_C_SAMPLERS:
         c = config.c_values[0] if config.c_values else max(1, graph.d_max // 2)
     if kind == "rwe":
         alpha = config.alpha if config.alpha is not None else average_degree(graph)
@@ -377,8 +374,8 @@ def _check_one_threshold(config: ExperimentConfig, command: str) -> None:
 
 def _check_params_used(config: ExperimentConfig, samplers: Sequence[str]) -> None:
     """Reject a --c or --alpha that none of the command's samplers reads."""
-    if config.c_values and not any(kind in ("gmd", "wjrw") for kind in samplers):
-        raise UsageError("--c applies only to gmd and wjrw")
+    if config.c_values and not any(kind in SWEEP_C_SAMPLERS for kind in samplers):
+        raise UsageError(f"--c applies only to {' and '.join(SWEEP_C_SAMPLERS)}")
     if config.alpha is not None and "rwe" not in samplers:
         raise UsageError("--alpha applies only to rwe")
 

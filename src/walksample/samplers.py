@@ -95,8 +95,8 @@ class WalkConfig:
     def __post_init__(self):
         object.__setattr__(self, "kind", SamplerKind(self.kind))
         if self.kind is SamplerKind.RWE:
-            if self.alpha is None or self.alpha < 0:
-                raise SamplerError("rwe requires a nonnegative alpha")
+            if self.alpha is None or not 0 <= self.alpha < np.inf:
+                raise SamplerError("rwe requires a finite nonnegative alpha")
             object.__setattr__(self, "alpha", float(self.alpha))
         elif self.alpha is not None:
             raise SamplerError(f"alpha is not a parameter of {self.kind.value}")
@@ -462,13 +462,10 @@ def stationary_numeric(
     jumps_everywhere = law.targets is not None and len(law.targets) == graph.n and law.pad.all()
     if not jumps_everywhere and graph.components[0] != 1:
         raise SamplerError("graph must be connected for a unique stationary distribution")
-    if law.targets is None:
-        # Self-escaping padding cancels from the balance equations, so
-        # pi / big is constant on a connected graph: the closed form is exact.
-        return stationary_closed_form(graph, config)
-    if jumps_everywhere and law.pad.min() == law.pad.max():
-        # One padding p escaping to every node (rwe): (diag(d + p) - A) 1/p = 1,
-        # so again pi / big is constant and the closed form is exact.
+    if law.targets is None or (jumps_everywhere and law.pad.min() == law.pad.max()):
+        # Self-escaping padding cancels from the balance equations; one padding
+        # p escaping to every node (rwe) gives (diag(d + p) - A) 1/p = 1. Either
+        # way pi / big is constant on a connected graph: the closed form is exact.
         return stationary_closed_form(graph, config)
     rhs = np.zeros(graph.n)
     rhs[law.targets] = 1.0

@@ -8,14 +8,17 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_EDGES
-from walksample import WalkConfig, harness
-from walksample.cli import main, parse_config_file
+from walksample import WalkConfig, cli, harness
+from walksample.cli import build_parser, main, parse_config_file, resolve_config
 from walksample.harness import (
     CSV_HEADER,
+    OUTPUT_FORMATS,
+    SAMPLER_ORDER,
+    WEIGHT_MODES,
     ExperimentConfig,
     ReportRow,
     UsageError,
@@ -69,6 +72,9 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(p, weight_mode="guess")
     with pytest.raises(UsageError, match="burn-in"):
         ExperimentConfig(p, burn_in=-1)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(UsageError, match="alpha"):
+            ExperimentConfig(p, alpha=bad)
 
 
 def test_fmt_cells():
@@ -456,6 +462,110 @@ def test_cli_config_file_with_flag_override(tmp_path, example_file, capsys):
     assert len(data_lines(capsys.readouterr().out)) == 2
 
 
+def _flags_by_command() -> dict[str, set[str]]:
+    """Each subcommand's flags, without dashes, as the parser defines them."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {
+        name: {opt[2:] for action in p._actions for opt in action.option_strings if opt not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_config_keys_are_the_parser_flags(tmp_path):
+    flags = _flags_by_command()
+    every_flag = {"config", *cli._KEYS}
+    assert set().union(*flags.values()) == every_flag
+    for command in ("run", "sweep-budget", "sweep-c"):
+        assert flags[command] == every_flag
+    assert flags["stats"] == {"dataset", "config", "out"}
+    walk_only = {"budget", "reps", "weights", "parallel", "burn-in", "timing"}
+    assert flags["analyze"] == every_flag - walk_only
+    # a config file still sets every key, whichever command runs
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        "dataset = x.txt\nbudget = 5\nreps = 3\nweights = oracle\nparallel = 2\nburn-in = 4\ntiming = yes\n",
+        encoding="utf-8",
+    )
+    resolved = resolve_config(build_parser().parse_args(["analyze", "--config", str(cfg)]))
+    assert resolved == ExperimentConfig(
+        "x.txt", budgets=(5,), repetitions=3, weight_mode="oracle", parallel=2, burn_in=4, timing=True
+    )
+
+
+@pytest.mark.parametrize(
+    "flag", ["--budget=5", "--reps=3", "--weights=oracle", "--parallel=2", "--burn-in=4", "--timing"]
+)
+def test_analyze_rejects_the_walk_flags(example_file, flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "--dataset", str(example_file), "--sampler", "srw", flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Valid values of each config key.
+_KEY_VALUES = {
+    "dataset": st.sampled_from(["a.txt", "dir/b.txt"]),
+    "sampler": st.lists(st.sampled_from(SAMPLER_ORDER), min_size=1, max_size=3).map(tuple),
+    "budget": st.lists(st.integers(1, 10**6), min_size=1, max_size=3).map(tuple),
+    "c": st.lists(st.integers(1, 999), min_size=1, max_size=3).map(tuple),
+    "c-frac": st.lists(st.floats(0, 1, exclude_min=True), min_size=1, max_size=3).map(tuple),
+    "alpha": st.floats(0, 1e6),
+    "reps": st.integers(1, 1000),
+    "seed": st.integers(0, 2**63),
+    "weights": st.sampled_from(WEIGHT_MODES),
+    "out": st.sampled_from(["o.csv", "dir/o.json"]),
+    "format": st.sampled_from(OUTPUT_FORMATS),
+    "parallel": st.integers(0, 64),
+    "burn-in": st.integers(0, 1000),
+    "timing": st.booleans(),
+}
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "Yes" if value else "off"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(
+    derandomize=True, max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data(), command=st.sampled_from(["stats", "run", "sweep-budget", "sweep-c", "analyze"]))
+def test_resolved_config_is_flag_else_file_else_default(tmp_path, data, command):
+    flag_keys = sorted(_flags_by_command()[command] - {"config"})
+    by_flag = data.draw(st.fixed_dictionaries({}, optional={k: _KEY_VALUES[k] for k in flag_keys}))
+    by_file = data.draw(st.fixed_dictionaries({}, optional=_KEY_VALUES))
+    if by_flag.get("timing") is False:  # --timing can only set True
+        del by_flag["timing"]
+
+    argv = [command]
+    for key, value in by_flag.items():
+        if key == "timing":
+            argv.append("--timing")
+        else:
+            for item in value if key in cli._LIST_KEYS else (value,):
+                argv += [f"--{key}", _text(item)]
+    lines = []
+    for key, value in by_file.items():
+        if key in cli._LIST_KEYS:  # all items on one line, or one item a line
+            items = [_text(v) for v in value]
+            one_line = data.draw(st.booleans())
+            lines += [f"{key} = {', '.join(items)}"] if one_line else [f"{key} = {item}" for item in items]
+        else:  # the last line wins over an earlier one
+            lines += [f"{key} = {_text(not value if key == 'timing' else 'junk')}", f"{key} = {_text(value)}"]
+    cfg = tmp_path / "prop.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    fields = {key: field for key, (field, _) in cli._KEYS.items()}
+    expected = {fields[key]: value for key, value in {**by_file, **by_flag}.items()}
+    args = build_parser().parse_args(argv + ["--config", str(cfg)])
+    if "dataset_path" not in expected:
+        with pytest.raises(UsageError, match="--dataset is required"):
+            resolve_config(args)
+    else:
+        assert resolve_config(args) == ExperimentConfig(**expected)
+
+
 def test_cli_stats_stdout_and_out_file(tmp_path, example_file, capsys):
     assert main(["stats", "--dataset", str(example_file)]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -527,6 +637,11 @@ def test_cli_exit_codes(tmp_path, example_file, capsys):
     assert "--alpha applies only to rwe" in capsys.readouterr().err
     assert main(sweep + ["--sampler", "srw", "--alpha", "3"]) == 2
     assert "--alpha applies only to rwe" in capsys.readouterr().err
+    # an alpha that is negative or not finite -> 2
+    run_rwe = ["run", "--dataset", str(example_file), "--sampler", "rwe", "--budget", "10"]
+    for bad in ("-1", "nan", "inf"):
+        assert main(run_rwe + [f"--alpha={bad}"]) == 2
+        assert "alpha must be finite and >= 0" in capsys.readouterr().err
 
     # dense analysis on an oversized graph -> 1 (internal limit, not usage)
     big = tmp_path / "big.txt"
@@ -548,6 +663,12 @@ def test_cli_non_utf8_input_is_an_input_error(tmp_path, capsys):
     assert main(["stats", "--dataset", str(latin1)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "latin1.txt" in err and "UTF-8" in err
+
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# caf\u00e9\nsampler = srw\n".encode("latin-1"))
+    assert main(["stats", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "latin1.cfg" in err and "UTF-8" in err
 
 
 def test_cli_json_format(example_file, capsys):

@@ -49,6 +49,9 @@ def test_config_requires_alpha_only_for_escaping_walk():
         config("rwe")
     with pytest.raises(SamplerError):
         config("rwe", alpha=-0.5)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SamplerError, match="finite"):
+            config("rwe", alpha=bad)
     with pytest.raises(SamplerError):
         config("srw", alpha=1.0)
     assert config("rwe", alpha=0.0).alpha == 0.0
