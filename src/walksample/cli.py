@@ -161,6 +161,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     holds the defaults.
     """
     file_vals = parse_config_file(args.config) if args.config else {}
+    # c and c-frac are one setting, the threshold: a flag for either drops
+    # the file's values for both.
+    if any(getattr(args, dest, None) is not None for dest in ("c", "c_frac")):
+        file_vals = {key: raw for key, raw in file_vals.items() if key not in ("c", "c-frac")}
     given = {}
     for key, (field, convert) in _KEYS.items():
         flag = getattr(args, key.replace("-", "_"), None)  # None: not given, or not a flag of this command

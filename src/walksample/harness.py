@@ -7,10 +7,11 @@ renders CSV or JSON reports. Also exposes dataset stats and a dense
 spectral diagnostic for small graphs.
 
 Determinism contract: repetition r of every command uses a seed derived
-only from (base_seed, r), rows are sorted by (sampler, budget, threshold,
-repetition) before writing, and wall-clock timing is left blank unless
-explicitly requested, so identical configs produce byte-identical output
-and parallel execution matches sequential execution exactly.
+only from (base_seed, r), each command's walk groups are built in report
+order (sampler, threshold, budget) and its rows come out in walk order, and
+wall-clock timing is left blank unless explicitly requested, so identical
+configs produce byte-identical output and parallel execution matches
+sequential execution exactly.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 from .estimation import Distribution, degree_distribution_estimate, kl_divergence, true_degree_distribution, unique_count
 from .graph import Graph, average_degree, graph_stats, largest_connected_component, load_edge_list
 from .samplers import (
+    KINDS_READING,
     RNG_ALGORITHM,
-    SamplerError,
     SamplerKind,
     WalkConfig,
     derive_seed,
@@ -46,7 +47,7 @@ _COLUMNS = (
 )
 CSV_HEADER = ",".join(_COLUMNS)
 SAMPLER_ORDER = tuple(kind.value for kind in SamplerKind)
-SWEEP_C_SAMPLERS = ("gmd", "wjrw")  # the kinds that read --c
+SWEEP_C_SAMPLERS = tuple(kind.value for kind in KINDS_READING["c"])
 WEIGHT_MODES = ("paper", "oracle")
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -73,7 +74,8 @@ def _round12(value):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one harness command needs, resolved from flags and file."""
+    """Everything one harness command needs, resolved from flags and file;
+    list fields keep the order given, each value once."""
 
     dataset_path: str
     samplers: tuple[str, ...] = ()
@@ -91,20 +93,19 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
+        for name in ("samplers", "budgets", "c_values", "c_fractions"):
+            object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
         for kind in self.samplers:
             if kind not in SAMPLER_ORDER:
                 raise UsageError(f"unknown sampler {kind!r}")
         if self.repetitions < 1:
             raise UsageError("reps must be >= 1")
-        for b in self.budgets:
-            if b < 1:
-                raise UsageError("budget must be >= 1")
-        for c in self.c_values:
-            if c < 1:
-                raise UsageError("c must be >= 1")
-        for f in self.c_fractions:
-            if not 0 < f <= 1:
-                raise UsageError("c-frac must lie in (0, 1]")
+        if any(b < 1 for b in self.budgets):
+            raise UsageError("budget must be >= 1")
+        if any(c < 1 for c in self.c_values):
+            raise UsageError("c must be >= 1")
+        if not all(0 < f <= 1 for f in self.c_fractions):
+            raise UsageError("c-frac must lie in (0, 1]")
         if self.output_format not in OUTPUT_FORMATS:
             raise UsageError(f"unknown format {self.output_format!r}")
         if self.weight_mode not in WEIGHT_MODES:
@@ -113,6 +114,8 @@ class ExperimentConfig:
             raise UsageError("burn-in must be >= 0")
         if self.parallel < 0:
             raise UsageError("parallel must be >= 0")
+        if not 0 <= self.base_seed < 1 << 64:
+            raise UsageError("seed must lie in [0, 2^64)")
         if self.alpha is not None and not 0 <= self.alpha < math.inf:
             raise UsageError("alpha must be finite and >= 0")
 
@@ -222,8 +225,9 @@ def _walk_slice(walks: list[WalkConfig], sweep: tuple = ()) -> list[tuple]:
     return scores
 
 
-def _run_tasks(config: ExperimentConfig, graph: Graph, combos: Sequence[tuple]) -> list[ReportRow]:
-    """Run R repetitions of every (sampler, c, alpha, budget) combo, sorted by group.
+def _run_tasks(config: ExperimentConfig, graph: Graph, groups: Sequence[tuple]) -> list[ReportRow]:
+    """Run R repetitions of every (sampler, c, alpha, budget) group; one row
+    per walk, in walk order.
 
     The truth and each group's weights are computed once, here; the walks
     are then cut once into slices of about equal walk steps, which this
@@ -232,7 +236,7 @@ def _run_tasks(config: ExperimentConfig, graph: Graph, combos: Sequence[tuple]) 
     inherit them without copying. ``parallel`` 0 means one worker per CPU
     in this process's affinity set.
     """
-    walks = _make_tasks(config, combos)
+    walks = _make_tasks(config, groups)
     truth = true_degree_distribution(graph)
     weights: dict = {}
     for walk in walks:
@@ -253,10 +257,10 @@ def _run_tasks(config: ExperimentConfig, graph: Graph, combos: Sequence[tuple]) 
     else:
         parts = [_walk_slice(part, sweep) for part in slices]
 
-    name = _dataset_name(config.dataset_path)
-    reps = product(combos, range(config.repetitions))
+    name = Path(config.dataset_path).stem
+    reps = product(groups, range(config.repetitions))
     scores = (score for part in parts for score in part)
-    rows = [
+    return [
         ReportRow(
             dataset=name,
             sampler=sampler,
@@ -272,15 +276,10 @@ def _run_tasks(config: ExperimentConfig, graph: Graph, combos: Sequence[tuple]) 
         )
         for ((sampler, c, alpha, budget), rep), walk, (kl, unique, millis) in zip(reps, walks, scores)
     ]
-    rows.sort(key=lambda r: (SAMPLER_ORDER.index(r.sampler), r.budget, r.c if r.c is not None else -1, r.repetition))
-    return rows
 
 
-def _mean(values) -> Optional[float]:
-    vals = [v for v in values if v is not None]
-    if len(vals) != len(list(values)):
-        return None
-    return float(np.mean(vals))
+def _mean(values: list) -> Optional[float]:
+    return None if None in values else float(np.mean(values))
 
 
 def aggregate_rows(rows: Sequence[ReportRow]) -> list[ReportRow]:
@@ -344,44 +343,49 @@ def render_rows(config: ExperimentConfig, command: str, rows: Sequence[ReportRow
     return render_csv(rows)
 
 
-def _dataset_name(path: str) -> str:
-    return Path(path).stem
-
-
 def _load_component(config: ExperimentConfig) -> Graph:
     graph, _ = load_edge_list(config.dataset_path)
     return largest_connected_component(graph)
 
 
-def _resolve_sampler_params(graph: Graph, config: ExperimentConfig, kind: str):
-    """(c, alpha) actually used for one sampler on this graph."""
-    c = None
-    alpha = None
-    if kind in SWEEP_C_SAMPLERS:
-        c = config.c_values[0] if config.c_values else max(1, graph.d_max // 2)
-    if kind == "rwe":
-        alpha = config.alpha if config.alpha is not None else average_degree(graph)
-    return c, alpha
+def _check_walk_params(config: ExperimentConfig, command: str, samplers: Sequence[str]) -> None:
+    """Reject more than one threshold outside sweep-c, and a --c or --alpha
+    that none of the command's samplers reads."""
+    if command != "sweep-c":
+        if len(config.c_values) > 1:
+            raise UsageError(f"{command} takes at most one --c (use sweep-c for ranges)")
+        if config.c_fractions:
+            raise UsageError("--c-frac belongs to sweep-c")
+    given = {"c": bool(config.c_values), "alpha": config.alpha is not None}
+    for param, kinds in KINDS_READING.items():
+        if given[param] and not any(kind in kinds for kind in samplers):
+            raise UsageError(f"--{param} applies only to {' and '.join(kind.value for kind in kinds)}")
 
 
-def _check_one_threshold(config: ExperimentConfig, command: str) -> None:
-    """Commands other than sweep-c use a single threshold: one --c at most."""
-    if len(config.c_values) > 1:
-        raise UsageError(f"{command} takes at most one --c (use sweep-c for ranges)")
-    if config.c_fractions:
-        raise UsageError("--c-frac belongs to sweep-c")
+def _thresholds(config: ExperimentConfig, graph: Graph) -> list[int]:
+    """The distinct thresholds in the order given: --c, else the --c-frac
+    fractions of d_max, else d_max // 2."""
+    fractions = [max(1, round(frac * graph.d_max)) for frac in config.c_fractions]
+    return list(dict.fromkeys(config.c_values or fractions or [max(1, graph.d_max // 2)]))
 
 
-def _check_params_used(config: ExperimentConfig, samplers: Sequence[str]) -> None:
-    """Reject a --c or --alpha that none of the command's samplers reads."""
-    if config.c_values and not any(kind in SWEEP_C_SAMPLERS for kind in samplers):
-        raise UsageError(f"--c applies only to {' and '.join(SWEEP_C_SAMPLERS)}")
-    if config.alpha is not None and "rwe" not in samplers:
-        raise UsageError("--alpha applies only to rwe")
+def _walk_groups(config: ExperimentConfig, graph: Graph, samplers: Sequence[str], budgets: Sequence) -> list[tuple]:
+    """A command's distinct (sampler, C, alpha, budget) groups in report order
+    (``SAMPLER_ORDER``, then C, then budget). Each kind gets only the
+    parameters it reads: every threshold, and --alpha or else the mean degree."""
+    thresholds = sorted(_thresholds(config, graph))
+    alpha = config.alpha if config.alpha is not None else average_degree(graph)
+    return [
+        (kind, c, alpha if kind in KINDS_READING["alpha"] else None, budget)
+        for kind in SAMPLER_ORDER
+        if kind in samplers
+        for c in (thresholds if kind in KINDS_READING["c"] else [None])
+        for budget in sorted(budgets)
+    ]
 
 
-def _make_tasks(config: ExperimentConfig, combos: Sequence[tuple]) -> list[WalkConfig]:
-    """The walks of (sampler, c, alpha, budget) combos: each combo's
+def _make_tasks(config: ExperimentConfig, groups: Sequence[tuple]) -> list[WalkConfig]:
+    """The walks of (sampler, c, alpha, budget) groups: each group's
     repetitions in a row, repetition r seeded by ``derive_seed(base_seed, r)``."""
     return [
         WalkConfig(
@@ -392,7 +396,7 @@ def _make_tasks(config: ExperimentConfig, combos: Sequence[tuple]) -> list[WalkC
             seed=derive_seed(config.base_seed, rep),
             burn_in=config.burn_in,
         )
-        for sampler, c, alpha, budget in combos
+        for sampler, c, alpha, budget in groups
         for rep in range(config.repetitions)
     ]
 
@@ -403,7 +407,7 @@ def cmd_stats(config: ExperimentConfig) -> str:
     stats = graph_stats(graph)
     lcc = largest_connected_component(graph)
     payload = {
-        "dataset": _dataset_name(config.dataset_path),
+        "dataset": Path(config.dataset_path).stem,
         "n": stats.n,
         "m": stats.m,
         "d_max": stats.d_max,
@@ -423,12 +427,11 @@ def cmd_run(config: ExperimentConfig) -> str:
         raise UsageError("run takes exactly one --sampler")
     if len(config.budgets) != 1:
         raise UsageError("run takes exactly one --budget")
-    _check_one_threshold(config, "run")
-    _check_params_used(config, config.samplers)
+    _check_walk_params(config, "run", config.samplers)
     graph = _load_component(config)
-    kind = config.samplers[0]
-    c, alpha = _resolve_sampler_params(graph, config, kind)
-    rows = _run_tasks(config, graph, [(kind, c, alpha, config.budgets[0])])
+    groups = _walk_groups(config, graph, config.samplers, config.budgets)
+    rows = _run_tasks(config, graph, groups)
+    [(kind, c, alpha, _)] = groups
     meta = {"samplers": [kind], "budgets": list(config.budgets), "c": c, "alpha": _round12(alpha)}
     return render_rows(config, "run", rows, meta)
 
@@ -439,18 +442,12 @@ def cmd_sweep_budget(config: ExperimentConfig) -> str:
         raise UsageError("sweep-budget needs at least one --sampler")
     if not config.budgets:
         raise UsageError("sweep-budget needs at least one --budget")
-    _check_one_threshold(config, "sweep-budget")
-    _check_params_used(config, config.samplers)
+    _check_walk_params(config, "sweep-budget", config.samplers)
     graph = _load_component(config)
-    combos = []
-    resolved = {}
-    for kind in config.samplers:
-        c, alpha = _resolve_sampler_params(graph, config, kind)
-        resolved[kind] = {"c": c, "alpha": _round12(alpha)}
-        for budget in config.budgets:
-            combos.append((kind, c, alpha, budget))
-    rows = _run_tasks(config, graph, combos)
+    groups = _walk_groups(config, graph, config.samplers, config.budgets)
+    rows = _run_tasks(config, graph, groups)
     rows = rows + aggregate_rows(rows)
+    resolved = {kind: {"c": c, "alpha": _round12(alpha)} for kind, c, alpha, _ in groups}
     meta = {"samplers": list(config.samplers), "budgets": list(config.budgets), "resolved": resolved}
     return render_rows(config, "sweep-budget", rows, meta)
 
@@ -465,24 +462,14 @@ def cmd_sweep_c(config: ExperimentConfig) -> str:
         raise UsageError("sweep-c takes exactly one --budget")
     if bool(config.c_values) == bool(config.c_fractions):
         raise UsageError("sweep-c needs --c values or --c-frac fractions (not both)")
-    _check_params_used(config, samplers)
+    _check_walk_params(config, "sweep-c", samplers)
     graph = _load_component(config)
-    if config.c_fractions:
-        cs = []
-        for frac in config.c_fractions:
-            c = max(1, round(frac * graph.d_max))
-            if c not in cs:
-                cs.append(c)
-    else:
-        cs = list(dict.fromkeys(config.c_values))
-    budget = config.budgets[0]
-    combos = [(kind, c, None, budget) for kind in samplers for c in cs]
-    rows = _run_tasks(config, graph, combos)
+    rows = _run_tasks(config, graph, _walk_groups(config, graph, samplers, config.budgets))
     rows = rows + aggregate_rows(rows)
     meta = {
         "samplers": list(samplers),
-        "budgets": [budget],
-        "c_values": cs,
+        "budgets": list(config.budgets),
+        "c_values": _thresholds(config, graph),
         "c_fractions": list(config.c_fractions) or None,
         "d_max": graph.d_max,
     }
@@ -493,16 +480,14 @@ def cmd_analyze(config: ExperimentConfig) -> str:
     """Dense spectral and stationary diagnostics for one sampler (small graphs)."""
     if len(config.samplers) != 1:
         raise UsageError("analyze takes exactly one --sampler")
-    _check_one_threshold(config, "analyze")
-    _check_params_used(config, config.samplers)
+    _check_walk_params(config, "analyze", config.samplers)
     graph = _load_component(config)
     if graph.n > DENSE_CAP:
-        raise SamplerError(
+        raise UsageError(
             f"largest component has {graph.n} nodes; dense analysis is capped at "
             f"{DENSE_CAP} (use run/sweep commands for large graphs)"
         )
-    kind = config.samplers[0]
-    c, alpha = _resolve_sampler_params(graph, config, kind)
+    [(kind, c, alpha, _)] = _walk_groups(config, graph, config.samplers, [None])
     cfg = WalkConfig(kind=kind, c=c, alpha=alpha)
     matrix = dense_transition_matrix(graph, cfg)
     report = spectrum(matrix)
@@ -510,7 +495,7 @@ def cmd_analyze(config: ExperimentConfig) -> str:
     numeric = stationary_numeric(graph, cfg)
     numeric_dist = Distribution.over_nodes(numeric)
     payload = {
-        "dataset": _dataset_name(config.dataset_path),
+        "dataset": Path(config.dataset_path).stem,
         "sampler": kind,
         "C": c,
         "alpha": _round12(alpha),

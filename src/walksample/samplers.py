@@ -73,14 +73,17 @@ class SamplerKind(str, Enum):
 
 _START_POLICIES = ("uniform", "degree", "fixed")
 
+# The kinds that read each walk parameter, which ``WalkConfig`` requires of
+# exactly them (md reads no c: it binds its threshold to d_max when it runs).
+KINDS_READING = {"c": (SamplerKind.GMD, SamplerKind.WJRW), "alpha": (SamplerKind.RWE,)}
+
 
 @dataclass(frozen=True)
 class WalkConfig:
     """Sampler kind plus everything needed to reproduce one walk.
 
-    ``alpha`` is required for (and only for) ``rwe``; ``c`` for ``gmd`` and
-    ``wjrw`` (``md`` binds c to the graph's maximum degree when it runs).
-    ``seed`` fully determines the walk on a given graph.
+    ``alpha`` and ``c`` are given for, and only for, the kinds in
+    ``KINDS_READING``. ``seed`` fully determines the walk on a given graph.
     """
 
     kind: SamplerKind
@@ -94,13 +97,13 @@ class WalkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SamplerKind(self.kind))
-        if self.kind is SamplerKind.RWE:
+        if self.kind in KINDS_READING["alpha"]:
             if self.alpha is None or not 0 <= self.alpha < np.inf:
-                raise SamplerError("rwe requires a finite nonnegative alpha")
+                raise SamplerError(f"{self.kind.value} requires a finite nonnegative alpha")
             object.__setattr__(self, "alpha", float(self.alpha))
         elif self.alpha is not None:
             raise SamplerError(f"alpha is not a parameter of {self.kind.value}")
-        if self.kind in (SamplerKind.GMD, SamplerKind.WJRW):
+        if self.kind in KINDS_READING["c"]:
             if self.c is None or int(self.c) < 1:
                 raise SamplerError(f"{self.kind.value} requires a positive integer c")
             object.__setattr__(self, "c", int(self.c))
@@ -160,12 +163,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def resolve_cap(graph: Graph, config: WalkConfig) -> Optional[int]:
-    """Padding threshold in effect: c, d_max for md, None for srw/rwe."""
-    if config.kind is SamplerKind.MD:
-        return graph.d_max
-    if config.kind in (SamplerKind.GMD, SamplerKind.WJRW):
-        return config.c
-    return None
+    """Padding threshold in effect: d_max for md, else c (None if the kind reads no c)."""
+    return graph.d_max if config.kind is SamplerKind.MD else config.c
 
 
 class WalkLaw:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_EDGES
-from walksample import WalkConfig, cli, harness
+from walksample import WalkConfig, average_degree, cli, harness
 from walksample.cli import build_parser, main, parse_config_file, resolve_config
 from walksample.harness import (
     CSV_HEADER,
@@ -25,6 +25,8 @@ from walksample.harness import (
     _fmt,
     _even_slices,
     _make_tasks,
+    _thresholds,
+    _walk_groups,
     aggregate_rows,
     cmd_analyze,
     cmd_run,
@@ -75,6 +77,24 @@ def test_experiment_config_validation(tmp_path):
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(UsageError, match="alpha"):
             ExperimentConfig(p, alpha=bad)
+    for bad in (-1, 2**64, 10**23):
+        with pytest.raises(UsageError, match=r"seed must lie in \[0, 2\^64\)"):
+            ExperimentConfig(p, base_seed=bad)
+    assert ExperimentConfig(p, base_seed=2**64 - 1).base_seed == 2**64 - 1
+
+
+def test_experiment_config_keeps_each_list_value_once_in_the_order_given(tmp_path):
+    cfg = ExperimentConfig(
+        str(tmp_path / "x.txt"),
+        samplers=("wjrw", "srw", "wjrw"),
+        budgets=(30, 10, 30, 10),
+        c_values=(3, 1, 3),
+        c_fractions=(0.5, 0.25, 0.5),
+    )
+    assert cfg.samplers == ("wjrw", "srw")
+    assert cfg.budgets == (30, 10)
+    assert cfg.c_values == (3, 1)
+    assert cfg.c_fractions == (0.5, 0.25)
 
 
 def test_fmt_cells():
@@ -390,6 +410,56 @@ def test_sweep_c_usage_errors(example_file):
         cmd_sweep_c(example_config(example_file, samplers=("gmd",), budgets=(30,)))
 
 
+@settings(
+    derandomize=True, max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    samplers=st.lists(st.sampled_from(SAMPLER_ORDER), min_size=1, max_size=7),
+    budgets=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    c_values=st.lists(st.integers(1, 6), max_size=4),
+    c_fractions=st.lists(st.floats(0, 1, exclude_min=True), max_size=4),
+    alpha=st.none() | st.floats(0, 10),
+)
+def test_walk_groups_are_distinct_in_report_order(
+    example_graph, example_file, samplers, budgets, c_values, c_fractions, alpha
+):
+    cfg = example_config(
+        example_file,
+        samplers=tuple(samplers),
+        budgets=tuple(budgets),
+        c_values=tuple(c_values),
+        c_fractions=tuple(c_fractions),
+        alpha=alpha,
+    )
+    groups = _walk_groups(cfg, example_graph, cfg.samplers, cfg.budgets)
+    d_max = example_graph.d_max
+    resolved = c_values or [max(1, round(f * d_max)) for f in c_fractions] or [max(1, d_max // 2)]
+    resolved_alpha = average_degree(example_graph) if alpha is None else alpha
+    assert len(set(groups)) == len(groups)
+    assert groups == sorted(groups, key=lambda g: (SAMPLER_ORDER.index(g[0]), g[1] or 0, g[3]))
+    assert set(groups) == {
+        (kind, c, resolved_alpha if kind == "rwe" else None, budget)
+        for kind in samplers
+        for c in (resolved if kind in ("gmd", "wjrw") else [None])
+        for budget in budgets
+    }
+    # sweep-c reports its thresholds in the order given, each once
+    assert _thresholds(cfg, example_graph) == list(dict.fromkeys(resolved))
+    if bool(c_values) != bool(c_fractions):
+        sweep = example_config(
+            example_file,
+            budgets=(budgets[0],),
+            c_values=tuple(c_values),
+            c_fractions=tuple(c_fractions),
+            repetitions=1,
+            parallel=1,
+            output_format="json",
+        )
+        meta = json.loads(cmd_sweep_c(sweep))["meta"]
+        assert meta["c_values"] == list(dict.fromkeys(resolved))
+        assert meta["c_fractions"] == (list(dict.fromkeys(c_fractions)) or None)
+
+
 def test_cmd_analyze_wjrw_golden(example_file):
     payload = json.loads(cmd_analyze(example_config(example_file, samplers=("wjrw",), c_values=(3,))))
     assert payload["sampler"] == "wjrw" and payload["C"] == 3
@@ -460,6 +530,47 @@ def test_cli_config_file_with_flag_override(tmp_path, example_file, capsys):
     assert len(data_lines(capsys.readouterr().out)) == 3
     assert main(["run", "--config", str(cfg), "--reps", "2"]) == 0
     assert len(data_lines(capsys.readouterr().out)) == 2
+
+
+_GRID = ["sweep-budget", "--sampler", "wjrw", "--sampler", "srw", "--budget", "30", "--budget", "10"]
+
+
+@pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+@pytest.mark.parametrize(
+    "argv, repeat",
+    [
+        (["sweep-budget", "--sampler", "srw", "--budget", "10"], ["--budget", "10"]),
+        (_GRID, ["--sampler", "srw"]),
+        (_GRID, ["--budget", "30"]),
+        (["sweep-budget", "--sampler", "gmd", "--budget", "10", "--c", "3"], ["--c", "3"]),
+        (["run", "--sampler", "rwe", "--budget", "10"], ["--sampler", "rwe"]),
+        (["sweep-c", "--budget", "20", "--c", "3", "--c", "1"], ["--c", "3"]),
+        (["sweep-c", "--budget", "20", "--c-frac", "0.5", "--c-frac", "0.25"], ["--c-frac", "0.5"]),
+    ],
+)
+def test_repeated_values_are_walked_once(example_file, capsys, argv, repeat, fmt):
+    common = ["--dataset", str(example_file), "--reps", "2", "--seed", "3", "--format", fmt]
+    assert main(argv + common) == 0
+    once = capsys.readouterr().out
+    assert main(argv + repeat + common) == 0
+    assert capsys.readouterr().out == once
+
+
+def test_threshold_flag_overrides_both_file_keys(tmp_path, example_file, capsys):
+    sweep = ["sweep-c", "--sampler", "gmd", "--budget", "30", "--reps", "2"]
+    for file_line, flag in (("c-frac = 0.5", ["--c", "3"]), ("c = 2", ["--c-frac", "0.75"])):
+        cfg = tmp_path / "threshold.cfg"
+        cfg.write_text(f"dataset = {example_file}\n{file_line}\n", encoding="utf-8")
+        assert main(sweep + flag + ["--dataset", str(example_file)]) == 0
+        expected = capsys.readouterr().out
+        assert main(sweep + flag + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+    # a file's c-frac would be rejected outside sweep-c; a --c flag replaces it
+    cfg.write_text(f"dataset = {example_file}\nc-frac = 0.5\n", encoding="utf-8")
+    assert main(["analyze", "--config", str(cfg), "--sampler", "gmd"]) == 2
+    assert "--c-frac belongs to sweep-c" in capsys.readouterr().err
+    assert main(["analyze", "--config", str(cfg), "--sampler", "gmd", "--c", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["C"] == 3
 
 
 def _flags_by_command() -> dict[str, set[str]]:
@@ -556,6 +667,8 @@ def test_resolved_config_is_flag_else_file_else_default(tmp_path, data, command)
     cfg = tmp_path / "prop.cfg"
     cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+    if {"c", "c-frac"} & by_flag.keys():  # one setting: a flag for either drops the file's both
+        by_file = {key: value for key, value in by_file.items() if key not in ("c", "c-frac")}
     fields = {key: field for key, (field, _) in cli._KEYS.items()}
     expected = {fields[key]: value for key, value in {**by_file, **by_flag}.items()}
     args = build_parser().parse_args(argv + ["--config", str(cfg)])
@@ -642,12 +755,19 @@ def test_cli_exit_codes(tmp_path, example_file, capsys):
     for bad in ("-1", "nan", "inf"):
         assert main(run_rwe + [f"--alpha={bad}"]) == 2
         assert "alpha must be finite and >= 0" in capsys.readouterr().err
+    # a seed outside [0, 2^64) -> 2, not taken mod 2^64
+    for bad in ("-1", str(2**64), str(10**23)):
+        assert main(run_srw + ["--seed", bad]) == 2
+        assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
 
-    # dense analysis on an oversized graph -> 1 (internal limit, not usage)
-    big = tmp_path / "big.txt"
-    big.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 4098)), encoding="utf-8")
-    assert main(["analyze", "--dataset", str(big), "--sampler", "srw"]) == 1
-    assert "capped" in capsys.readouterr().err
+
+def test_analyze_above_the_dense_cap_is_a_usage_error(example_file, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "DENSE_CAP", 3)
+    assert main(["analyze", "--dataset", str(example_file), "--sampler", "srw"]) == 2
+    assert capsys.readouterr().err == (
+        "error: largest component has 5 nodes; dense analysis is capped at 3 "
+        "(use run/sweep commands for large graphs)\n"
+    )
 
 
 def test_cli_node_id_beyond_int64_is_an_input_error(tmp_path, capsys):
