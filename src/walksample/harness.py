@@ -20,8 +20,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
@@ -139,20 +138,8 @@ class ReportRow:
     unique_nodes_std: Optional[float] = None
 
     def _cells(self) -> tuple:
-        """The values of ``_COLUMNS``, in order."""
-        return (
-            self.dataset,
-            self.sampler,
-            self.c,
-            self.alpha,
-            self.budget,
-            self.repetition,
-            self.seed,
-            self.kl,
-            self.log10_kl,
-            self.unique_nodes,
-            self.wall_millis,
-        )
+        """The values of ``_COLUMNS``: the row's first fields, in order."""
+        return tuple(getattr(self, f.name) for f in fields(self)[: len(_COLUMNS)])
 
     def csv_line(self) -> str:
         return ",".join(_fmt(c) for c in self._cells())
@@ -250,6 +237,8 @@ def _run_tasks(config: ExperimentConfig, graph: Graph, groups: Sequence[tuple]) 
     total_steps = sum(w.burn_in + w.budget for w in walks)
     slices = _even_slices(walks, max(workers, math.ceil(total_steps / _BATCH_STEPS)))
     if workers > 1 and len(slices) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+
         with ProcessPoolExecutor(
             max_workers=min(workers, len(slices)), initializer=_worker_init, initargs=sweep
         ) as pool:

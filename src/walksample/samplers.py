@@ -16,10 +16,11 @@ its escape target. The kinds differ only in big and in that target:
 * ``wjrw`` - weighted-jump random walk: ``gmd``'s big, but the padding
   escapes to the jump set U = {u : d_u < c} (self included when v is in U).
 
-``WalkLaw`` holds big, pad and the target for one (graph, config). The
-seeded stepper, the exact transition rows, the closed-form and numeric
-stationary distributions, and the dense matrix and its diagonal
-(``spectral``) are all derived from it.
+So rwe and wjrw escape to U, the set of padded nodes: all nodes for rwe,
+{d < c} for wjrw. ``WalkLaw`` holds big, pad and U for one (graph, config).
+The seeded stepper, the closed-form and numeric stationary distributions,
+any block of rows of the transition matrix (one row, or the dense matrix of
+``spectral``) and its diagonal are all derived from it here.
 
 Walks run on two engines that give the same traces. ``run_walk`` is the
 scalar reference: one walker, one Python step at a time (~1 us a step).
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,6 +99,9 @@ class WalkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SamplerKind(self.kind))
+        for name in ("c", "budget", "burn_in", "start_node"):
+            if not isinstance(getattr(self, name), (Integral, type(None))):
+                raise SamplerError(f"{name} must be an integer")
         if self.kind in KINDS_READING["alpha"]:
             if self.alpha is None or not 0 <= self.alpha < np.inf:
                 raise SamplerError(f"{self.kind.value} requires a finite nonnegative alpha")
@@ -173,30 +178,26 @@ class WalkLaw:
     From node v the walk escapes with probability ``pad[v] / big[v]``, else
     it moves to a uniform neighbor (probability ``d_v / big[v]``, so
     ``big = d + pad``). An escape lands on a uniform member of ``targets``,
-    or stays at v when ``targets`` is None. Built once per (graph, config);
-    the stepper, rows, the diagonal, the dense matrix and both stationary
-    distributions are all derived from these three arrays.
+    the padded nodes (rwe, wjrw), or stays at v when ``targets`` is None
+    (md, gmd, and any law that pads no node). Built once per (graph,
+    config); the stepper, the transition rows and diagonal, and both
+    stationary distributions are all derived from these three arrays.
     """
 
     __slots__ = ("big", "pad", "targets")
 
     def __init__(self, graph: Graph, config: WalkConfig):
         kind = config.kind
-        targets = None
         if kind is SamplerKind.SRW:
             pad = np.zeros(graph.n)
         elif kind is SamplerKind.RWE:
             pad = np.full(graph.n, config.alpha)
-            targets = np.arange(graph.n, dtype=np.int64)
         else:
             pad = np.maximum(resolve_cap(graph, config) - graph.degrees, 0).astype(np.float64)
-            if kind is SamplerKind.WJRW:
-                targets = jump_set(graph, config.c).members
-        if not pad.any():  # nothing escapes: no target array is ever empty
-            targets = None
         self.big = graph.degrees + pad
         self.pad = pad
-        self.targets = targets
+        jumps = kind in (SamplerKind.RWE, SamplerKind.WJRW) and pad.any()
+        self.targets = np.flatnonzero(pad) if jumps else None  # never an empty array
 
 
 def _stepper(graph: Graph, law: WalkLaw):
@@ -225,20 +226,39 @@ def _stepper(graph: Graph, law: WalkLaw):
     return advance
 
 
+def _transition_rows(graph: Graph, config: WalkConfig, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo:hi`` of the walk's transition matrix, as one dense array."""
+    law = WalkLaw(graph, config)
+    big, pad = law.big[lo:hi], law.pad[lo:hi]
+    isolated = np.flatnonzero(big == 0)
+    if len(isolated):
+        raise SamplerError(f"no outgoing transition from isolated node {lo + isolated[0]}")
+    rows = np.zeros((hi - lo, graph.n))
+    if law.targets is None:
+        rows[np.arange(hi - lo), np.arange(lo, hi)] = pad / big
+    else:
+        rows[:, law.targets] = (pad / (big * len(law.targets)))[:, None]
+    tails = np.repeat(np.arange(hi - lo), graph.degrees[lo:hi])
+    rows[tails, graph.indices[graph.indptr[lo] : graph.indptr[hi]]] += 1.0 / big[tails]
+    return rows
+
+
 def transition_row(graph: Graph, config: WalkConfig, v: int) -> np.ndarray:
     """Exact one-step transition probabilities from node v (dense length n)."""
     if not 0 <= v < graph.n:
         raise SamplerError(f"node {v} out of range")
+    return _transition_rows(graph, config, v, v + 1)[0]
+
+
+def self_transition_probabilities(graph: Graph, config: WalkConfig) -> np.ndarray:
+    """Diagonal of the transition matrix, one value per node."""
     law = WalkLaw(graph, config)
-    big, pad = law.big[v], law.pad[v]
-    if big == 0:
-        raise SamplerError(f"no outgoing transition from isolated node {v}")
-    row = np.zeros(graph.n)
-    if pad:
-        to = [v] if law.targets is None else law.targets
-        row[to] += pad / (big * len(to))
-    row[graph.neighbors(v)] += 1.0 / big
-    return row
+    if law.targets is None:
+        return law.pad / law.big
+    diag = np.zeros(graph.n)
+    t = law.targets
+    diag[t] = law.pad[t] / (law.big[t] * len(t))
+    return diag
 
 
 def step(
@@ -458,7 +478,7 @@ def stationary_numeric(
         raise SamplerError("empty graph")
     law = WalkLaw(graph, config)
     # A walk that can escape from every node to every node is irreducible.
-    jumps_everywhere = law.targets is not None and len(law.targets) == graph.n and law.pad.all()
+    jumps_everywhere = law.targets is not None and len(law.targets) == graph.n
     if not jumps_everywhere and graph.components[0] != 1:
         raise SamplerError("graph must be connected for a unique stationary distribution")
     if law.targets is None or (jumps_everywhere and law.pad.min() == law.pad.max()):

@@ -1,7 +1,8 @@
 """Dense exact analysis of walk matrices on small graphs.
 
-Builds full transition matrices for any configured sampler, computes their
-eigenvalue spectra (second-largest signed eigenvalue and second-largest
+Takes the full transition matrix of any configured sampler from its walk law
+(``samplers``, which alone turns a law into probabilities), computes its
+eigenvalue spectrum (second-largest signed eigenvalue and second-largest
 eigenvalue modulus), the expected repeat probability of a walk at
 stationarity, and a detailed-balance residual for reversibility checks.
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .estimation import Distribution
 from .graph import Graph
-from .samplers import SamplerError, WalkConfig, WalkLaw
+from .samplers import SamplerError, WalkConfig, _transition_rows, self_transition_probabilities
 
 DENSE_CAP = 4096
 
@@ -82,18 +83,7 @@ def dense_transition_matrix(graph: Graph, config: WalkConfig, cap: int = DENSE_C
     """The full transition matrix in one dense array (n <= cap)."""
     if graph.n > cap:
         raise SamplerError(f"graph has {graph.n} nodes; dense analysis capped at {cap}")
-    law = WalkLaw(graph, config)
-    isolated = np.flatnonzero(law.big == 0)
-    if len(isolated):
-        raise SamplerError(f"no outgoing transition from isolated node {isolated[0]}")
-    entries = np.zeros((graph.n, graph.n))
-    if law.targets is None:
-        np.fill_diagonal(entries, law.pad / law.big)
-    else:
-        entries[:, law.targets] = (law.pad / (law.big * len(law.targets)))[:, None]
-    src = graph.arc_tails
-    entries[src, graph.indices] += 1.0 / law.big[src]
-    matrix = WalkMatrix(n=graph.n, entries=entries, config=config)
+    matrix = WalkMatrix(n=graph.n, entries=_transition_rows(graph, config, 0, graph.n), config=config)
     matrix.validate()
     return matrix
 
@@ -162,17 +152,6 @@ def _dense_pi(n: int, pi: Distribution) -> np.ndarray:
     out = np.zeros(n)
     out[support] = pi.mass
     return out
-
-
-def self_transition_probabilities(graph: Graph, config: WalkConfig) -> np.ndarray:
-    """Diagonal of the transition matrix, one value per node."""
-    law = WalkLaw(graph, config)
-    if law.targets is None:
-        return law.pad / law.big
-    diag = np.zeros(graph.n)
-    t = law.targets
-    diag[t] = law.pad[t] / (law.big[t] * len(t))
-    return diag
 
 
 def expected_repeat_probability(graph: Graph, config: WalkConfig, pi: Distribution) -> float:

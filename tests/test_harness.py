@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 import os
@@ -327,7 +328,7 @@ def test_sweep_cut_into_many_slices_matches_one_batch(example_file, monkeypatch)
 
 def test_weights_are_computed_once_per_group_under_a_pool(example_file, monkeypatch):
     calls, pools = [], []
-    weights, pool = harness.estimation_weights, harness.ProcessPoolExecutor
+    weights, pool = harness.estimation_weights, concurrent.futures.ProcessPoolExecutor
 
     def counted_weights(graph, config, mode):
         calls.append((config.kind.value, config.c, config.alpha))
@@ -338,7 +339,7 @@ def test_weights_are_computed_once_per_group_under_a_pool(example_file, monkeypa
         return pool(*args, **kwargs)
 
     monkeypatch.setattr(harness, "estimation_weights", counted_weights)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", counted_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
     cfg = example_config(
         example_file,
         samplers=("srw", "rwe", "gmd", "wjrw"),
@@ -359,7 +360,7 @@ def test_default_parallel_counts_only_cpus_in_the_affinity_set(example_file, mon
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     base = dict(samplers=("srw", "wjrw"), budgets=(30,), repetitions=4, c_values=(3,))
     assert cmd_sweep_budget(example_config(example_file, **base)) == cmd_sweep_budget(
         example_config(example_file, parallel=1, **base)
@@ -826,11 +827,23 @@ def test_cli_weight_modes_agree_when_closed_form_is_exact(example_file, capsys):
         assert float(cells(cl)[7]) == pytest.approx(float(cells(orr)[7]), abs=1e-9)
 
 
-def test_cli_import_loads_no_scipy():
+def _modules_loaded_by_cli_import() -> list[str]:
+    """The modules a fresh interpreter holds after ``import walksample.cli``."""
     import walksample
 
     src = str(Path(walksample.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    probe = "import sys, walksample.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = "import sys, walksample.cli; print(*sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.split()
+
+
+def test_cli_import_loads_no_scipy():
+    assert [m for m in _modules_loaded_by_cli_import() if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only a --parallel run starts a pool; every other run skips its import.
+    modules = _modules_loaded_by_cli_import()
+    assert "walksample.harness" in modules
+    assert "concurrent.futures.process" not in modules

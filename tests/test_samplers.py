@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph, random_connected_graph
 from walksample import (
@@ -18,11 +20,14 @@ from walksample import (
     make_rng,
     resolve_cap,
     run_walk,
+    run_walks,
+    samplers,
     stationary_closed_form,
     stationary_numeric,
     step,
     transition_row,
 )
+from walksample.samplers import WalkLaw
 
 ALL_KINDS = [
     ("srw", {}),
@@ -63,6 +68,9 @@ def test_config_requires_threshold_only_for_padded_walks():
             config(kind)
         with pytest.raises(SamplerError):
             config(kind, c=0)
+        with pytest.raises(SamplerError, match="c must be an integer"):
+            config(kind, c=2.5)
+        assert config(kind, c=np.int64(3)).c == 3
     with pytest.raises(SamplerError):
         config("md", c=3)
     with pytest.raises(SamplerError):
@@ -80,6 +88,11 @@ def test_config_rejects_bad_budget_burn_in_and_start():
         config("srw", start_policy="fixed")  # start_node missing
     with pytest.raises(SamplerError):
         config("srw", start_node=2)  # start_node without fixed policy
+    for bad in (dict(budget=2.5), dict(burn_in=1.5), dict(start_policy="fixed", start_node=1.5)):
+        with pytest.raises(SamplerError, match="must be an integer"):
+            config("srw", **bad)
+    ok = config("srw", budget=np.int32(2), burn_in=np.int64(1), start_policy="fixed", start_node=np.int64(1))
+    assert (ok.budget, ok.burn_in, ok.start_node) == (2, 1, 1)
 
 
 def test_resolve_cap(example_graph):
@@ -96,6 +109,9 @@ def test_jump_set_example(example_graph):
     assert js.members.tolist() == [1, 4]  # the two degree-2 nodes
     assert js.size == 2
     assert js.total_alpha == 2
+    # The law escapes to the padded nodes: U for wjrw, every node for rwe.
+    assert np.array_equal(WalkLaw(example_graph, config("wjrw", c=3)).targets, js.members)
+    assert np.array_equal(WalkLaw(example_graph, config("rwe", alpha=0.5)).targets, np.arange(example_graph.n))
 
 
 def test_jump_set_empty_when_threshold_below_degrees(example_graph):
@@ -260,6 +276,36 @@ def test_escaping_walk_with_zero_alpha_tracks_simple_walk(example_graph):
     a = run_walk(example_graph, config("srw", budget=300, seed=42))
     b = run_walk(example_graph, config("rwe", alpha=0.0, budget=300, seed=42))
     assert np.array_equal(a.nodes, b.nodes)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data(), graph_seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), chunk=st.integers(1, 40))
+def test_lockstep_walks_equal_scalar_walks_at_any_chunk(data, graph_seed, n, chunk):
+    g = random_connected_graph(np.random.default_rng(graph_seed), n)
+    law = st.sampled_from(
+        [dict(kind="srw"), dict(kind="md")]
+        + [dict(kind="rwe", alpha=a) for a in (0.0, 0.5, 3.0)]
+        + [dict(kind=kind, c=c) for kind in ("gmd", "wjrw") for c in range(1, g.d_max + 2)]
+    )
+    start = st.sampled_from([dict(start_policy="uniform"), dict(start_policy="degree")]) | st.builds(
+        dict, start_policy=st.just("fixed"), start_node=st.integers(0, n - 1)
+    )
+    walk = st.builds(
+        lambda law, start, **kw: WalkConfig(**law, **start, **kw),
+        law,
+        start,
+        budget=st.integers(1, 50),
+        burn_in=st.integers(0, 20),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    configs = data.draw(st.lists(walk, min_size=1, max_size=8))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(samplers, "_LOCKSTEP_CHUNK", chunk)
+        got = run_walks(g, configs)
+    for cfg, trace in zip(configs, got):
+        want = run_walk(g, cfg)
+        assert trace.start == want.start
+        assert np.array_equal(trace.nodes, want.nodes), cfg
 
 
 # ----------------------------------------------------------- stationary
