@@ -29,15 +29,13 @@ each with its own law, budget, burn-in, start and Philox stream, one numpy
 step at a time (~15 us a step at any width), so it pays off from a few
 dozen walkers on; the harness runs every sweep through it.
 
-The closed form weights each node by big_v, except that escaping mass is
-spread evenly over a target array. For ``wjrw`` that gives every member of
-U the average padding over U; it coincides with the numeric stationary
-when all members of U share one degree, and it is what the ``paper``
-estimation-weights mode uses even where the two disagree. The ``oracle``
-mode uses the numeric stationary, which solves the law's balance
-equations: for laws that escape to self (srw, md, gmd) or with one
-padding to every node (rwe) they give the closed form exactly; for wjrw,
-one conjugate-gradient solve.
+The closed form weights each node by big_v. That is exact for every law
+whose escape targets pad equally (srw, md, gmd, rwe, and wjrw when all of U
+shares one degree): such a law is reversible with pi proportional to big.
+Otherwise (wjrw) the closed form spreads the padding evenly over U, which is
+what the ``paper`` estimation-weights mode uses; the ``oracle`` mode uses
+the numeric stationary, there one conjugate-gradient solve of the law's
+balance equations.
 """
 
 from __future__ import annotations
@@ -180,8 +178,8 @@ class WalkLaw:
     ``big = d + pad``). An escape lands on a uniform member of ``targets``,
     the padded nodes (rwe, wjrw), or stays at v when ``targets`` is None
     (md, gmd, and any law that pads no node). Built once per (graph,
-    config); the stepper, the transition rows and diagonal, and both
-    stationary distributions are all derived from these three arrays.
+    config). P's rows and diagonal read ``escape_share``, both stationary
+    distributions read ``reversible``, and the stepper reads the arrays.
     """
 
     __slots__ = ("big", "pad", "targets")
@@ -198,6 +196,22 @@ class WalkLaw:
         self.pad = pad
         jumps = kind in (SamplerKind.RWE, SamplerKind.WJRW) and pad.any()
         self.targets = np.flatnonzero(pad) if jumps else None  # never an empty array
+
+    def escape_share(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """P(v -> t) for each node v in ``lo:hi`` and each of v's escape
+        destinations t (v itself, or every target). The targets are the padded
+        nodes, so this is also P's diagonal. Raises for an isolated node."""
+        big, pad = self.big[lo:hi], self.pad[lo:hi]
+        isolated = np.flatnonzero(big == 0)
+        if len(isolated):
+            raise SamplerError(f"no outgoing transition from isolated node {lo + isolated[0]}")
+        return pad / big if self.targets is None else pad / (big * len(self.targets))
+
+    @property
+    def reversible(self) -> bool:
+        """Whether pi is proportional to ``big``: the law escapes to self, or
+        every target pads equally (see ``stationary_numeric``)."""
+        return self.targets is None or bool(np.ptp(self.pad[self.targets]) == 0)
 
 
 def _stepper(graph: Graph, law: WalkLaw):
@@ -229,17 +243,14 @@ def _stepper(graph: Graph, law: WalkLaw):
 def _transition_rows(graph: Graph, config: WalkConfig, lo: int, hi: int) -> np.ndarray:
     """Rows ``lo:hi`` of the walk's transition matrix, as one dense array."""
     law = WalkLaw(graph, config)
-    big, pad = law.big[lo:hi], law.pad[lo:hi]
-    isolated = np.flatnonzero(big == 0)
-    if len(isolated):
-        raise SamplerError(f"no outgoing transition from isolated node {lo + isolated[0]}")
+    share = law.escape_share(lo, hi)
     rows = np.zeros((hi - lo, graph.n))
     if law.targets is None:
-        rows[np.arange(hi - lo), np.arange(lo, hi)] = pad / big
+        rows[np.arange(hi - lo), np.arange(lo, hi)] = share
     else:
-        rows[:, law.targets] = (pad / (big * len(law.targets)))[:, None]
+        rows[:, law.targets] = share[:, None]
     tails = np.repeat(np.arange(hi - lo), graph.degrees[lo:hi])
-    rows[tails, graph.indices[graph.indptr[lo] : graph.indptr[hi]]] += 1.0 / big[tails]
+    rows[tails, graph.indices[graph.indptr[lo] : graph.indptr[hi]]] += 1.0 / law.big[lo + tails]
     return rows
 
 
@@ -252,13 +263,7 @@ def transition_row(graph: Graph, config: WalkConfig, v: int) -> np.ndarray:
 
 def self_transition_probabilities(graph: Graph, config: WalkConfig) -> np.ndarray:
     """Diagonal of the transition matrix, one value per node."""
-    law = WalkLaw(graph, config)
-    if law.targets is None:
-        return law.pad / law.big
-    diag = np.zeros(graph.n)
-    t = law.targets
-    diag[t] = law.pad[t] / (law.big[t] * len(t))
-    return diag
+    return WalkLaw(graph, config).escape_share()
 
 
 def step(
@@ -434,23 +439,17 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
 def stationary_closed_form(graph: Graph, config: WalkConfig) -> np.ndarray:
     """Stationary distribution by formula, normalized to sum 1.
 
-    Proportional to ``big = d + pad``, except that mass escaping to a
-    target array is spread evenly over it: each target gets d_v plus the
-    total padding over the number of targets. That is srw: d_v; rwe:
-    d_v + alpha; md: uniform; gmd: max(c, d_v); wjrw: d_v plus, on U, the
-    average padding sum(c - d_u)/|U|, which is exact only when all members
-    of U share one degree (see module docstring).
+    Proportional to ``big = d + pad``, which is exact for a reversible law:
+    srw: d_v; rwe: d_v + alpha; md: uniform; gmd: max(c, d_v); wjrw when all
+    members of U share one degree. Otherwise (wjrw) the mass escaping to the
+    targets is spread evenly over them: each member of U gets d_v plus the
+    average padding sum(c - d_u)/|U| (see module docstring).
     """
     law = WalkLaw(graph, config)
-    weights = law.big
-    targets = law.targets
-    if targets is not None:
-        shares = law.pad[targets]
-        # When every target pads equally the even split is that padding
-        # itself, which ``big`` already holds exactly.
-        if shares.min() < shares.max():
-            weights = weights.copy()
-            weights[targets] = graph.degrees[targets] + law.pad.sum() / len(targets)
+    weights, targets = law.big, law.targets
+    if not law.reversible:
+        weights = weights.copy()
+        weights[targets] = graph.degrees[targets] + law.pad.sum() / len(targets)
     total = weights.sum()
     if total <= 0:
         raise SamplerError("graph has no edges; stationary undefined")
@@ -466,13 +465,15 @@ def stationary_numeric(
     """Exact stationary distribution from the law's balance equations.
 
     With pi = big * x and A the adjacency matrix, they read
-    (diag(big) - A) x = 1_targets up to scale. For srw, md, gmd and rwe x is
-    constant, so the closed form is exact. For wjrw the system is symmetric,
-    diagonally dominant and positive definite, and one
-    Jacobi-preconditioned conjugate-gradient solve in numpy gives x, to a
+    (diag(big) - A) x = 1_targets up to scale; padding that escapes to self
+    cancels from them. When every target pads by one p, x = 1/p: the closed
+    form is exact for every law whose escape targets pad equally (srw, md,
+    gmd, rwe, and wjrw when U has one degree), and no solve runs. Otherwise
+    the system is symmetric, diagonally dominant and positive definite, and
+    one Jacobi-preconditioned conjugate-gradient solve in numpy gives x, to a
     relative 2-norm residual of ``tol`` within ``max_iters`` iterations. Its
-    products with the matrix sum over the graph's CSR rows (``indptr``,
-    ``indices``); no sparse matrix is built.
+    products with the matrix sum over the graph's CSR rows; no sparse matrix
+    is built.
     """
     if graph.n == 0:
         raise SamplerError("empty graph")
@@ -481,10 +482,7 @@ def stationary_numeric(
     jumps_everywhere = law.targets is not None and len(law.targets) == graph.n
     if not jumps_everywhere and graph.components[0] != 1:
         raise SamplerError("graph must be connected for a unique stationary distribution")
-    if law.targets is None or (jumps_everywhere and law.pad.min() == law.pad.max()):
-        # Self-escaping padding cancels from the balance equations; one padding
-        # p escaping to every node (rwe) gives (diag(d + p) - A) 1/p = 1. Either
-        # way pi / big is constant on a connected graph: the closed form is exact.
+    if law.reversible:
         return stationary_closed_form(graph, config)
     rhs = np.zeros(graph.n)
     rhs[law.targets] = 1.0

@@ -5,12 +5,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walksample.graph as graph_module
 from conftest import EXAMPLE_EDGES, make_graph, random_connected_graph
 from walksample import (
     EdgeListParseError,
     EmptyGraphError,
+    Graph,
     IngestReport,
     average_degree,
     build_graph,
@@ -99,6 +102,29 @@ def test_neighbors_sorted_and_invariants_hold():
             nbrs = g.neighbors(v)
             assert len(nbrs) == g.degrees[v]
             assert np.all(np.diff(nbrs) > 0)
+
+
+def test_validate_rejects_broken_hand_built_graphs():
+    def graph(rows, degrees=None, m=None):
+        lengths = [len(r) for r in rows]
+        return Graph(
+            n=len(rows),
+            m=sum(lengths) // 2 if m is None else m,
+            indptr=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+            indices=np.array([v for r in rows for v in r], dtype=np.int64),
+            degrees=np.array(lengths if degrees is None else degrees, dtype=np.int64),
+            labels=np.arange(len(rows), dtype=np.int64),
+        )
+
+    graph([[1, 2], [0, 2], [0, 1]]).validate()  # the triangle
+    with pytest.raises(AssertionError, match="row 0 not sorted/unique"):
+        graph([[2, 1], [0, 2], [0, 1]]).validate()
+    with pytest.raises(AssertionError, match="self-loop at 0"):
+        graph([[0, 1], [0, 1]]).validate()
+    with pytest.raises(AssertionError, match="adjacency not symmetric"):
+        graph([[1, 2], [2], [0]]).validate()
+    with pytest.raises(AssertionError):  # indptr and degrees disagree
+        graph([[1, 2], [0, 2], [0, 1]], degrees=[1, 2, 3]).validate()
 
 
 def test_write_read_roundtrip():
@@ -300,6 +326,57 @@ def test_chunked_parser_matches_per_line_reference(monkeypatch, tmp_path, chunk)
         path.write_text(text, encoding="utf-8", newline="")
         with open(path, encoding="utf-8") as fh:
             _assert_same_as_reference(load_edge_list(path), list(fh))
+
+
+# Ids of 18 and 19 digits among small ones.
+_IDS = st.one_of(st.integers(0, 40), st.sampled_from([10**17 + 7, 10**18 - 1, 10**18, 2**63 - 1]))
+_NOISE = ["# comment 1 2", "  # indented comment", "\t# tab comment", "", "   ", "\t"]
+_MALFORMED = ["1 2 3", "4 x", "-1 2", "7"]
+
+
+@st.composite
+def _messy_lines(draw) -> list[str]:
+    """Lines of a messy edge list: comments, blanks, tabs, '+' signs,
+    self-loops, duplicates, the odd malformed line or id beyond int64;
+    '\n' or '\r\n' endings and none on the last line."""
+    lines = []
+    for _ in range(draw(st.integers(1, 40))):
+        roll = draw(st.integers(0, 99))
+        if roll < 12:
+            body = draw(st.sampled_from(_NOISE))
+        elif roll < 13:
+            body = draw(st.sampled_from(_MALFORMED))
+        else:
+            a = 2**63 if roll < 15 else draw(_IDS)  # one past int64
+            b = a if 15 <= roll < 21 else draw(_IDS)
+            lead = draw(st.sampled_from(["", " ", "\t"]))
+            sign = draw(st.sampled_from(["", "", "", "+"]))
+            sep = draw(st.sampled_from([" ", "\t", " \t "]))
+            body = f"{lead}{sign}{a}{sep}{b}"
+        lines.append(body + draw(st.sampled_from(["\n", "\r\n"])))
+    lines[-1] = lines[-1].rstrip("\r\n")
+    return lines
+
+
+def _error_of(parse, lines):
+    """(the error text or None, the result or None) of one parse."""
+    try:
+        return None, parse(lines)
+    except (EdgeListParseError, EmptyGraphError) as exc:
+        return f"{type(exc).__name__}: {exc}", None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(lines=_messy_lines(), chunk=st.integers(1, 512))
+def test_chunked_parser_matches_reference_on_messy_input(lines, chunk):
+    error, _ = _error_of(_reference_parse, lines)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_CHUNK_CHARS", chunk)
+        for source in (io.StringIO("".join(lines)), lines):
+            got_error, got = _error_of(parse_edge_list, source)
+            assert got_error == error
+            if error is None:
+                _assert_same_as_reference(got, lines)
 
 
 def test_scan_and_per_line_tokenisers_agree(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_EDGES
-from walksample import WalkConfig, average_degree, cli, harness
+from walksample import ConvergenceError, WalkConfig, average_degree, cli, harness
 from walksample.cli import build_parser, main, parse_config_file, resolve_config
 from walksample.harness import (
     CSV_HEADER,
@@ -279,6 +279,36 @@ def test_sweep_budget_parallel_matches_sequential_with_oracle_weights_and_burn_i
     seq = cmd_sweep_budget(example_config(example_file, parallel=1, **base))
     par = cmd_sweep_budget(example_config(example_file, parallel=2, **base))
     assert seq == par
+
+
+@settings(
+    derandomize=True, max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    samplers=st.lists(st.sampled_from(SAMPLER_ORDER), min_size=1, max_size=5, unique=True),
+    budgets=st.lists(st.integers(1, 60), min_size=1, max_size=3, unique=True),
+    reps=st.integers(1, 4),
+    burn_in=st.integers(0, 5),
+    weights=st.sampled_from(WEIGHT_MODES),
+    c=st.integers(1, 5),
+    alpha=st.floats(0, 4),
+    parallel=st.sampled_from([2, 3]),
+    batch_steps=st.integers(8, 64),
+)
+def test_parallel_sweep_equals_sequential_bytes(
+    example_file, monkeypatch, samplers, budgets, reps, burn_in, weights, c, alpha, parallel, batch_steps
+):
+    # A small batch cuts the sweep into more slices than workers.
+    monkeypatch.setattr(harness, "_BATCH_STEPS", batch_steps)
+    c = (c,) if {"gmd", "wjrw"} & set(samplers) else ()
+    alpha = alpha if "rwe" in samplers else None
+    base = dict(
+        samplers=tuple(samplers), budgets=tuple(budgets), repetitions=reps, burn_in=burn_in, weight_mode=weights
+    )
+    for fmt in OUTPUT_FORMATS:
+        cfg = dict(base, c_values=c, alpha=alpha, output_format=fmt)
+        want = cmd_sweep_budget(example_config(example_file, parallel=1, **cfg))
+        assert cmd_sweep_budget(example_config(example_file, parallel=parallel, **cfg)) == want
 
 
 def test_even_slices_are_contiguous_and_balanced(example_file):
@@ -715,7 +745,7 @@ def test_cli_rerun_writes_identical_bytes(tmp_path, example_file):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_exit_codes(tmp_path, example_file, capsys):
+def test_cli_exit_codes(tmp_path, example_file, capsys, monkeypatch):
     # missing dataset file -> 2, message names the path
     rc = main(["stats", "--dataset", str(tmp_path / "absent.txt")])
     assert rc == 2
@@ -760,6 +790,33 @@ def test_cli_exit_codes(tmp_path, example_file, capsys):
     for bad in ("-1", str(2**64), str(10**23)):
         assert main(run_srw + ["--seed", bad]) == 2
         assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
+    # a config value its key cannot convert -> 2, naming the key
+    for line, message in (
+        ("timing = maybe", "config key 'timing': expected a boolean, got 'maybe'\n"),
+        ("budget = abc", "config key 'budget': invalid literal for int() with base 10: 'abc'\n"),
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"dataset = {example_file}\nsampler = srw\n{line}\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: " + message
+    assert main(run_srw + ["--parallel", "-1"]) == 2
+    assert "parallel must be >= 0" in capsys.readouterr().err
+    # sweep-budget without a sampler or without a budget -> 2
+    sweep_bare = ["sweep-budget", "--dataset", str(example_file)]
+    assert main(sweep_bare + ["--budget", "10"]) == 2
+    assert "needs at least one --sampler" in capsys.readouterr().err
+    assert main(sweep_bare + ["--sampler", "srw"]) == 2
+    assert "needs at least one --budget" in capsys.readouterr().err
+
+    # an internal or numeric failure -> 1, its message on stderr
+    def no_convergence(graph, config):
+        raise ConvergenceError("stationary solve: residual 1e-03 > rtol=1e-12 after 1 iterations")
+
+    monkeypatch.setattr(harness, "stationary_numeric", no_convergence)
+    argv = ["run", "--dataset", str(example_file), "--sampler", "srw", "--budget", "10", "--weights", "oracle"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: stationary solve: residual 1e-03 > rtol=1e-12 after 1 iterations\n")
 
 
 def test_analyze_above_the_dense_cap_is_a_usage_error(example_file, monkeypatch, capsys):

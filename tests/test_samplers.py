@@ -22,6 +22,7 @@ from walksample import (
     run_walk,
     run_walks,
     samplers,
+    self_transition_probabilities,
     stationary_closed_form,
     stationary_numeric,
     step,
@@ -117,6 +118,8 @@ def test_jump_set_example(example_graph):
 def test_jump_set_empty_when_threshold_below_degrees(example_graph):
     js = jump_set(example_graph, 1)
     assert js.size == 0 and js.total_alpha == 0
+    with pytest.raises(SamplerError, match="c must be >= 1"):
+        jump_set(example_graph, 0)
 
 
 # ------------------------------------------------------- transition rows
@@ -193,6 +196,15 @@ def test_isolated_node_has_no_transition():
         transition_row(g, config("srw"), 2)
     with pytest.raises(SamplerError, match="no outgoing transition"):
         step(g, config("srw"), None, 2, make_rng(0))
+    for v in (-1, 3):
+        with pytest.raises(SamplerError, match=f"node {v} out of range"):
+            transition_row(g, config("srw"), v)
+        with pytest.raises(SamplerError, match=f"node {v} out of range"):
+            step(g, config("srw"), None, v, make_rng(0))
+    # the diagonal raises where the rows raise, rather than dividing 0 by 0
+    for cfg in (config("srw"), config("rwe", alpha=0.0)):
+        with pytest.raises(SamplerError, match="no outgoing transition from isolated node 2"):
+            self_transition_probabilities(g, cfg)
 
 
 # ---------------------------------------------------------------- walks
@@ -356,8 +368,12 @@ def test_padded_jump_closed_form_exact_when_jump_set_has_one_degree():
             continue
         c = int(degs[1])
         cfg = config("wjrw", c=c)
-        gap = float(np.abs(stationary_closed_form(g, cfg) - stationary_numeric(g, cfg)).sum())
+        closed = stationary_closed_form(g, cfg)
+        gap = float(np.abs(closed - stationary_numeric(g, cfg)).sum())
         assert gap <= 1e-10, gap
+        # numeric returns this closed form itself, so check it against P too
+        dense = np.array([transition_row(g, cfg, v) for v in range(g.n)])
+        assert np.max(np.abs(closed @ dense - closed)) <= 1e-15
         checked += 1
 
 
@@ -378,6 +394,10 @@ def test_numeric_requires_connectivity():
     cfg = config("rwe", alpha=1.5)
     gap = float(np.abs(stationary_closed_form(g, cfg) - stationary_numeric(g, cfg)).sum())
     assert gap <= 1e-10
+    with pytest.raises(SamplerError, match="empty graph"):
+        stationary_numeric(build_graph([], [], 0), config("srw"))
+    with pytest.raises(SamplerError, match="graph has no edges"):
+        stationary_closed_form(build_graph([], [], 3), config("srw"))
 
 
 def test_numeric_converges_on_bipartite_graphs():
@@ -387,8 +407,9 @@ def test_numeric_converges_on_bipartite_graphs():
 
 
 def test_numeric_raises_when_iteration_budget_exhausted(example_graph):
+    # c=4 pads degrees 2 and 3 unequally: the law is not reversible
     with pytest.raises(ConvergenceError, match="after 1 iterations"):
-        stationary_numeric(example_graph, config("wjrw", c=3), max_iters=1)
+        stationary_numeric(example_graph, config("wjrw", c=4), max_iters=1)
     # srw's stationary is its closed form, with no solve to run out of iterations
     for max_iters in (1, 3):
         assert np.array_equal(
@@ -398,12 +419,47 @@ def test_numeric_raises_when_iteration_budget_exhausted(example_graph):
 
 
 def test_numeric_rwe_is_its_closed_form_without_a_solve(example_graph):
-    # (diag(d + alpha) - A) 1/alpha = 1: the balance system needs no iteration.
-    for alpha in (0.5, 2.8, 7.0):
+    # (diag(d + p) - A) 1/p = 1_targets when every target pads by p: the
+    # balance system of every reversible law needs no iteration. On the
+    # example graph wjrw at c=3 pads only its two degree-2 nodes.
+    cases = [config("rwe", alpha=alpha) for alpha in (0.5, 2.8, 7.0)]
+    cases += [config("srw"), config("md"), config("gmd", c=3), config("wjrw", c=3)]
+    for cfg in cases:
+        assert WalkLaw(example_graph, cfg).reversible, cfg
         assert np.array_equal(
-            stationary_numeric(example_graph, config("rwe", alpha=alpha), max_iters=1),
-            stationary_closed_form(example_graph, config("rwe", alpha=alpha)),
+            stationary_numeric(example_graph, cfg, max_iters=1),
+            stationary_closed_form(example_graph, cfg),
         )
+
+
+def test_numeric_solves_exactly_the_laws_that_are_not_reversible(monkeypatch):
+    # Random connected graphs: a law is reversible unless it is wjrw with
+    # several degrees in U. A reversible law returns its closed form bit for
+    # bit with no solve; every other law runs one CG solve.
+    solves = []
+    solve = samplers._solve_balance
+    monkeypatch.setattr(samplers, "_solve_balance", lambda *a: solves.append(1) or solve(*a))
+    rng = np.random.default_rng(61)
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        g = random_connected_graph(rng, int(rng.integers(4, 18)), lo=0.15)
+        degs = np.unique(g.degrees)
+        cases = [config("srw"), config("md"), config("rwe", alpha=float(rng.uniform(0, 3)))]
+        cases.append(config("gmd", c=int(rng.integers(1, g.d_max + 2))))
+        cases += [config("wjrw", c=int(c)) for c in (degs[min(1, len(degs) - 1)], rng.integers(1, g.d_max + 2))]
+        for cfg in cases:
+            reversible = cfg.kind is not SamplerKind.WJRW or len(np.unique(g.degrees[g.degrees < cfg.c])) <= 1
+            assert WalkLaw(g, cfg).reversible == reversible, cfg
+            seen[reversible] += 1
+            del solves[:]
+            if reversible:
+                closed = stationary_closed_form(g, cfg)
+                assert np.array_equal(stationary_numeric(g, cfg, max_iters=1), closed), cfg
+                assert not solves
+            else:
+                stationary_numeric(g, cfg)
+                assert solves == [1], cfg
+    assert min(seen.values()) >= 10, seen
 
 
 def barbell_graph(clique: int = 40, path: int = 60):

@@ -12,6 +12,7 @@ from walksample import spectral as spectral_module
 from walksample import (
     Distribution,
     SamplerError,
+    SpectrumReport,
     WalkConfig,
     WalkMatrix,
     characteristic_polynomial,
@@ -47,6 +48,9 @@ def test_walk_matrix_validation(example_graph):
     nan = WalkMatrix(n=2, entries=np.array([[np.nan, 0.5], [0.5, 0.5]]), config=cfg)
     with pytest.raises(ValueError, match="sum to 1"):
         nan.validate()
+    wide = WalkMatrix(n=2, entries=np.full((2, 4), 0.25), config=cfg)
+    with pytest.raises(ValueError, match="n x n"):
+        wide.validate()
 
 
 def test_dense_cap_enforced():
@@ -90,12 +94,17 @@ def test_characteristic_polynomial_known_matrices():
     assert coeffs == [Fraction(1), Fraction(0), Fraction(-3, 4), Fraction(-1, 4)]
 
 
-def test_eigensolver_agrees_with_polynomial_roots(path3_graph):
+def test_eigensolver_agrees_with_polynomial_roots(path3_graph, monkeypatch):
     wm = dense_transition_matrix(path3_graph, WalkConfig(kind="wjrw", c=3))
     rep = spectrum(wm)  # n <= 4 triggers the internal cross-check too
     coeffs = characteristic_polynomial([[Fraction(x) for x in row] for row in wm.entries])
     roots = np.sort_complex(np.roots([float(c) for c in coeffs]))
     assert np.max(np.abs(np.sort_complex(rep.eigenvalues) - roots)) < 1e-9
+    # the cross-check catches an eigensolver that is off
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) + 1e-6)
+    with pytest.raises(ArithmeticError, match="disagrees with characteristic polynomial roots"):
+        spectrum(wm)
 
 
 def test_spectrum_invariants_on_random_graphs():
@@ -111,6 +120,9 @@ def test_spectrum_invariants_on_random_graphs():
             assert abs(rep.eigenvalues[0] - 1) < 1e-9
             assert rep.slem <= 1 + 1e-9
             assert rep.second_largest_signed <= 1 + 1e-9
+    shifted = SpectrumReport(np.array([0.9, 0.5]), second_largest_signed=0.5, slem=0.5, is_real_spectrum=True)
+    with pytest.raises(ValueError, match="leading eigenvalue 0.9 is not 1"):
+        shifted.validate()
 
 
 def test_self_transition_diagonal_matches_dense_matrix(example_graph):
@@ -158,6 +170,9 @@ def test_expected_repeat_probability_examples(example_graph):
     wj = expected_repeat_probability(g, wj_cfg, node_dist(stationary_numeric(g, wj_cfg)))
     assert wj == pytest.approx(1 / 16, abs=1e-12)
     assert md >= gmd >= wj
+    beyond = Distribution(np.array([0, 5]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="not a set of node ids"):
+        expected_repeat_probability(g, WalkConfig(kind="md"), beyond)
 
 
 def test_repeat_probability_ordering_smoke():
