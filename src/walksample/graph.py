@@ -2,9 +2,11 @@
 
 Graphs are loaded from whitespace-separated edge lists ("<u> <v>" per line,
 '#' comments ignored). External node ids are remapped to dense internal ids
-0..n-1 in order of first appearance; self-loops and duplicate edges are
-dropped and counted. The resulting structure is read-only and safe to share
-across threads or forked workers.
+0..n-1 in order of first appearance, through a hash table that grows as
+blocks of the input arrive (internal ids are int32, so a graph holds at most
+2**31 - 1 nodes); self-loops and duplicate edges are dropped and counted.
+The resulting structure is read-only and safe to share across threads or
+forked workers.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 
-# Node ids are kept as int64 labels.
+# Node ids are kept as int64 labels; internal ids are int32.
 _MAX_ID = 2**63 - 1
+_MAX_NODES = 2**31 - 1
 
 
 class EdgeListParseError(ValueError):
@@ -264,8 +267,9 @@ def _drop_comments(data: bytes) -> tuple[bytes, int]:
     return b"".join(pieces), comments
 
 
-def _scan_block(text: str) -> tuple[np.ndarray, int, int] | None:
-    """The numpy tokeniser: ``_tokenise_lines``' result for one block, or None.
+def _scan_block(text: str) -> tuple[np.ndarray, int, int, int] | None:
+    """The numpy tokeniser: ``_tokenise_lines``' result for one block and the
+    block's count of '\n', or None.
 
     Accepts only blocks whose data lines are two runs of at most
     ``_SCAN_DIGITS`` ASCII digits separated by ASCII whitespace; any other
@@ -286,17 +290,18 @@ def _scan_block(text: str) -> tuple[np.ndarray, int, int] | None:
     if not allowed.all():
         return None
     del allowed
+    newlines = np.flatnonzero(b == 10)
     # Digit runs open and close alternately: [start0, stop0, start1, ...].
     bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
     del digit
     if not len(bounds):  # np.fromstring reads a blank block as [0]
-        return np.empty(0, dtype=np.int64), 0, comments
+        return np.empty(0, dtype=np.int64), 0, comments, len(newlines)
     starts = bounds[0::2]
     if len(starts) % 2 or (bounds[1::2] - starts).max() > _SCAN_DIGITS:
         return None
     # Exactly two tokens per data line: each pair shares a line, and pairs
     # sit on strictly increasing lines.
-    line = np.searchsorted(np.flatnonzero(b == 10), starts)
+    line = np.searchsorted(newlines, starts)
     if not (np.array_equal(line[0::2], line[1::2]) and (np.diff(line[0::2]) > 0).all()):
         return None
     del bounds, starts, line
@@ -304,7 +309,8 @@ def _scan_block(text: str) -> tuple[np.ndarray, int, int] | None:
     kept = pairs[:, 0] != pairs[:, 1]
     loops = len(kept) - int(kept.sum())
     # compress, not a boolean index: the same rows at a tenth of the cost.
-    return (pairs.compress(kept, axis=0) if loops else pairs).ravel(), loops, comments
+    ends = pairs.compress(kept, axis=0) if loops else pairs
+    return ends.ravel(), loops, comments, len(newlines)
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -317,6 +323,100 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+# Fibonacci hashing (Knuth, TAOCP vol. 3, section 6.4): the top bits of
+# label * 2**64 / phi spread runs and strides of ids over the table.
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
+
+
+class _LabelTable:
+    """The internal id of each external label, in order of first appearance.
+
+    An open-addressing hash table with linear probing: slot ``s`` holds the
+    label ``keys[s]`` (-1 marks an empty slot; labels are never negative) and
+    its int32 id ``vals[s]``. Its load stays at or below one half; past that
+    it doubles and is rebuilt from ``labels``, each block's new labels in
+    order of first appearance, which the ids index.
+    """
+
+    def __init__(self) -> None:
+        self.bits = 10
+        self.keys = np.full(1 << self.bits, -1, dtype=np.int64)
+        self.vals = np.empty(1 << self.bits, dtype=np.int32)
+        self.labels: list[np.ndarray] = []
+        self.n = 0
+
+    def _slots(self, labels: np.ndarray) -> np.ndarray:
+        return (labels.view(np.uint64) * _FIBONACCI >> np.uint64(64 - self.bits)).astype(np.intp)
+
+    def ids(self, ends: np.ndarray) -> np.ndarray:
+        """The int32 id of each label of ``ends``; labels not yet seen get the
+        next ids in order of their first position in ``ends``."""
+        slot = self._slots(ends)
+        ids = self.vals[slot]  # right where the label sits in its home slot
+        at = np.flatnonzero(self.keys[slot] != ends)
+        slot = slot[at]
+        absent = np.zeros(len(ends), dtype=bool)
+        mask = len(self.keys) - 1
+        # Probe the rest in rounds: a label is found in its slot, or absent
+        # at an empty one; the others move on to the next slot.
+        while len(at):
+            key = self.keys[slot]
+            found = key == ends[at]
+            ids[at[found]] = self.vals[slot[found]]
+            empty = key == -1
+            absent[at[empty]] = True
+            go = ~(found | empty)
+            at, slot = at[go], (slot[go] + 1) & mask
+        missing = np.flatnonzero(absent)
+        if len(missing):
+            # First positions by minimum.at: np.unique's return_index sorts
+            # stably, three times the cost on a block of new labels.
+            new, inverse = np.unique(ends[missing], return_inverse=True)
+            first = np.full(len(new), len(missing))
+            np.minimum.at(first, inverse, np.arange(len(missing)))
+            order = np.argsort(first)
+            rank = np.empty(len(new), dtype=np.int32)
+            rank[order] = self._add(new[order])
+            ids[missing] = rank[inverse]
+        return ids
+
+    def _add(self, new: np.ndarray) -> np.ndarray:
+        """Give the distinct labels ``new``, none in the table, the next ids
+        and return those ids."""
+        start = self.n
+        self.n += len(new)
+        if self.n > _MAX_NODES:
+            raise ValueError(f"more than {_MAX_NODES} distinct node ids")
+        ids = np.arange(start, self.n, dtype=np.int32)
+        self.labels.append(new)
+        if 2 * self.n <= len(self.keys):
+            self._place(new, ids)
+        else:
+            self.bits = (2 * self.n - 1).bit_length()
+            self.keys = np.full(1 << self.bits, -1, dtype=np.int64)
+            self.vals = np.empty(1 << self.bits, dtype=np.int32)
+            self.labels = [np.concatenate(self.labels)]
+            self._place(self.labels[0], np.arange(self.n, dtype=np.int32))
+        return ids
+
+    def _place(self, labels: np.ndarray, ids: np.ndarray) -> None:
+        """Insert ``labels``, none in the table, with their ``ids``.
+
+        Write-then-read-back: of the labels that write one empty slot, the
+        one read back holds it and the others move on. Ids are fixed before
+        placing, so they do not depend on which write wins.
+        """
+        slot = self._slots(labels)
+        mask = len(self.keys) - 1
+        while len(labels):
+            free = self.keys[slot] == -1
+            self.keys[slot[free]] = labels[free]
+            placed = self.keys[slot] == labels
+            self.vals[slot[placed]] = ids[placed]
+            left = ~placed
+            labels, ids, slot = labels[left], ids[left], (slot[left] + 1) & mask
+
+
 def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
     """Parse a text edge list into a normalized simple undirected Graph.
 
@@ -324,7 +424,7 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
     integer tokens; the ids of kept edges must fit in int64. Self-loops and
     duplicate edges (in either orientation) are dropped and counted in the
     report. Node ids are densified in order of first appearance within kept
-    edges.
+    edges, to int32 internal ids: at most 2**31 - 1 distinct nodes.
 
     The input is tokenised in blocks of whole lines by numpy; a block that
     holds anything but ASCII digits and whitespace in its data lines, ids of
@@ -338,12 +438,15 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
         number).
     EmptyGraphError
         If no edges survive normalization.
+    ValueError
+        If the kept edges hold more distinct ids than int32 can number.
     """
-    # Per block: its distinct labels and, for each endpoint in file order,
-    # the index of its label among them. Densifying block by block keeps the
-    # temporaries small; one np.unique over all endpoints of a 600k-line
-    # file raised the peak RSS above the per-line parser's.
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    # Per block, the int32 id of each endpoint in file order. The label
+    # table assigns ids as blocks arrive, so only each block's new labels
+    # are sorted; one np.unique over all endpoints of a 600k-line file
+    # raised the peak RSS above the per-line parser's.
+    table = _LabelTable()
+    parts: list[np.ndarray] = []
     self_loops = 0
     comments = 0
     lineno = 1
@@ -351,42 +454,25 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
         scanned = _scan_block(block) if isinstance(block, str) else None
         if scanned is None:
             lines = _block_lines(block)
-            scanned = _tokenise_lines(lines, lineno)
-            lineno += len(lines)
-        else:
-            lineno += block.count("\n")
-        ends, block_loops, block_comments = scanned
+            scanned = (*_tokenise_lines(lines, lineno), len(lines))
+        ends, block_loops, block_comments, block_lines = scanned
+        lineno += block_lines
         self_loops += block_loops
         comments += block_comments
         if len(ends):
-            distinct, where = np.unique(ends, return_inverse=True)
-            parts.append((distinct, where.astype(np.int32)))
+            parts.append(table.ids(ends))
     if not parts:
         raise EmptyGraphError("edge list contains no usable edges")
-
-    # A label's internal id is the rank of its first appearance.
-    labels = _sorted_distinct(np.concatenate([distinct for distinct, _ in parts]))
-    n = len(labels)
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    first = np.full(n, np.iinfo(np.int64).max)
-    offset = 0
-    for i, (distinct, where) in enumerate(parts):
-        where = np.searchsorted(labels, distinct).astype(index)[where]
-        np.minimum.at(first, where, np.arange(offset, offset + len(where)))
-        offset += len(where)
-        parts[i] = where
-    order = np.argsort(first)
-    rank = np.empty(n, dtype=index)
-    rank[order] = np.arange(n, dtype=index)
-    ids = rank[np.concatenate(parts)]
-    del parts
+    n, labels = table.n, np.concatenate(table.labels)
+    ids = np.concatenate(parts)
+    del table, parts
 
     # Deduplicate by sorting the key lo * n + hi.
     u, v = ids[0::2], ids[1::2]
     keys = np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v)
     del ids, u, v
     unique_keys = _sorted_distinct(keys)
-    graph = build_graph(unique_keys // n, unique_keys % n, n, labels[order])
+    graph = build_graph(unique_keys // n, unique_keys % n, n, labels)
     report = IngestReport(
         kept_edges=len(unique_keys),
         dropped_self_loops=self_loops,

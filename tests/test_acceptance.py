@@ -179,8 +179,13 @@ def test_criterion_03_repeat_probability_ordering():
 
 
 def test_criterion_04_stationary_closed_vs_numeric(example_graph, path3_graph):
+    # stationary_numeric returns the closed form of a reversible law, so each
+    # closed form is also checked as a left fixed point of the dense P.
+    def fixed_point_l1(g, cfg, pi):
+        return l1(pi @ dense_transition_matrix(g, cfg).entries, pi)
+
     rng = np.random.default_rng(77)
-    worst = 0.0
+    worst = worst_residual = 0.0
     for _ in range(100):
         g = random_connected_graph(rng, int(rng.integers(4, 30)))
         configs = [
@@ -190,10 +195,14 @@ def test_criterion_04_stationary_closed_vs_numeric(example_graph, path3_graph):
             WalkConfig(kind="gmd", c=int(rng.integers(1, g.d_max + 1))),
         ]
         for cfg in configs:
-            worst = max(worst, l1(stationary_closed_form(g, cfg), stationary_numeric(g, cfg)))
+            closed = stationary_closed_form(g, cfg)
+            worst = max(worst, l1(closed, stationary_numeric(g, cfg)))
+            worst_residual = max(worst_residual, fixed_point_l1(g, cfg, closed))
 
     wj_cfg = WalkConfig(kind="wjrw", c=3)
-    example_gap = l1(stationary_closed_form(example_graph, wj_cfg), stationary_numeric(example_graph, wj_cfg))
+    example_closed = stationary_closed_form(example_graph, wj_cfg)
+    example_gap = l1(example_closed, stationary_numeric(example_graph, wj_cfg))
+    worst_residual = max(worst_residual, fixed_point_l1(example_graph, wj_cfg, example_closed))
 
     numeric_path = stationary_numeric(path3_graph, wj_cfg)
     closed_path = stationary_closed_form(path3_graph, wj_cfg)
@@ -202,12 +211,13 @@ def test_criterion_04_stationary_closed_vs_numeric(example_graph, path3_graph):
     distance = l1(numeric_path, closed_path)
     counterexample_ok = numeric_gap <= 1e-10 and closed_gap <= 1e-10 and abs(distance - 16 / 351) <= 1e-10
 
-    ok = worst <= 1e-10 and example_gap <= 1e-10 and counterexample_ok
+    ok = worst <= 1e-10 and example_gap <= 1e-10 and worst_residual <= 1e-13 and counterexample_ok
     report(
         4,
         ok,
         f"closed vs numeric worst l1 gap {worst:.2e} over 400 reversible configs (tol 1e-10); "
-        f"wjrw example gap {example_gap:.2e}; path counterexample numeric (4,5,4)/13 and "
+        f"wjrw example gap {example_gap:.2e}; worst l1 of pi P - pi for those closed forms "
+        f"{worst_residual:.2e} (tol 1e-13); path counterexample numeric (4,5,4)/13 and "
         f"closed (8,11,8)/27 reproduce (gaps {numeric_gap:.1e}/{closed_gap:.1e}), "
         f"l1 distance {distance:.6f} = 16/351",
     )

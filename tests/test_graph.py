@@ -379,6 +379,52 @@ def test_chunked_parser_matches_reference_on_messy_input(lines, chunk):
                 _assert_same_as_reference(got, lines)
 
 
+@st.composite
+def _label_pool_lines(draw) -> list[str]:
+    """Edge lines over a pool of 1-5000 distinct labels, every one of which
+    appears: consecutive runs, multiples of 2**32, random ids up to 18
+    digits, 0 and 10**18 - 1, and at times a few 19-digit ids near 2**63 - 1,
+    whose blocks take the per-line path."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 5000))
+    run_start = draw(st.sampled_from([0, 1, 2**32 - 7, 10**17]))
+    candidates = [
+        np.array([0, 10**18 - 1]),
+        run_start + np.arange(size),
+        np.arange(1, size + 1) << 32,
+        rng.integers(0, 10**18, size=size),
+    ]
+    if draw(st.booleans()):
+        candidates.append(2**63 - 1 - np.arange(3))
+    pool = rng.permutation(np.unique(np.concatenate(candidates)))[:size]
+    # Every label once in random order, then random ones; each against a
+    # random partner.
+    left = np.concatenate([rng.permutation(len(pool)), rng.integers(0, len(pool), size=len(pool) // 2)])
+    right = rng.integers(0, len(pool), size=len(left))
+    return [f"{pool[a]} {pool[b]}\n" for a, b in zip(left.tolist(), right.tolist())]
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(lines=_label_pool_lines(), chunk=st.integers(64, 1 << 14))
+def test_label_table_matches_reference_across_resizes(lines, chunk):
+    # New labels arrive over many blocks, so the table grows several times
+    # while earlier ids must keep their first-appearance order.
+    error, _ = _error_of(_reference_parse, lines)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_CHUNK_CHARS", chunk)
+        got_error, got = _error_of(parse_edge_list, io.StringIO("".join(lines)))
+    assert got_error == error
+    if error is None:
+        _assert_same_as_reference(got, lines)
+
+
+def test_node_count_beyond_int32_ids_is_refused(monkeypatch):
+    monkeypatch.setattr(graph_module, "_MAX_NODES", 4)
+    assert parse_edge_list(io.StringIO("1 2\n3 4\n"))[0].n == 4
+    with pytest.raises(ValueError, match="more than 4 distinct node ids"):
+        parse_edge_list(io.StringIO("1 2\n3 4\n4 5\n"))
+
+
 def test_scan_and_per_line_tokenisers_agree(monkeypatch):
     rng = np.random.default_rng(5)
     text = "".join(_random_edge_lines(rng, 2000))

@@ -332,7 +332,15 @@ def test_closed_form_values_on_reference_graph(example_graph):
     assert np.allclose(stationary_closed_form(g, config("wjrw", c=3)), np.array([4, 3, 3, 3, 3]) / 16, atol=1e-15)
 
 
+def _fixed_point_l1(g, cfg, pi) -> float:
+    """||pi P - pi||_1 against the dense transition matrix, which does not
+    go through ``stationary_numeric``."""
+    return float(np.abs(pi @ dense_transition_matrix(g, cfg).entries - pi).sum())
+
+
 def test_numeric_matches_closed_form_for_reversible_kinds():
+    # stationary_numeric returns the closed form of a reversible law, so the
+    # gap alone is 0 by construction; the fixed-point check ties it to P.
     rng = np.random.default_rng(31)
     for _ in range(30):
         g = random_connected_graph(rng, int(rng.integers(4, 25)))
@@ -343,8 +351,11 @@ def test_numeric_matches_closed_form_for_reversible_kinds():
             config("gmd", c=int(rng.integers(1, g.d_max + 2))),
         ]
         for cfg in cases:
-            gap = float(np.abs(stationary_closed_form(g, cfg) - stationary_numeric(g, cfg)).sum())
+            closed = stationary_closed_form(g, cfg)
+            gap = float(np.abs(closed - stationary_numeric(g, cfg)).sum())
             assert gap <= 1e-10, (cfg.kind, gap)
+            residual = _fixed_point_l1(g, cfg, closed)
+            assert residual <= 1e-13, (cfg.kind, residual)
 
 
 def test_numeric_matches_dense_left_eigenvector():
@@ -392,8 +403,10 @@ def test_numeric_requires_connectivity():
         stationary_numeric(g, config("srw"))
     # a positive uniform-jump weight makes the chain irreducible anyway
     cfg = config("rwe", alpha=1.5)
-    gap = float(np.abs(stationary_closed_form(g, cfg) - stationary_numeric(g, cfg)).sum())
+    closed = stationary_closed_form(g, cfg)
+    gap = float(np.abs(closed - stationary_numeric(g, cfg)).sum())
     assert gap <= 1e-10
+    assert _fixed_point_l1(g, cfg, closed) <= 1e-13
     with pytest.raises(SamplerError, match="empty graph"):
         stationary_numeric(build_graph([], [], 0), config("srw"))
     with pytest.raises(SamplerError, match="graph has no edges"):
