@@ -26,7 +26,9 @@ _MAX_NODES = 2**31 - 1
 
 
 class EdgeListParseError(ValueError):
-    """An edge-list line cannot be parsed (names the line) or a file is not UTF-8 (names the file)."""
+    """An edge-list line cannot be parsed (names the line), a file is not
+    UTF-8 (names the file), or the edges hold more distinct ids than int32
+    can number."""
 
 
 class EmptyGraphError(ValueError):
@@ -165,8 +167,6 @@ def build_graph(
 # A block's numpy temporaries are a few times its size; at 1 << 20 they raised
 # the peak RSS of commands on ~1 MB inputs, and larger blocks parse no faster.
 _CHUNK_CHARS = 1 << 18
-# Longest id the numpy scan converts; 18 digits always fit in int64.
-_SCAN_DIGITS = 18
 
 
 def _blocks(stream: Iterable[str]) -> Iterator[str | list[str]]:
@@ -271,10 +271,11 @@ def _scan_block(text: str) -> tuple[np.ndarray, int, int, int] | None:
     """The numpy tokeniser: ``_tokenise_lines``' result for one block and the
     block's count of '\n', or None.
 
-    Accepts only blocks whose data lines are two runs of at most
-    ``_SCAN_DIGITS`` ASCII digits separated by ASCII whitespace; any other
-    block (signs, long ids, stray tokens, non-ASCII text, ...) returns None
-    and goes to the per-line tokeniser, which parses or rejects it exactly.
+    Accepts only blocks whose data lines are two runs of ASCII digits
+    separated by ASCII whitespace, each an id below 10**18; any other block
+    (signs, ids of 10**18 or more, stray tokens, non-ASCII text, ...) returns
+    None and goes to the per-line tokeniser, which parses or rejects it
+    exactly.
     """
     if not text.isascii():
         return None
@@ -289,28 +290,39 @@ def _scan_block(text: str) -> tuple[np.ndarray, int, int, int] | None:
     allowed |= digit
     if not allowed.all():
         return None
-    del allowed
-    newlines = np.flatnonzero(b == 10)
-    # Digit runs open and close alternately: [start0, stop0, start1, ...].
-    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    # One structural pass, in the buffer of ``allowed``: the positions of
+    # every token start (a digit not preceded by one) and every newline.
+    start = allowed
+    start[:1] = digit[:1]
+    np.greater(digit[1:], digit[:-1], out=start[1:])
     del digit
-    if not len(bounds):  # np.fromstring reads a blank block as [0]
-        return np.empty(0, dtype=np.int64), 0, comments, len(newlines)
-    starts = bounds[0::2]
-    if len(starts) % 2 or (bounds[1::2] - starts).max() > _SCAN_DIGITS:
+    start |= b == 10
+    events = np.flatnonzero(start)
+    del allowed, start
+    # Every line holds 0 or 2 tokens: with a newline imagined before and
+    # after the block, consecutive newlines lie 1 or 3 events apart (setting
+    # bit 1 maps exactly those gaps to 3).
+    at_newline = np.flatnonzero(b[events] == 10)
+    gaps = np.diff(at_newline, prepend=-1, append=len(events))
+    gaps |= 2
+    if not (gaps == 3).all():
         return None
-    # Exactly two tokens per data line: each pair shares a line, and pairs
-    # sit on strictly increasing lines.
-    line = np.searchsorted(newlines, starts)
-    if not (np.array_equal(line[0::2], line[1::2]) and (np.diff(line[0::2]) > 0).all()):
+    lines, tokens = len(at_newline), len(events) - len(at_newline)
+    del events, at_newline, gaps
+    if not tokens:  # np.fromstring reads a blank block as [0]
+        return np.empty(0, dtype=np.int64), 0, comments, lines
+    pairs = np.fromstring(data, dtype=np.int64, sep=" ")
+    # A token of up to 18 digits is below 10**18, and numpy reads a longer
+    # one exactly when it is zero-padded, else as at least 10**18 (it
+    # saturates at 2**63 - 1 past int64).
+    if pairs.max() >= 10**18:
         return None
-    del bounds, starts, line
-    pairs = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
+    pairs = pairs.reshape(-1, 2)
     kept = pairs[:, 0] != pairs[:, 1]
     loops = len(kept) - int(kept.sum())
     # compress, not a boolean index: the same rows at a tenth of the cost.
     ends = pairs.compress(kept, axis=0) if loops else pairs
-    return ends.ravel(), loops, comments, len(newlines)
+    return ends.ravel(), loops, comments, lines
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -333,9 +345,10 @@ class _LabelTable:
 
     An open-addressing hash table with linear probing: slot ``s`` holds the
     label ``keys[s]`` (-1 marks an empty slot; labels are never negative) and
-    its int32 id ``vals[s]``. Its load stays at or below one half; past that
-    it doubles and is rebuilt from ``labels``, each block's new labels in
-    order of first appearance, which the ids index.
+    its int32 id ``vals[s]``. Its load stays at or below one quarter, so most
+    labels sit in their home slot and probe runs stay short; past that it
+    doubles and is rebuilt from ``labels``, each block's new labels in order
+    of first appearance, which the ids index.
     """
 
     def __init__(self) -> None:
@@ -386,13 +399,13 @@ class _LabelTable:
         start = self.n
         self.n += len(new)
         if self.n > _MAX_NODES:
-            raise ValueError(f"more than {_MAX_NODES} distinct node ids")
+            raise EdgeListParseError(f"more than {_MAX_NODES} distinct node ids")
         ids = np.arange(start, self.n, dtype=np.int32)
         self.labels.append(new)
-        if 2 * self.n <= len(self.keys):
+        if 4 * self.n <= len(self.keys):
             self._place(new, ids)
         else:
-            self.bits = (2 * self.n - 1).bit_length()
+            self.bits = (4 * self.n - 1).bit_length()
             self.keys = np.full(1 << self.bits, -1, dtype=np.int64)
             self.vals = np.empty(1 << self.bits, dtype=np.int32)
             self.labels = [np.concatenate(self.labels)]
@@ -427,19 +440,18 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
     edges, to int32 internal ids: at most 2**31 - 1 distinct nodes.
 
     The input is tokenised in blocks of whole lines by numpy; a block that
-    holds anything but ASCII digits and whitespace in its data lines, ids of
-    more than 18 digits, or a line without exactly two tokens is tokenised
+    holds anything but ASCII digits and whitespace in its data lines, an id
+    of 10**18 or more, or a line without exactly two tokens is tokenised
     line by line instead, which raises on the first malformed line.
 
     Raises
     ------
     EdgeListParseError
         On a malformed line or an id beyond int64 (names the 1-based line
-        number).
+        number), or if the kept edges hold more distinct ids than int32 can
+        number.
     EmptyGraphError
         If no edges survive normalization.
-    ValueError
-        If the kept edges hold more distinct ids than int32 can number.
     """
     # Per block, the int32 id of each endpoint in file order. The label
     # table assigns ids as blocks arrive, so only each block's new labels
@@ -464,8 +476,9 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
     if not parts:
         raise EmptyGraphError("edge list contains no usable edges")
     n, labels = table.n, np.concatenate(table.labels)
+    del table
     ids = np.concatenate(parts)
-    del table, parts
+    del parts
 
     # Deduplicate by sorting the key lo * n + hi.
     u, v = ids[0::2], ids[1::2]

@@ -328,8 +328,14 @@ def test_chunked_parser_matches_per_line_reference(monkeypatch, tmp_path, chunk)
             _assert_same_as_reference(load_edge_list(path), list(fh))
 
 
-# Ids of 18 and 19 digits among small ones.
-_IDS = st.one_of(st.integers(0, 40), st.sampled_from([10**17 + 7, 10**18 - 1, 10**18, 2**63 - 1]))
+# Ids of 18 and 19 digits among small ones, and ids below 10**18 zero-padded
+# to 19-25 digits.
+_PADDED = st.builds(lambda value, width: str(value).zfill(width), st.integers(0, 10**18 - 1), st.integers(19, 25))
+_IDS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.sampled_from([10**17 + 7, 10**18 - 1, 10**18, 2**63 - 1]).map(str),
+    _PADDED,
+)
 _NOISE = ["# comment 1 2", "  # indented comment", "\t# tab comment", "", "   ", "\t"]
 _MALFORMED = ["1 2 3", "4 x", "-1 2", "7"]
 
@@ -337,8 +343,9 @@ _MALFORMED = ["1 2 3", "4 x", "-1 2", "7"]
 @st.composite
 def _messy_lines(draw) -> list[str]:
     """Lines of a messy edge list: comments, blanks, tabs, '+' signs,
-    self-loops, duplicates, the odd malformed line or id beyond int64;
-    '\n' or '\r\n' endings and none on the last line."""
+    self-loops, duplicates, zero-padded ids, the odd malformed line or id
+    beyond int64; '\n' or '\r\n' endings and none on the last line, which at
+    times holds one token."""
     lines = []
     for _ in range(draw(st.integers(1, 40))):
         roll = draw(st.integers(0, 99))
@@ -347,13 +354,15 @@ def _messy_lines(draw) -> list[str]:
         elif roll < 13:
             body = draw(st.sampled_from(_MALFORMED))
         else:
-            a = 2**63 if roll < 15 else draw(_IDS)  # one past int64
+            a = str(2**63) if roll < 15 else draw(_IDS)  # one past int64
             b = a if 15 <= roll < 21 else draw(_IDS)
             lead = draw(st.sampled_from(["", " ", "\t"]))
             sign = draw(st.sampled_from(["", "", "", "+"]))
             sep = draw(st.sampled_from([" ", "\t", " \t "]))
             body = f"{lead}{sign}{a}{sep}{b}"
         lines.append(body + draw(st.sampled_from(["\n", "\r\n"])))
+    if draw(st.integers(0, 9)) == 0:
+        lines.append(draw(_IDS))  # a one-token tail
     lines[-1] = lines[-1].rstrip("\r\n")
     return lines
 
@@ -423,6 +432,24 @@ def test_node_count_beyond_int32_ids_is_refused(monkeypatch):
     assert parse_edge_list(io.StringIO("1 2\n3 4\n"))[0].n == 4
     with pytest.raises(ValueError, match="more than 4 distinct node ids"):
         parse_edge_list(io.StringIO("1 2\n3 4\n4 5\n"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1 2\n7\n3 4\n", "1 2\n3 4 5\n", "1 2\n3 4\n7", f"1 {10**18}\n", f"{2**63 - 1} 2\n", f"3 {2**70}\n"],
+    ids=["one-token line", "three-token line", "one-token tail", "1e18", "2**63-1", "2**70"],
+)
+def test_scan_block_leaves_to_the_per_line_tokeniser(text):
+    # 2**70 pins numpy's saturation of an overflowing token at 2**63 - 1,
+    # which the scan's value rule relies on.
+    assert graph_module._scan_block(text) is None
+
+
+def test_scan_block_reads_zero_padded_long_ids():
+    text = f"{'12'.zfill(22)} {'34'.zfill(25)}\n\n{str(10**18 - 1).zfill(19)} 5\n6 {'6'.zfill(20)}"
+    ends, loops, comments, lines = graph_module._scan_block(text)
+    assert ends.tolist() == [12, 34, 10**18 - 1, 5]
+    assert (loops, comments, lines) == (1, 0, 3)
 
 
 def test_scan_and_per_line_tokenisers_agree(monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import walksample.graph as graph_module
 from conftest import EXAMPLE_EDGES
 from walksample import ConvergenceError, WalkConfig, average_degree, cli, harness
 from walksample.cli import build_parser, main, parse_config_file, resolve_config
@@ -743,6 +744,14 @@ def test_cli_rerun_writes_identical_bytes(tmp_path, example_file):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_too_many_node_ids_is_malformed_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graph_module, "_MAX_NODES", 4)
+    edges = tmp_path / "edges.txt"
+    edges.write_text("1 2\n3 4\n4 5\n", encoding="utf-8")
+    assert main(["stats", "--dataset", str(edges)]) == 2
+    assert capsys.readouterr().err == "error: more than 4 distinct node ids\n"
 
 
 def test_cli_exit_codes(tmp_path, example_file, capsys, monkeypatch):
