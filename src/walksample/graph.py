@@ -195,25 +195,21 @@ def _blocks(stream: Iterable[str]) -> Iterator[str | list[str]]:
         yield text if text.count("\n") == len(batch) else batch
 
 
-def _block_lines(block: str | list[str]) -> list[str]:
-    """The lines of a block, as iterating the input gave them (minus '\n')."""
-    if isinstance(block, list):
-        return block
-    lines = block.split("\n")
-    if block.endswith("\n"):
-        lines.pop()
-    return lines
+def _tokenise_lines(block: str | list[str], first_lineno: int) -> tuple[np.ndarray, int, int, int]:
+    """Per-line tokeniser: ``_scan_block``'s result for any block of ``_blocks``.
 
-
-def _tokenise_lines(lines: list[str], first_lineno: int) -> tuple[np.ndarray, int, int]:
-    """Per-line tokeniser: kept-edge endpoints, self-loop and comment counts.
-
-    Endpoints come as one int64 array in file order (u, v, u, v, ...).
+    That is the kept-edge endpoints as one int64 array in file order (u, v,
+    u, v, ...), the self-loop and comment counts, and the line count: a
+    string block's count of '\n', or a list block's count of lines.
 
     Each non-comment, non-blank line must hold two tokens ``int()`` accepts,
     neither negative; a kept edge's ids must fit in int64. Errors name the
     line, counted from ``first_lineno``.
     """
+    if isinstance(block, str):
+        lines, count = block.split("\n"), block.count("\n")  # a final '\n' leaves a blank last item
+    else:
+        lines, count = block, len(block)
     ends: list[int] = []
     self_loops = 0
     comments = 0
@@ -245,7 +241,7 @@ def _tokenise_lines(lines: list[str], first_lineno: int) -> tuple[np.ndarray, in
             if label > _MAX_ID:
                 raise EdgeListParseError(f"line {lineno}: node id {label} exceeds {_MAX_ID}")
         ends += (a, b)
-    return np.array(ends, dtype=np.int64), self_loops, comments
+    return np.array(ends, dtype=np.int64), self_loops, comments, count
 
 
 def _drop_comments(data: bytes) -> tuple[bytes, int]:
@@ -268,8 +264,8 @@ def _drop_comments(data: bytes) -> tuple[bytes, int]:
 
 
 def _scan_block(text: str) -> tuple[np.ndarray, int, int, int] | None:
-    """The numpy tokeniser: ``_tokenise_lines``' result for one block and the
-    block's count of '\n', or None.
+    """The numpy tokeniser: ``_tokenise_lines``' result for one string block,
+    or None.
 
     Accepts only blocks whose data lines are two runs of ASCII digits
     separated by ASCII whitespace, each an id below 10**18; any other block
@@ -442,7 +438,8 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
     The input is tokenised in blocks of whole lines by numpy; a block that
     holds anything but ASCII digits and whitespace in its data lines, an id
     of 10**18 or more, or a line without exactly two tokens is tokenised
-    line by line instead, which raises on the first malformed line.
+    line by line instead, which raises on the first malformed line. Both
+    tokenisers return a block's endpoints, self-loop, comment and line counts.
 
     Raises
     ------
@@ -463,11 +460,8 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
     comments = 0
     lineno = 1
     for block in _blocks(stream):
-        scanned = _scan_block(block) if isinstance(block, str) else None
-        if scanned is None:
-            lines = _block_lines(block)
-            scanned = (*_tokenise_lines(lines, lineno), len(lines))
-        ends, block_loops, block_comments, block_lines = scanned
+        scanned = isinstance(block, str) and _scan_block(block)
+        ends, block_loops, block_comments, block_lines = scanned or _tokenise_lines(block, lineno)
         lineno += block_lines
         self_loops += block_loops
         comments += block_comments

@@ -124,7 +124,12 @@ class WalkConfig:
 
 @dataclass(frozen=True)
 class Trace:
-    """Ordered node visits of one walk, with its provenance."""
+    """Ordered node visits of one walk, with its provenance.
+
+    With a burn-in, ``nodes`` is a view of the walk's whole path, whose base
+    keeps the ``burn_in`` unrecorded nodes alive: ``burn_in + budget`` nodes
+    a walk, as the harness counts them when it cuts a sweep into batches.
+    """
 
     nodes: np.ndarray
     config: WalkConfig
@@ -302,36 +307,24 @@ def _draw_start(graph: Graph, config: WalkConfig, rng: np.random.Generator) -> i
 def run_walk(graph: Graph, config: WalkConfig) -> Trace:
     """Run one seeded walk; the trace has exactly ``budget`` nodes.
 
-    Burn-in steps (if any) are taken before the first recorded node and do
-    not count toward the budget. Identical (graph, config) always produce
-    the identical trace.
+    The walk records its whole path of ``burn_in + budget`` nodes: the start,
+    then the node after each step. Its trace is the path's tail after the
+    burn-in, so burn-in steps do not count toward the budget. Identical
+    (graph, config) always produce the identical trace.
     """
     if graph.n == 0:
         raise SamplerError("cannot walk an empty graph")
     advance = _stepper(graph, WalkLaw(graph, config))
     rng = make_rng(config.seed)
-    start = _draw_start(graph, config, rng)
-    budget = config.budget
-    burn_in = config.burn_in
-    out = np.empty(budget, dtype=np.int64)
-    v = start
-    total_steps = burn_in + budget - 1
-    recorded = 0
-    if burn_in == 0:
-        out[0] = v
-        recorded = 1
+    path = np.empty(config.burn_in + config.budget, dtype=np.int64)
+    path[0] = v = start = _draw_start(graph, config, rng)
     chunk = 1 << 15
-    done = 0
-    while done < total_steps:
-        k = min(chunk, total_steps - done)
+    for first in range(1, len(path), chunk):  # first: the index the chunk's first step fills
+        k = min(chunk, len(path) - first)
         buf = rng.random(2 * k).tolist()
-        for i in range(k):
-            v = advance(v, buf[2 * i], buf[2 * i + 1])
-            done += 1
-            if done >= burn_in:
-                out[recorded] = v
-                recorded += 1
-    return Trace(nodes=out, config=config, start=start)
+        for t, r_mode, r_pick in zip(range(first, first + k), buf[::2], buf[1::2]):
+            path[t] = v = advance(v, r_mode, r_pick)
+    return Trace(nodes=path[config.burn_in :], config=config, start=start)
 
 
 # Steps x walkers advanced per chunk of drawn variates (two per step), so a
@@ -343,15 +336,16 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
     """Run many seeded walks in lockstep; trace i equals ``run_walk(graph, configs[i])``.
 
     Every walker of the batch takes its step t in the same numpy operations,
-    whatever its law, budget, burn-in or start policy. The laws are
-    flattened: ``big``/``pad`` of law l are read at ``l * n + v``. Every
-    pick is a uniform index into a block of one pool array, which holds the
-    neighbor array, ``arange(n)`` (an escape to self enters it at v, a
-    block of size 1) and each law's targets. Each walker keeps its own
-    Philox stream, drawn in chunks; ``random(a)`` then ``random(b)`` yields
-    the numbers of one ``random(a + b)``, so the chunk size changes no
-    trace. The escape test and both picks are the scalar stepper's
-    comparisons, bit for bit.
+    whatever its law, budget, burn-in or start policy. Like ``run_walk``,
+    each walker records its whole path and returns the tail after its
+    burn-in. The laws are flattened: ``big``/``pad`` of law l are read at
+    ``l * n + v``. Every pick is a uniform index into a block of one pool
+    array, which holds the neighbor array, ``arange(n)`` (an escape to self
+    enters it at v, a block of size 1) and each law's targets. Each walker
+    keeps its own Philox stream, drawn in chunks; ``random(a)`` then
+    ``random(b)`` yields the numbers of one ``random(a + b)``, so the chunk
+    size changes no trace. The escape test and both picks are the scalar
+    stepper's comparisons, bit for bit.
     """
     if graph.n == 0:
         raise SamplerError("cannot walk an empty graph")
@@ -384,20 +378,17 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
 
     rngs = [make_rng(cfg.seed) for cfg in configs]
     starts = [_draw_start(graph, cfg, rng) for cfg, rng in zip(configs, rngs)]
-    outs = [np.empty(cfg.budget, dtype=np.int64) for cfg in configs]
-    for cfg, out, start in zip(configs, outs, starts):
-        if cfg.burn_in == 0:
-            out[0] = start
+    paths = [np.empty(cfg.burn_in + cfg.budget, dtype=np.int64) for cfg in configs]
+    for path, start in zip(paths, starts):
+        path[0] = start
     # Walkers sorted by steps to take, most first: those still walking at
     # any step are a prefix of this order.
-    steps = [cfg.burn_in + cfg.budget - 1 for cfg in configs]
-    order = sorted(range(len(configs)), key=lambda i: -steps[i])
-    totals = [steps[i] for i in order]
-    burn = [configs[i].burn_in for i in order]
+    order = sorted(range(len(configs)), key=lambda i: -len(paths[i]))
+    totals = [len(paths[i]) - 1 for i in order]
     law_of = np.array([laws[keys[i]] for i in order], dtype=np.int64)
     base, escape_size = law_of[:, 0] * n, law_of[:, 1]
     walker_rngs = [rngs[i] for i in order]
-    walker_outs = [outs[i] for i in order]
+    walker_paths = [paths[i] for i in order]
     v = np.array([starts[i] for i in order], dtype=np.int64)
 
     done, active = 0, len(order)
@@ -429,11 +420,9 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
             v = visits[r, :a]
             pool.take(np.add(first, j, out=j), out=v)
         for i in range(active):
-            lo, hi = max(burn[i], done + 1), min(totals[i], done + k)
-            if lo <= hi:
-                walker_outs[i][lo - burn[i] : hi - burn[i] + 1] = visits[lo - done - 1 : hi - done, i]
+            walker_paths[i][done + 1 : done + 1 + k] = visits[: totals[i] - done, i]
         done += k
-    return [Trace(nodes=out, config=cfg, start=start) for cfg, out, start in zip(configs, outs, starts)]
+    return [Trace(nodes=path[cfg.burn_in :], config=cfg, start=start) for cfg, path, start in zip(configs, paths, starts)]
 
 
 def stationary_closed_form(graph: Graph, config: WalkConfig) -> np.ndarray:

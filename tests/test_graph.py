@@ -452,6 +452,25 @@ def test_scan_block_reads_zero_padded_long_ids():
     assert (loops, comments, lines) == (1, 0, 3)
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        "1 2\n3 4\n",
+        "# header\n1 2\n\n  # indented comment\n3 3\n5\t6\n",
+        "1 2\r\n4 4\r\n\r\n#c\r\n7 8\r\n",
+        "1 2\n3 4\n5 6",
+        "\n\n# only a comment\n",
+        "9 9",
+    ],
+    ids=["plain", "comments-blanks-loops", "crlf", "no-final-newline", "no-edges", "lone-loop"],
+)
+def test_both_tokenisers_return_one_shape(block):
+    scanned, per_line = graph_module._scan_block(block), graph_module._tokenise_lines(block, 1)
+    assert scanned is not None and len(scanned) == len(per_line) == 4
+    assert np.array_equal(scanned[0], per_line[0]) and scanned[0].dtype == per_line[0].dtype
+    assert scanned[1:] == per_line[1:]
+
+
 def test_scan_and_per_line_tokenisers_agree(monkeypatch):
     rng = np.random.default_rng(5)
     text = "".join(_random_edge_lines(rng, 2000))

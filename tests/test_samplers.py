@@ -252,10 +252,15 @@ def test_different_seeds_give_different_walks(example_graph):
 
 
 def test_burn_in_drops_a_prefix(example_graph):
-    for kind, kw in ALL_KINDS:
+    # Both engines: the trace is the tail of the burn-in-0 walk of
+    # burn_in + budget nodes, from the same start.
+    configs = [config(kind, budget=40, seed=9, burn_in=20, **kw) for kind, kw in ALL_KINDS]
+    lockstep = run_walks(example_graph, configs)
+    for (kind, kw), cfg, batched in zip(ALL_KINDS, configs, lockstep):
         full = run_walk(example_graph, config(kind, budget=60, seed=9, **kw))
-        burned = run_walk(example_graph, config(kind, budget=40, seed=9, burn_in=20, **kw))
-        assert np.array_equal(burned.nodes, full.nodes[20:])
+        for burned in (run_walk(example_graph, cfg), batched):
+            assert np.array_equal(burned.nodes, full.nodes[20:])
+            assert burned.start == full.start
 
 
 def test_budget_one(example_graph):
