@@ -169,51 +169,48 @@ def build_graph(
 _CHUNK_CHARS = 1 << 18
 
 
-def _blocks(stream: Iterable[str]) -> Iterator[str | list[str]]:
+def _blocks(stream: Iterable[str]) -> Iterator[str]:
     """Split the input into blocks of whole lines, about ``_CHUNK_CHARS`` each.
 
-    A block is either a string whose lines end at '\n' (the last line of the
-    input may lack it) or, for a plain iterable whose lines hold a '\n'
-    before their end, the list of those lines. A stream with ``read`` is read
-    in blocks and split at '\n', as iterating a text stream splits it.
+    A block is a string whose lines end at '\n' (the last line of the input
+    may lack it). A stream with ``read`` is read in blocks and split at '\n',
+    as iterating a text stream splits it. Any other iterable is read as one
+    line per item: its final '\n' is dropped and any other '\n' becomes a
+    space, which the tokenisers treat alike inside a line.
     """
     read = getattr(stream, "read", None)
-    if read is not None:
-        carry = ""
-        while chunk := read(_CHUNK_CHARS):
-            chunk = carry + chunk
-            cut = chunk.rfind("\n") + 1
-            carry = chunk[cut:]
-            if cut:
-                yield chunk[:cut]
-        if carry:
-            yield carry
-        return
-    lines = iter(stream)
-    while batch := list(islice(lines, _CHUNK_CHARS // 16 or 1)):  # ~16 characters a line
-        text = "\n".join(line.removesuffix("\n") for line in batch) + "\n"
-        yield text if text.count("\n") == len(batch) else batch
+    if read is None:
+        items = iter(stream)
+
+        def read(size: int) -> str:  # ~16 characters a line
+            return "".join(item.removesuffix("\n").replace("\n", " ") + "\n" for item in islice(items, size // 16 or 1))
+
+    carry = ""
+    while chunk := read(_CHUNK_CHARS):
+        chunk = carry + chunk
+        cut = chunk.rfind("\n") + 1
+        carry = chunk[cut:]
+        if cut:
+            yield chunk[:cut]
+    if carry:
+        yield carry
 
 
-def _tokenise_lines(block: str | list[str], first_lineno: int) -> tuple[np.ndarray, int, int, int]:
+def _tokenise_lines(block: str, first_lineno: int) -> tuple[np.ndarray, int, int, int]:
     """Per-line tokeniser: ``_scan_block``'s result for any block of ``_blocks``.
 
     That is the kept-edge endpoints as one int64 array in file order (u, v,
-    u, v, ...), the self-loop and comment counts, and the line count: a
-    string block's count of '\n', or a list block's count of lines.
+    u, v, ...), the self-loop and comment counts, and the line count: the
+    block's count of '\n'.
 
     Each non-comment, non-blank line must hold two tokens ``int()`` accepts,
     neither negative; a kept edge's ids must fit in int64. Errors name the
     line, counted from ``first_lineno``.
     """
-    if isinstance(block, str):
-        lines, count = block.split("\n"), block.count("\n")  # a final '\n' leaves a blank last item
-    else:
-        lines, count = block, len(block)
     ends: list[int] = []
     self_loops = 0
     comments = 0
-    for lineno, raw in enumerate(lines, first_lineno):
+    for lineno, raw in enumerate(block.split("\n"), first_lineno):  # a final '\n' leaves a blank last item
         line = raw.strip()
         if not line:
             continue
@@ -241,7 +238,7 @@ def _tokenise_lines(block: str | list[str], first_lineno: int) -> tuple[np.ndarr
             if label > _MAX_ID:
                 raise EdgeListParseError(f"line {lineno}: node id {label} exceeds {_MAX_ID}")
         ends += (a, b)
-    return np.array(ends, dtype=np.int64), self_loops, comments, count
+    return np.array(ends, dtype=np.int64), self_loops, comments, block.count("\n")
 
 
 def _drop_comments(data: bytes) -> tuple[bytes, int]:
@@ -460,8 +457,7 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
     comments = 0
     lineno = 1
     for block in _blocks(stream):
-        scanned = isinstance(block, str) and _scan_block(block)
-        ends, block_loops, block_comments, block_lines = scanned or _tokenise_lines(block, lineno)
+        ends, block_loops, block_comments, block_lines = _scan_block(block) or _tokenise_lines(block, lineno)
         lineno += block_lines
         self_loops += block_loops
         comments += block_comments

@@ -21,7 +21,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields
-from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -111,12 +110,17 @@ class ExperimentConfig:
             raise UsageError(f"unknown weights mode {self.weight_mode!r}")
         if self.burn_in < 0:
             raise UsageError("burn-in must be >= 0")
+        for name, values in (("budget", self.budgets), ("c", self.c_values), ("burn-in", (self.burn_in,))):
+            if any(v >= 1 << 63 for v in values):
+                raise UsageError(f"{name} must be < 2^63")
         if self.parallel < 0:
             raise UsageError("parallel must be >= 0")
         if not 0 <= self.base_seed < 1 << 64:
             raise UsageError("seed must lie in [0, 2^64)")
-        if self.alpha is not None and not 0 <= self.alpha < math.inf:
-            raise UsageError("alpha must be finite and >= 0")
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", float(self.alpha))
+            if not 0 <= self.alpha < math.inf:
+                raise UsageError("alpha must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -167,16 +171,16 @@ def estimation_weights(graph: Graph, config: WalkConfig, mode: str) -> np.ndarra
 _BATCH_STEPS = 1 << 20
 
 
-def _even_slices(walks: Sequence[WalkConfig], parts: int) -> list[list[WalkConfig]]:
-    """At most ``parts`` contiguous, non-empty slices of about equal walk steps.
+def _even_slices(walks: Sequence[WalkConfig], parts: int) -> list[range]:
+    """At most ``parts`` contiguous, non-empty ranges of ``walks``' indices, of about equal walk steps.
 
-    A walk joins the slice its middle step (burn-in plus budget) falls in, so
-    each slice is within one walk of an equal share.
+    A walk joins the range its middle step (burn-in plus budget) falls in, so
+    each range is within one walk of an equal share.
     """
     steps = np.array([w.burn_in + w.budget for w in walks])
     middles = (np.cumsum(steps) - steps / 2) * parts / steps.sum()
     bounds = np.searchsorted(middles, np.arange(parts + 1))
-    return [walks[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 _SWEEP: tuple = ()  # set in each pool worker
@@ -187,41 +191,58 @@ def _worker_init(*sweep) -> None:
     _SWEEP = sweep
 
 
-def _walk_slice(walks: list[WalkConfig], sweep: tuple = ()) -> list[tuple]:
-    """(kl, unique nodes, wall millis or None) for each walk of one slice.
+def _walk_slice(span: range, sweep: tuple = ()) -> list[ReportRow]:
+    """The report row of each walk in ``span``, a range of the sweep's walk list.
 
-    ``sweep`` is (graph, truth, weights by group, timing); a pool worker
-    reads the one its initializer received. The slice runs as one lockstep
-    batch. Under timing a walk's millis are its share of the slice's walk
-    time, in proportion to its burn-in plus budget, plus the time spent
-    scoring its own trace.
+    ``sweep`` is (config, graph, walks, truth, weights by group); a pool
+    worker reads the one its initializer received. The slice runs as one
+    lockstep batch. Walk i is repetition i mod R of its group, as
+    ``_make_tasks`` lays out each group's R walks in a row. Under timing a
+    walk's millis are its share of the slice's walk time, in proportion to
+    its burn-in plus budget, plus the time spent scoring its own trace.
     """
-    graph, truth, weights, timing = sweep or _SWEEP
+    config, graph, walks, truth, weights = sweep or _SWEEP
+    walks = walks[span.start : span.stop]
+    dataset = Path(config.dataset_path).stem
     t0 = time.perf_counter()
     traces = run_walks(graph, walks)
     walk_s_per_step = (time.perf_counter() - t0) / sum(w.burn_in + w.budget for w in walks)
-    scores = []
-    for walk, trace in zip(walks, traces):
+    rows = []
+    for index, walk, trace in zip(span, walks, traces):
         t0 = time.perf_counter()
         estimate = degree_distribution_estimate(trace, weights[walk.kind, walk.c, walk.alpha], graph)
         kl = kl_divergence(truth, estimate)
         unique = unique_count(trace)
         walk_s = walk_s_per_step * (walk.burn_in + walk.budget)
-        millis = (walk_s + time.perf_counter() - t0) * 1000.0 if timing else None
-        scores.append((kl, unique, millis))
-    return scores
+        millis = (walk_s + time.perf_counter() - t0) * 1000.0 if config.timing else None
+        rows.append(
+            ReportRow(
+                dataset=dataset,
+                sampler=walk.kind.value,
+                c=walk.c,
+                alpha=walk.alpha,
+                budget=walk.budget,
+                repetition=index % config.repetitions,
+                seed=walk.seed,
+                kl=kl,
+                log10_kl=math.log10(kl) if kl > 0 else None,
+                unique_nodes=unique,
+                wall_millis=millis,
+            )
+        )
+    return rows
 
 
 def _run_tasks(config: ExperimentConfig, graph: Graph, groups: Sequence[tuple]) -> list[ReportRow]:
     """Run R repetitions of every (sampler, c, alpha, budget) group; one row
     per walk, in walk order.
 
-    The truth and each group's weights are computed once, here; the walks
-    are then cut once into slices of about equal walk steps, which this
-    process or a process pool walks. Pool workers receive the graph and
-    weights through the initializer; under the fork start method they
-    inherit them without copying. ``parallel`` 0 means one worker per CPU
-    in this process's affinity set.
+    The truth and each group's weights are computed once, here; the walk
+    list is then cut once into ranges of about equal walk steps, and this
+    process or a process pool maps ``_walk_slice`` over them. Pool workers
+    receive the config, graph, walks and weights through the initializer;
+    under the fork start method they inherit them without copying.
+    ``parallel`` 0 means one worker per CPU in this process's affinity set.
     """
     walks = _make_tasks(config, groups)
     truth = true_degree_distribution(graph)
@@ -230,7 +251,7 @@ def _run_tasks(config: ExperimentConfig, graph: Graph, groups: Sequence[tuple]) 
         group = (walk.kind, walk.c, walk.alpha)
         if group not in weights:
             weights[group] = estimation_weights(graph, walk, config.weight_mode)
-    sweep = (graph, truth, weights, config.timing)
+    sweep = (config, graph, walks, truth, weights)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = config.parallel or cpus
@@ -244,27 +265,8 @@ def _run_tasks(config: ExperimentConfig, graph: Graph, groups: Sequence[tuple]) 
         ) as pool:
             parts = list(pool.map(_walk_slice, slices))
     else:
-        parts = [_walk_slice(part, sweep) for part in slices]
-
-    name = Path(config.dataset_path).stem
-    reps = product(groups, range(config.repetitions))
-    scores = (score for part in parts for score in part)
-    return [
-        ReportRow(
-            dataset=name,
-            sampler=sampler,
-            c=c,
-            alpha=alpha,
-            budget=budget,
-            repetition=rep,
-            seed=walk.seed,
-            kl=kl,
-            log10_kl=math.log10(kl) if kl > 0 else None,
-            unique_nodes=unique,
-            wall_millis=millis,
-        )
-        for ((sampler, c, alpha, budget), rep), walk, (kl, unique, millis) in zip(reps, walks, scores)
-    ]
+        parts = [_walk_slice(span, sweep) for span in slices]
+    return [row for part in parts for row in part]
 
 
 def _mean(values: list) -> Optional[float]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import walksample.graph as graph_module
 from conftest import EXAMPLE_EDGES
-from walksample import ConvergenceError, WalkConfig, average_degree, cli, harness
+from walksample import ConvergenceError, WalkConfig, average_degree, cli, derive_seed, harness
 from walksample.cli import build_parser, main, parse_config_file, resolve_config
 from walksample.harness import (
     CSV_HEADER,
@@ -318,7 +319,7 @@ def test_even_slices_are_contiguous_and_balanced(example_file):
     tasks = _make_tasks(cfg, [(kind, c, alpha, budget) for kind, c, alpha in groups for budget in (10, 300)])
     steps = [t.burn_in + t.budget for t in tasks]
     for parts in range(1, 8):
-        slices = _even_slices(tasks, parts)
+        slices = [tasks[span.start : span.stop] for span in _even_slices(tasks, parts)]
         assert len(slices) == parts
         assert all(slices)
         assert [t for part in slices for t in part] == tasks  # contiguous, in order
@@ -334,7 +335,7 @@ def test_even_slices_are_contiguous_and_balanced(example_file):
 def test_even_slices_property(walks, parts):
     configs = [WalkConfig(kind="srw", budget=budget, burn_in=burn_in) for budget, burn_in in walks]
     steps = [budget + burn_in for budget, burn_in in walks]
-    slices = _even_slices(configs, parts)
+    slices = [configs[span.start : span.stop] for span in _even_slices(configs, parts)]
     assert 1 <= len(slices) <= parts
     assert all(slices)
     assert [w for part in slices for w in part] == configs  # contiguous, in order
@@ -355,6 +356,49 @@ def test_sweep_cut_into_many_slices_matches_one_batch(example_file, monkeypatch)
     monkeypatch.setattr(harness, "_BATCH_STEPS", 64)
     for parallel in (1, 2):
         assert cmd_sweep_budget(example_config(example_file, parallel=parallel, **base)) == want
+
+
+def test_slices_cut_inside_a_group_keep_each_walks_repetition_and_seed(example_file, monkeypatch):
+    cfg = example_config(
+        example_file,
+        samplers=("srw", "wjrw"),
+        budgets=(20, 50),
+        repetitions=3,
+        base_seed=5,
+        c_values=(3,),
+        output_format="json",
+        parallel=1,
+    )
+    want = cmd_sweep_budget(cfg)
+    # One walk per slice, so most slices start inside a group of R walks.
+    monkeypatch.setattr(harness, "_BATCH_STEPS", 1)
+    got = cmd_sweep_budget(cfg)
+    groups: dict = {}
+    for row in json.loads(got)["rows"]:
+        if row["repetition"] != "mean":
+            groups.setdefault((row["sampler"], row["budget"]), []).append(row)
+    assert len(groups) == 4
+    for rows in groups.values():
+        assert [row["repetition"] for row in rows] == [0, 1, 2]
+        assert [row["seed"] for row in rows] == [derive_seed(5, rep) for rep in range(3)]
+    assert got == want
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_under_a_pickling_start_method_equals_sequential_bytes(example_file, monkeypatch, method):
+    # Unlike fork, these start methods pickle the initializer's arguments.
+    pools, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    def pool_with_context(*args, **kwargs):
+        pools.append(method)
+        return pool(*args, mp_context=multiprocessing.get_context(method), **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool_with_context)
+    base = dict(samplers=("srw", "rwe", "gmd", "wjrw"), budgets=(40, 90), repetitions=3, c_values=(3,), burn_in=2)
+    for fmt in OUTPUT_FORMATS:
+        want = cmd_sweep_budget(example_config(example_file, parallel=1, output_format=fmt, **base))
+        assert cmd_sweep_budget(example_config(example_file, parallel=2, output_format=fmt, **base)) == want
+    assert pools == [method, method]
 
 
 def test_weights_are_computed_once_per_group_under_a_pool(example_file, monkeypatch):
@@ -810,6 +854,17 @@ def test_cli_exit_codes(tmp_path, example_file, capsys, monkeypatch):
         assert capsys.readouterr().err == "error: " + message
     assert main(run_srw + ["--parallel", "-1"]) == 2
     assert "parallel must be >= 0" in capsys.readouterr().err
+    # a --c, --budget or --burn-in of 2^63 or more -> 2, not an overflow or allocation error
+    huge = str(2**63)
+    for argv, message in (
+        (["run", "--sampler", "wjrw", "--c", huge, "--budget", "3", "--reps", "1"], "c must be < 2^63"),
+        (["sweep-c", "--sampler", "gmd", "--c", huge, "--budget", "3", "--reps", "1"], "c must be < 2^63"),
+        (["analyze", "--sampler", "gmd", "--c", huge], "c must be < 2^63"),
+        (["run", "--sampler", "srw", "--budget", huge, "--reps", "1"], "budget must be < 2^63"),
+        (["run", "--sampler", "srw", "--budget", "3", "--burn-in", huge, "--reps", "1"], "burn-in must be < 2^63"),
+    ):
+        assert main(argv + ["--dataset", str(example_file)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     # sweep-budget without a sampler or without a budget -> 2
     sweep_bare = ["sweep-budget", "--dataset", str(example_file)]
     assert main(sweep_bare + ["--budget", "10"]) == 2
