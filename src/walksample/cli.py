@@ -42,62 +42,56 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"expected a boolean, got {text!r}")
 
 
-# Config key (a flag's name without dashes) -> ExperimentConfig field and the
-# converter of one file value. "dataset" comes first, so a missing dataset is
-# reported before any malformed value. The keys of repeatable flags
-# (``_LIST_KEYS``) accumulate over file lines; for the others the last line
-# wins.
-_KEYS = {
-    "dataset": ("dataset_path", str),
-    "sampler": ("samplers", str),
-    "budget": ("budgets", int),
-    "c": ("c_values", int),
-    "c-frac": ("c_fractions", float),
-    "alpha": ("alpha", float),
-    "reps": ("repetitions", int),
-    "seed": ("base_seed", int),
-    "weights": ("weight_mode", str),
-    "out": ("output_path", str),
-    "format": ("output_format", str),
-    "parallel": ("parallel", int),
-    "burn-in": ("burn_in", int),
-    "timing": ("timing", _parse_bool),
-}
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
-# Flag -> add_argument keywords, in --help order; the dest is the key with
-# "-" as "_".
+# Flag (also its config key) -> the ExperimentConfig field it sets (None for
+# --config) and its add_argument keywords, in --help order; the dest is the
+# flag with "-" as "_". A file value is read by the flag's type (str without
+# one, ``_parse_bool`` for the switch). Fields resolve in this order, so a
+# missing dataset is reported before any malformed value. Repeatable flags
+# (``_LIST_KEYS``) accumulate over file lines; otherwise the last line wins.
 _FLAGS = {
-    "dataset": dict(help="edge-list file (whitespace separated node pairs)"),
-    "config": dict(help="flat key=value config file; flags override it"),
-    "out": dict(help="output file (default: stdout)"),
-    "sampler": dict(action="append", choices=SAMPLER_ORDER, help="repeatable"),
-    "budget": dict(action="append", type=int, help="trace length; repeatable"),
-    "c": dict(action="append", type=int, help="padding threshold; repeatable"),
-    "c-frac": dict(
-        action="append", type=float, help="threshold as a fraction of the maximum degree; repeatable"
+    "dataset": ("dataset_path", dict(help="edge-list file (whitespace separated node pairs)")),
+    "config": (None, dict(help="flat key=value config file; flags override it")),
+    "out": ("output_path", dict(help="output file (default: stdout)")),
+    "sampler": ("samplers", dict(action="append", choices=SAMPLER_ORDER, help="repeatable")),
+    "budget": ("budgets", dict(action="append", type=int, help="trace length; repeatable")),
+    "c": ("c_values", dict(action="append", type=int, help="padding threshold; repeatable")),
+    "c-frac": (
+        "c_fractions",
+        dict(action="append", type=float, help="threshold as a fraction of the maximum degree; repeatable"),
     ),
-    "alpha": dict(type=float, help="uniform-jump weight for rwe (default: mean degree)"),
-    "reps": dict(type=int, help=f"repetitions per configuration (default {_DEFAULTS['repetitions']})"),
-    "seed": dict(type=int, help=f"base seed for derived per-repetition seeds (default {_DEFAULTS['base_seed']})"),
-    "weights": dict(
-        choices=WEIGHT_MODES,
-        help="estimation weights: closed-form stationary (paper) or exact stationary (oracle)",
+    "alpha": ("alpha", dict(type=float, help="uniform-jump weight for rwe (default: mean degree)")),
+    "reps": ("repetitions", dict(type=int, help=f"repetitions per configuration (default {_DEFAULTS['repetitions']})")),
+    "seed": (
+        "base_seed",
+        dict(type=int, help=f"base seed for derived per-repetition seeds (default {_DEFAULTS['base_seed']})"),
     ),
-    "format": dict(choices=OUTPUT_FORMATS, help=f"output format (default {_DEFAULTS['output_format']})"),
-    "parallel": dict(type=int, help="worker processes (default: one per usable CPU)"),
-    "burn-in": dict(type=int, help="unrecorded steps before the first sample"),
-    "timing": dict(
-        action="store_true",
-        default=None,
-        help=(
-            "fill wall_millis (makes output non-reproducible): each repetition's share of its "
-            "slice's walk time, by burn-in plus budget, plus its own scoring time"
+    "weights": (
+        "weight_mode",
+        dict(
+            choices=WEIGHT_MODES,
+            help="estimation weights: closed-form stationary (paper) or exact stationary (oracle)",
+        ),
+    ),
+    "format": (
+        "output_format",
+        dict(choices=OUTPUT_FORMATS, help=f"output format (default {_DEFAULTS['output_format']})"),
+    ),
+    "parallel": ("parallel", dict(type=int, help="worker processes (default: one per usable CPU)")),
+    "burn-in": ("burn_in", dict(type=int, help="unrecorded steps before the first sample")),
+    "timing": (
+        "timing",
+        dict(
+            action="store_true",
+            default=None,
+            help="fill wall_millis (makes output non-reproducible): each repetition's share of its slice's walk "
+            "time, by burn-in plus budget, plus its own scoring time",
         ),
     ),
 }
 _COMMON_FLAGS = ("dataset", "config", "out")
-_LIST_KEYS = tuple(flag for flag, kw in _FLAGS.items() if kw.get("action") == "append")
+_LIST_KEYS = tuple(flag for flag, (_, kw) in _FLAGS.items() if kw.get("action") == "append")
 
 # Subcommand -> handler, help and the flags it takes. analyze walks nothing:
 # its --seed and --format are accepted and ignored, so that one argument list
@@ -134,7 +128,7 @@ def parse_config_file(path: str) -> dict[str, list[str]]:
         val = val.strip()
         if key in _LIST_KEYS:
             values.setdefault(key, []).extend(p.strip() for p in val.split(",") if p.strip())
-        elif key in _KEYS:
+        elif key in _FLAGS and _FLAGS[key][0]:
             values[key] = [val]
         else:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
@@ -150,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for flag in flags:
-            p.add_argument(f"--{flag}", **_FLAGS[flag])
+            p.add_argument(f"--{flag}", **_FLAGS[flag][1])
     return parser
 
 
@@ -166,12 +160,15 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if any(getattr(args, dest, None) is not None for dest in ("c", "c_frac")):
         file_vals = {key: raw for key, raw in file_vals.items() if key not in ("c", "c-frac")}
     given = {}
-    for key, (field, convert) in _KEYS.items():
+    for key, (field, kw) in _FLAGS.items():
+        if field is None:
+            continue
         flag = getattr(args, key.replace("-", "_"), None)  # None: not given, or not a flag of this command
         if flag is not None:
             given[field] = tuple(flag) if key in _LIST_KEYS else flag
         elif key in file_vals:
             raw = file_vals[key]
+            convert = _parse_bool if kw.get("action") == "store_true" else kw.get("type", str)
             try:
                 given[field] = tuple(map(convert, raw)) if key in _LIST_KEYS else convert(raw[-1])
             except ValueError as exc:

@@ -175,12 +175,13 @@ def _even_slices(walks: Sequence[WalkConfig], parts: int) -> list[range]:
     """At most ``parts`` contiguous, non-empty ranges of ``walks``' indices, of about equal walk steps.
 
     A walk joins the range its middle step (burn-in plus budget) falls in, so
-    each range is within one walk of an equal share.
+    each range is within one walk of an equal share, and no range is empty:
+    there are never more ranges than walks, however large ``parts`` is.
     """
     steps = np.array([w.burn_in + w.budget for w in walks])
     middles = (np.cumsum(steps) - steps / 2) * parts / steps.sum()
-    bounds = np.searchsorted(middles, np.arange(parts + 1))
-    return [range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    bounds = [0, *(np.flatnonzero(np.diff(np.floor(middles))) + 1), len(walks)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 _SWEEP: tuple = ()  # set in each pool worker

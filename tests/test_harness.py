@@ -343,6 +343,12 @@ def test_even_slices_property(walks, parts):
         assert abs(sum(w.burn_in + w.budget for w in part) - sum(steps) / parts) <= max(steps)
 
 
+def test_even_slices_never_cut_more_ranges_than_walks():
+    # the ranges come from the walks, so a huge part count allocates nothing of its size
+    walks = [WalkConfig(kind="srw", budget=5)] * 3
+    assert _even_slices(walks, 1 << 62) == [range(0, 1), range(1, 2), range(2, 3)]
+
+
 def test_sweep_cut_into_many_slices_matches_one_batch(example_file, monkeypatch):
     base = dict(
         samplers=("srw", "rwe", "md", "gmd", "wjrw"),
@@ -591,6 +597,10 @@ def test_parse_config_file_rejects_unknown_key(tmp_path):
     cfg.write_text("sampler = srw\nbogus = 1\n", encoding="utf-8")
     with pytest.raises(UsageError, match=r"bad\.cfg:2: unknown key"):
         parse_config_file(str(cfg))
+    # --config is a flag but not a config key: a file cannot name another file
+    cfg.write_text("sampler = srw\nconfig = other.cfg\n", encoding="utf-8")
+    with pytest.raises(UsageError, match=r"bad\.cfg:2: unknown key 'config'"):
+        parse_config_file(str(cfg))
     cfg.write_text("no equals sign\n", encoding="utf-8")
     with pytest.raises(UsageError, match="key = value"):
         parse_config_file(str(cfg))
@@ -660,7 +670,7 @@ def _flags_by_command() -> dict[str, set[str]]:
 
 def test_config_keys_are_the_parser_flags(tmp_path):
     flags = _flags_by_command()
-    every_flag = {"config", *cli._KEYS}
+    every_flag = {"config", *cli._FLAGS}
     assert set().union(*flags.values()) == every_flag
     for command in ("run", "sweep-budget", "sweep-c"):
         assert flags[command] == every_flag
@@ -745,7 +755,7 @@ def test_resolved_config_is_flag_else_file_else_default(tmp_path, data, command)
 
     if {"c", "c-frac"} & by_flag.keys():  # one setting: a flag for either drops the file's both
         by_file = {key: value for key, value in by_file.items() if key not in ("c", "c-frac")}
-    fields = {key: field for key, (field, _) in cli._KEYS.items()}
+    fields = {key: field for key, (field, _) in cli._FLAGS.items()}
     expected = {fields[key]: value for key, value in {**by_file, **by_flag}.items()}
     args = build_parser().parse_args(argv + ["--config", str(cfg)])
     if "dataset_path" not in expected:
@@ -854,6 +864,11 @@ def test_cli_exit_codes(tmp_path, example_file, capsys, monkeypatch):
         assert capsys.readouterr().err == "error: " + message
     assert main(run_srw + ["--parallel", "-1"]) == 2
     assert "parallel must be >= 0" in capsys.readouterr().err
+    # a --parallel far above the slice count starts one worker per slice: exit 0, same rows
+    assert main(run_srw + ["--reps", "2", "--parallel", "1"]) == 0
+    sequential = capsys.readouterr()
+    assert main(run_srw + ["--reps", "2", "--parallel", str(2**62)]) == 0
+    assert capsys.readouterr() == sequential
     # a --c, --budget or --burn-in of 2^63 or more -> 2, not an overflow or allocation error
     huge = str(2**63)
     for argv, message in (

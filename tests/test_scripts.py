@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,16 @@ def test_ingest_speed_runs_on_a_small_benchmark_file(tmp_path, capsys, monkeypat
     assert f"n={written.n} m={written.m}" in out
     assert "peak RSS of the numpy runs:" in out
     assert "| per-line tokeniser, every block |" in out
+
+
+def test_readme_quickstart_runs(capsys):
+    # The README's one Python block, run as written: it prints the KL of its
+    # estimate and the signed second-largest eigenvalue of its walk.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    kl_line, eig_line = capsys.readouterr().out.splitlines()
+    label, kl = kl_line.split(": ")
+    assert label == "KL(true || estimate)" and 0 <= float(kl) < 0.01
+    label, eig = eig_line.split(": ")
+    assert label == "signed second-largest eigenvalue" and -1 < float(eig) < 1
