@@ -5,9 +5,13 @@ tokenises each block of whole lines) and with the numpy scan switched off, so
 that every block goes through the per-line tokeniser, the path any block the
 scan rejects takes. Prints the median parse speed and the median set-up time
 (load, largest connected component, true degree distribution) of
-``--repeats`` runs, and the process's peak RSS (``ru_maxrss``) after the
-numpy runs, read before the per-line runs can raise it; and checks that both
-give identical graphs and ingest reports.
+``--repeats`` runs, and checks that both give identical graphs and ingest
+reports. Peak RSS is that of one load plus largest component in a fresh
+child process (``os.wait4``), beside the peak of a child that only imports
+the package: a process's own ``ru_maxrss`` after repeated runs also holds
+what earlier runs left in its heap. A child's peak includes that of the
+process it was started from, so both children start before any run, while
+this process holds only its imports; the second one reads that floor.
 
     python3 perfbench/graphgen.py 20000 800 pa.txt
     PYTHONPATH=src taskset -c 0 python3 scripts/ingest_speed.py pa.txt
@@ -17,15 +21,20 @@ from __future__ import annotations
 
 import argparse
 import os
-import resource
 import statistics
+import subprocess
+import sys
 import time
 from unittest import mock
 
 import numpy as np
 
+import walksample
 from walksample import graph as graph_module
 from walksample import largest_connected_component, load_edge_list, true_degree_distribution
+
+_IMPORTS = "import numpy, walksample"
+_LOAD_AND_LCC = _IMPORTS + "; walksample.largest_connected_component(walksample.load_edge_list({path!r})[0])"
 
 
 def timed(fn, repeats: int):
@@ -48,14 +57,28 @@ def measure(path: str, repeats: int):
     return parse_s, setup_s, graph, report
 
 
+def child_peak_mb(code: str) -> float:
+    """Peak RSS in MB of a fresh Python process that runs ``code``, this
+    process's copy of walksample first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(walksample.__file__)), env.get("PYTHONPATH")]))
+    with subprocess.Popen([sys.executable, "-c", code], env=env) as proc:
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise SystemExit(f"the child process failed: {code}")
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dataset")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     mb = os.path.getsize(args.dataset) / 1e6
+    peak_mb = child_peak_mb(_LOAD_AND_LCC.format(path=os.path.abspath(args.dataset)))
+    imports_mb = child_peak_mb(_IMPORTS)
     rows = {"numpy blocks": measure(args.dataset, args.repeats)}
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     with mock.patch.object(graph_module, "_scan_block", lambda block: None):
         rows["per-line tokeniser, every block"] = measure(args.dataset, args.repeats)
     (_, _, want, want_report), (_, _, got, got_report) = rows.values()
@@ -63,7 +86,7 @@ def main(argv: list[str] | None = None) -> None:
     if got_report != want_report or not all(np.array_equal(getattr(got, f), getattr(want, f)) for f in fields):
         raise SystemExit("the per-line path gives a different graph")
     print(f"{args.dataset}: {mb:.2f} MB, n={want.n} m={want.m}; median of {args.repeats}")
-    print(f"peak RSS of the numpy runs: {peak_mb:.1f} MB\n")
+    print(f"peak RSS of one load + LCC in a fresh process: {peak_mb:.1f} MB (imports alone: {imports_mb:.1f} MB)\n")
     print("| tokeniser | parse MB/s | parse s | set-up s (load, LCC, truth) |")
     print("|---|---|---|---|")
     for label, (parse_s, setup_s, _, _) in rows.items():

@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walksample.graph as graph_module
-from conftest import EXAMPLE_EDGES, make_graph, random_connected_graph
+from conftest import EXAMPLE_EDGES, make_graph, preferential_graph, random_connected_graph
 from walksample import (
     EdgeListParseError,
     EmptyGraphError,
@@ -567,6 +568,101 @@ def test_build_graph_orders_rows_like_lexsort():
             assert got.dtype == arr.dtype and np.array_equal(got, arr), name
 
 
+def _reference_sort_build(u, v, n, labels):
+    """``build_graph`` as it was before the arcs shared one buffer: both
+    orientations concatenated, one sort of the key ``src * n + dst``."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    src = np.concatenate([u, v])
+    keys = src * np.int64(n)
+    keys[: len(u)] += v
+    keys[len(u) :] += u
+    keys.sort()
+    indices = keys % n if n else keys
+    degrees = np.bincount(src, minlength=n).astype(np.int64)
+    indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+    return indptr, indices, degrees, np.asarray(labels, dtype=np.int64)
+
+
+@st.composite
+def _edge_sets(draw):
+    """(u, v, n): a random set of distinct edges on n nodes, each in a random
+    orientation and order, as a list, an int64 array or strided int32 views."""
+    n = draw(st.integers(0, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    iu, iv = np.triu_indices(n, k=1)
+    pick = rng.permutation(len(iu))[: draw(st.integers(0, len(iu)))]
+    u, v = iu[pick], iv[pick]
+    flip = rng.random(len(u)) < 0.5
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    form = draw(st.sampled_from(["list", "int64", "int32 view"]))
+    if form == "list":
+        return u.tolist(), v.tolist(), n
+    if form == "int32 view":
+        both = np.stack([u, v], axis=1).astype(np.int32)
+        return both[:, 0], both[:, 1], n
+    return u.astype(np.int64), v.astype(np.int64), n
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(edges=_edge_sets())
+@example(edges=([], [], 0))
+@example(edges=([], [], 3))
+@example(edges=([4], [1], 6))
+@example(edges=(np.array([0]), np.array([1]), 2))
+def test_build_graph_equals_the_concatenate_and_sort_construction(edges):
+    u, v, n = edges
+    labels = np.arange(n) * 7 + 3
+    graph = build_graph(u, v, n, labels)
+    assert (graph.n, graph.m) == (n, len(u))
+    want = _reference_sort_build(u, v, n, labels)
+    for name, arr in zip(("indptr", "indices", "degrees", "labels"), want):
+        got = getattr(graph, name)
+        assert got.dtype == arr.dtype and np.array_equal(got, arr), name
+    graph.validate()
+
+
+def test_edge_keys_order_like_the_id_pairs():
+    # The parser's key lo << 32 | hi, written as two int32 halves, must sort
+    # as the pairs (lo, hi) do up to the largest int32 id, and read back as
+    # the same halves.
+    top = 2**31 - 1
+    ends = np.array([top, 0, 1, top, top - 1, top, 5, 2, 0, 1], dtype=np.int32)
+    keys = np.empty(0, dtype=np.int64)
+    count = 0
+    for block in (ends[:4], ends[4:]):
+        count = graph_module._put_keys(keys, count, block)
+    keys.resize(count, refcheck=False)
+    pairs = sorted(zip(np.minimum(ends[0::2], ends[1::2]).tolist(), np.maximum(ends[0::2], ends[1::2]).tolist()))
+    assert (keys >= 0).all()
+    assert np.array_equal(np.sort(keys), [(a << 32) | b for a, b in pairs])
+    halves = np.sort(keys).view(np.int32).reshape(-1, 2)
+    assert list(zip(halves[:, graph_module._HIGH].tolist(), halves[:, graph_module._LOW].tolist())) == pairs
+
+
+def _disjoint_union_graph(rng, sizes, isolated):
+    """Random connected parts of the given sizes (a random tree plus extra
+    edges each) and ``isolated`` edgeless nodes, all under shuffled ids."""
+    n = sum(sizes) + isolated
+    ids = rng.permutation(n)
+    us, vs = [], []
+    offset = 0
+    for size in sizes:
+        part = ids[offset : offset + size]
+        offset += size
+        if size > 1:
+            us.append(part[1:])
+            vs.append(part[rng.integers(0, np.arange(1, size))])
+            a, b = rng.integers(0, size, size=(2, size))
+            keep = a != b
+            us.append(part[a[keep]])
+            vs.append(part[b[keep]])
+    u = np.concatenate(us or [np.empty(0, dtype=np.int64)])
+    v = np.concatenate(vs or [np.empty(0, dtype=np.int64)])
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    return build_graph(keys // n, keys % n, n)
+
+
 def _assert_components_match_scipy(graph):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
@@ -597,6 +693,11 @@ def test_components_match_scipy():
     _assert_components_match_scipy(build_graph([1, 2, 6, 4], [2, 3, 7, 6], 9))
     _assert_components_match_scipy(build_graph([], [], 4))
     _assert_components_match_scipy(build_graph([], [], 0))
+    # Parts of many shapes and sizes among isolated nodes, ids shuffled.
+    for sizes, isolated in (([2, 2, 2], 0), ([50, 1, 7, 300], 40), ([1, 1], 5), (list(rng.integers(1, 60, 80)), 100)):
+        graph = _disjoint_union_graph(rng, sizes, isolated)
+        assert graph.components[0] == len(sizes) + isolated
+        _assert_components_match_scipy(graph)
     for text in ("1 2\n2 3\n3 1\n10 11\n", "5 6\n1 2\n", EXAMPLE_EDGES):
         _assert_components_match_scipy(make_graph(text))
 
@@ -606,3 +707,55 @@ def test_arc_tails_are_the_rows_of_indices(example_graph):
     assert tails.dtype == np.int64 and len(tails) == 2 * example_graph.m
     for v in range(example_graph.n):
         assert (tails[example_graph.indptr[v] : example_graph.indptr[v + 1]] == v).all()
+
+
+def _graph_bytes(graph):
+    return sum(getattr(graph, name).nbytes for name in ("indptr", "indices", "degrees", "labels"))
+
+
+@pytest.fixture(scope="module")
+def crawl_file(tmp_path_factory):
+    """A connected heavy-tailed graph written as crawl dumps are: every edge
+    in both orientations, lines shuffled, sparse ids (1 MB, 60k lines)."""
+    graph = preferential_graph(2000, 15, seed=3)
+    rng = np.random.default_rng(4)
+    labels = rng.permutation(10**6 + 7 * np.arange(graph.n))
+    order = rng.permutation(2 * graph.m)
+    tails, heads = labels[graph.arc_tails[order]], labels[graph.indices[order]]
+    path = tmp_path_factory.mktemp("crawl") / "pa2000.txt"
+    path.write_text("".join(f"{a} {b}\n" for a, b in zip(tails.tolist(), heads.tolist())))
+    return path
+
+
+def _traced_load_and_lcc(path):
+    """(the LCC, tracemalloc's held and peak bytes) of load, LCC and
+    components, with the loaded graph dropped."""
+    tracemalloc.start()
+    try:
+        graph, _ = load_edge_list(path)
+        lcc = largest_connected_component(graph)
+        lcc.components
+        del graph
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return lcc, held, peak
+
+
+def test_ingest_holds_little_beyond_the_graph(crawl_file):
+    # What load, LCC and components leave held is the graph's arrays plus
+    # small change: no cached (2m,) arc tails (which held 1.9x).
+    lcc, held, _ = _traced_load_and_lcc(crawl_file)
+    assert (lcc.n, lcc.m) == (2000, 29880)
+    assert held < 1.1 * _graph_bytes(lcc), f"held {held / _graph_bytes(lcc):.2f} x the graph"
+
+
+def test_ingest_peak_is_a_small_multiple_of_the_graph(crawl_file, monkeypatch):
+    # Small blocks, so that their temporaries do not hide the whole-file
+    # buffers: one key per line, the distinct keys, then the arc buffer.
+    # The per-block id arrays, their concatenation and the second (2m,)
+    # arrays of the CSR build peaked at 5.2x.
+    monkeypatch.setattr(graph_module, "_CHUNK_CHARS", 1 << 14)
+    lcc, _, peak = _traced_load_and_lcc(crawl_file)
+    assert lcc.n == 2000
+    assert peak < 2.5 * _graph_bytes(lcc), f"peak {peak / _graph_bytes(lcc):.2f} x the graph"

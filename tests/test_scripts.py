@@ -38,8 +38,17 @@ def test_ingest_speed_runs_on_a_small_benchmark_file(tmp_path, capsys, monkeypat
     _load(ROOT / "scripts" / "ingest_speed.py").main([str(written.path), "--repeats", "1"])
     out = capsys.readouterr().out
     assert f"n={written.n} m={written.m}" in out
-    assert "peak RSS of the numpy runs:" in out
+    assert "peak RSS of one load + LCC in a fresh process:" in out
     assert "| per-line tokeniser, every block |" in out
+
+
+def test_scale_stress_runs_on_a_tiny_graph(capsys):
+    # The script writes graphgen's file, checks stats against its counts and
+    # exits with a message when a command fails or the counts differ.
+    _load(ROOT / "scripts" / "scale_stress.py").main(["--sizes", "300"])
+    out = capsys.readouterr().out
+    for command in ("write the file", "load + LCC", "stats", "sweep-budget --weights paper", "sweep-budget --weights oracle"):
+        assert f"| 300 | 0 | {command} |" in out
 
 
 def test_readme_quickstart_runs(capsys):
