@@ -22,14 +22,12 @@ from __future__ import annotations
 import argparse
 import os
 import statistics
-import subprocess
-import sys
 import time
 from unittest import mock
 
 import numpy as np
 
-import walksample
+from scale_stress import run_child
 from walksample import graph as graph_module
 from walksample import largest_connected_component, load_edge_list, true_degree_distribution
 
@@ -57,27 +55,14 @@ def measure(path: str, repeats: int):
     return parse_s, setup_s, graph, report
 
 
-def child_peak_mb(code: str) -> float:
-    """Peak RSS in MB of a fresh Python process that runs ``code``, this
-    process's copy of walksample first on its path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(walksample.__file__)), env.get("PYTHONPATH")]))
-    with subprocess.Popen([sys.executable, "-c", code], env=env) as proc:
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode:
-        raise SystemExit(f"the child process failed: {code}")
-    return usage.ru_maxrss / 1024  # KiB on Linux
-
-
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dataset")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     mb = os.path.getsize(args.dataset) / 1e6
-    peak_mb = child_peak_mb(_LOAD_AND_LCC.format(path=os.path.abspath(args.dataset)))
-    imports_mb = child_peak_mb(_IMPORTS)
+    _, peak_mb, _ = run_child(["-c", _LOAD_AND_LCC.format(path=os.path.abspath(args.dataset))])
+    _, imports_mb, _ = run_child(["-c", _IMPORTS])
     rows = {"numpy blocks": measure(args.dataset, args.repeats)}
     with mock.patch.object(graph_module, "_scan_block", lambda block: None):
         rows["per-line tokeniser, every block"] = measure(args.dataset, args.repeats)

@@ -1,28 +1,29 @@
 """Wall time and peak RSS of the CLI on large benchmark graphs.
 
-For each ``--sizes`` n, writes the ``perfbench/graphgen.py`` edge-list file
-for (n, ``--seed``) into a temporary directory, then runs one load plus
-largest component (the parse rate is the file size over its load time),
-``stats``, and ``sweep-budget`` (five samplers, budget 1000, 10
+For each ``--sizes`` n, runs ``perfbench/graphgen.py n 800`` to write the
+benchmark's edge-list file into a temporary directory, then runs one load
+plus largest component (the parse rate is the file size over its load
+time), ``stats``, and ``sweep-budget`` (five samplers, budget 1000, 10
 repetitions, ``--c 30``, one process) under ``--weights paper`` and
 ``--weights oracle``. Prints the wall time and peak RSS (``os.wait4``) of
-each, and checks ``stats`` against the counts the file was written with.
-The failure to look for is work or memory that grows with n per walker or
-per group, not per graph.
+each, and checks ``stats`` against the counts graphgen records beside the
+file. The failure to look for is work or memory that grows with n per
+walker or per group, not per graph.
 
-Each step, the writing too, runs in a fresh child process: a child's peak
-RSS includes that of the process it was started from, so this one holds
-only its imports.
+Each step, the generator too, runs in a fresh child process: a child's
+peak RSS includes that of the process it was started from, so this one
+holds only its imports.
 
-    PYTHONPATH=src python3 scripts/scale_stress.py --sizes 200000 1000000
+    PYTHONPATH=src python3 scripts/scale_stress.py --sizes 200000
 
-A 1M-node file is 0.5 GB (15M edges, both orientations).
+The generator joins the whole file into one string: it peaks at ~1.2 GB
+RSS for the 200k file (103 MB) and grows with the line count, so n = 1M
+(0.5 GB, 30M lines) needs several GB until it writes in slices.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import subprocess
@@ -30,8 +31,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-
-import numpy as np
 
 import walksample
 from walksample.harness import SAMPLER_ORDER
@@ -41,38 +40,8 @@ _LOAD_AND_LCC = (
     "import time, walksample; t0 = time.perf_counter(); graph, _ = walksample.load_edge_list({path!r}); "
     "print(time.perf_counter() - t0); walksample.largest_connected_component(graph)"
 )
-_WRITE = "import runpy; print(*runpy.run_path({script!r})['write_graph']({path!r}, {n}, {seed}))"
 _SAMPLERS = [arg for kind in SAMPLER_ORDER for arg in ("--sampler", kind)]
 _SWEEP = ["sweep-budget", *_SAMPLERS, "--budget", "1000", "--reps", "10", "--c", "30", "--parallel", "1"]
-
-
-def _graphgen():
-    """The benchmark's generator module, ``perfbench/graphgen.py``."""
-    spec = importlib.util.spec_from_file_location("graphgen", ROOT / "perfbench" / "graphgen.py")
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)
-    return module
-
-
-def write_graph(path: str, n: int, seed: int) -> tuple[int, int]:
-    """Write ``graphgen.write_input``'s file for (n, seed), byte for byte, a
-    slice of lines at a time (its one-string body takes ~6 GB at n = 1M);
-    return the edge and self-loop counts."""
-    graphgen = _graphgen()
-    rng = np.random.default_rng([seed, n])
-    u, v = graphgen.preferential_edges(n, graphgen.ATTACH, rng)
-    labels = rng.permutation(np.cumsum(rng.integers(1, 200, size=n)) + 10**6)
-    self_loops = int(rng.integers(3, 10))
-    loops = labels[rng.integers(0, n, self_loops)]
-    src = np.concatenate([labels[u], labels[v], loops])
-    dst = np.concatenate([labels[v], labels[u], loops])
-    order = rng.permutation(len(src))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(graphgen.HEADER_LINES) + "\n")
-        for at in range(0, len(order), 1 << 20):
-            part = order[at : at + (1 << 20)]
-            fh.write("".join(f"{a} {b}\n" for a, b in zip(src[part].tolist(), dst[part].tolist())))
-    return len(u), self_loops
 
 
 def run_child(argv: list[str]) -> tuple[float, float, str]:
@@ -93,24 +62,24 @@ def run_child(argv: list[str]) -> tuple[float, float, str]:
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[200_000, 1_000_000])
-    parser.add_argument("--seed", type=int, default=800)
+    parser.add_argument("--sizes", type=int, nargs="+", default=[200_000])
     args = parser.parse_args(argv)
     print("| n | file MB | command | wall s | peak RSS MB | |")
     print("|---|---|---|---|---|---|")
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.sizes:
             path = Path(tmp) / f"pa{n}.txt"
-            wall, peak, out = run_child(["-c", _WRITE.format(script=__file__, path=str(path), n=n, seed=args.seed)])
-            m, self_loops = map(int, out.split())
+            wall, peak, _ = run_child([str(ROOT / "perfbench" / "graphgen.py"), str(n), "800", str(path)])
+            written = json.loads(path.with_name(path.name + ".json").read_text(encoding="utf-8"))
             mb = path.stat().st_size / 1e6
-            print(f"| {n} | {mb:.0f} | write the file | {wall:.2f} | {peak:.0f} | |")
+            print(f"| {n} | {mb:.0f} | graphgen.py | {wall:.2f} | {peak:.0f} | |")
             cli = ["-m", "walksample.cli"]
             wall, peak, out = run_child(["-c", _LOAD_AND_LCC.format(path=str(path))])
             print(f"| {n} | {mb:.0f} | load + LCC | {wall:.2f} | {peak:.0f} | parse {mb / float(out):.1f} MB/s |")
             wall, peak, out = run_child([*cli, "stats", "--dataset", str(path)])
             stats = json.loads(out)
-            want = {"n": n, "m": m, "lcc_n": n, "dropped_self_loops": self_loops, "dropped_duplicates": m}
+            m = written["m"]
+            want = {"n": n, "m": m, "lcc_n": n, "dropped_self_loops": written["self_loops"], "dropped_duplicates": m}
             if any(stats[key] != value for key, value in want.items()):
                 raise SystemExit(f"stats of {path.name} read {stats}, not {want}")
             print(f"| {n} | {mb:.0f} | stats | {wall:.2f} | {peak:.0f} | |")

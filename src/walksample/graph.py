@@ -10,8 +10,12 @@ forked workers.
 
 The ingest holds the edges in one growing key buffer, sorted in place, then
 in one (2m,) arc buffer that becomes ``indices``: at its peak about 1.6
-times the CSR arrays (see ``parse_edge_list``). A loaded graph caches
-nothing of size m unless asked for ``arc_tails``.
+times the CSR arrays (see ``parse_edge_list``). That is the whole peak of
+load plus ``largest_connected_component`` on a connected input. On a
+disconnected one the component is rebuilt beside the loaded graph, which
+adds about 27 bytes per kept edge at the rebuild's peak (see
+``largest_connected_component``). A graph caches nothing of size m unless
+asked for ``arc_tails``.
 """
 
 from __future__ import annotations
@@ -91,8 +95,7 @@ class Graph:
     def arc_tails(self) -> np.ndarray:
         """(2m,) int64, the row of each entry of ``indices``: arc i runs
         from ``arc_tails[i]`` to ``indices[i]``. Cached for the life of the
-        graph, as large as ``indices``; only ``validate`` and the rebuild of
-        a disconnected graph's largest component read it."""
+        graph, as large as ``indices``; only ``validate`` reads it."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
     @cached_property
@@ -487,7 +490,8 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
     On a file that lists every edge in both orientations (L = 2m) that is
     26m bytes, about 1.6 times the graph's arrays. Load plus
     ``largest_connected_component`` of a 103 MB, 6M-line file of 200k nodes
-    peaks at ~123 MB RSS, ~38 MB of it the interpreter with numpy.
+    (connected) peaks at ~123 MB RSS, ~38 MB of it the interpreter with
+    numpy; a disconnected input adds the rebuild of its largest component.
 
     Raises
     ------
@@ -565,6 +569,11 @@ def largest_connected_component(graph: Graph) -> Graph:
     node id: components are labelled in order of their lowest node, and
     ``argmax`` takes the first largest. A connected (or empty) graph is
     returned unchanged.
+
+    The rebuild reads the kept rows of ``indices`` in place. With m' edges
+    kept it peaks, beside the input graph, at about 27m' bytes: the kept
+    heads and tails as int32, a 1-byte mask and their forward halves, then
+    those halves and ``build_graph``'s 16m'-byte arc buffer.
     """
     if graph.n == 0:
         return graph
@@ -573,14 +582,16 @@ def largest_connected_component(graph: Graph) -> Graph:
         return graph
     chosen = np.argmax(np.bincount(comp, minlength=ncomp))
 
+    # A component is closed under adjacency, so its arcs are the rows of its
+    # nodes, and renumbering in node order keeps tail < head.
     keep = comp == chosen
-    new_id = np.full(graph.n, -1, dtype=np.int64)
-    new_id[keep] = np.arange(int(keep.sum()), dtype=np.int64)
-    src = graph.arc_tails
-    mask = keep[src] & (src < graph.indices)
-    lo = new_id[src[mask]]
-    hi = new_id[graph.indices[mask]]
-    return build_graph(lo, hi, int(keep.sum()), labels=graph.labels[keep])
+    new_id = np.cumsum(keep, dtype=np.int32) - 1
+    heads = new_id[graph.indices[np.repeat(keep, graph.degrees)]]
+    tails = np.repeat(new_id[keep], graph.degrees[keep])
+    forward = tails < heads
+    tails, heads = tails[forward], heads[forward]
+    del forward
+    return build_graph(tails, heads, int(keep.sum()), labels=graph.labels[keep])
 
 
 def average_degree(graph: Graph) -> float:

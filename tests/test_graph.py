@@ -759,3 +759,35 @@ def test_ingest_peak_is_a_small_multiple_of_the_graph(crawl_file, monkeypatch):
     lcc, _, peak = _traced_load_and_lcc(crawl_file)
     assert lcc.n == 2000
     assert peak < 2.5 * _graph_bytes(lcc), f"peak {peak / _graph_bytes(lcc):.2f} x the graph"
+
+
+def test_lcc_rebuild_of_a_disconnected_graph_is_lean():
+    # A heavy-tailed 2000-node component beside a path, isolated edges and
+    # isolated nodes, ids shuffled. The rebuild reads the component's rows
+    # of ``indices``; through the cached (2m,) arc tails it held 1.9x the
+    # component after the call and peaked at 4.8x.
+    rng = np.random.default_rng(9)
+    big = preferential_graph(2000, 15, seed=3)
+    forward = big.arc_tails < big.indices
+    u = np.concatenate([big.arc_tails[forward], np.arange(2000, 2039), np.arange(2040, 2060, 2)])
+    v = np.concatenate([big.indices[forward], np.arange(2001, 2040), np.arange(2041, 2061, 2)])
+    ids = rng.permutation(2065)
+    graph = build_graph(ids[u], ids[v], 2065, labels=10**6 + ids)
+    graph.components
+    tracemalloc.start()
+    try:
+        lcc = largest_connected_component(graph)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "arc_tails" not in graph.__dict__
+    assert held < 1.1 * _graph_bytes(lcc), f"held {held / _graph_bytes(lcc):.2f} x the component"
+    assert peak < 2 * _graph_bytes(lcc), f"peak {peak / _graph_bytes(lcc):.2f} x the component"
+    # The induced subgraph, ids renumbered in node order.
+    (keep,) = [sorted(c) for c in _bfs_components(graph) if len(c) == 2000]
+    new_id = {old: new for new, old in enumerate(keep)}
+    pairs = [(new_id[a], new_id[b]) for a, b in zip(ids[u].tolist(), ids[v].tolist()) if a in new_id]
+    want = build_graph([a for a, _ in pairs], [b for _, b in pairs], 2000, labels=graph.labels[keep])
+    for name in ("indptr", "indices", "degrees", "labels"):
+        assert np.array_equal(getattr(lcc, name), getattr(want, name)), name
+    assert (lcc.n, lcc.m) == (2000, big.m)
