@@ -3,12 +3,14 @@
 For each ``--sizes`` n, runs ``perfbench/graphgen.py n 800`` to write the
 benchmark's edge-list file into a temporary directory, then runs one load
 plus largest component (the parse rate is the file size over its load
-time), ``stats``, and ``sweep-budget`` (five samplers, budget 1000, 10
+time), ``stats``, ``sweep-budget`` (five samplers, budget 1000, 10
 repetitions, ``--c 30``, one process) under ``--weights paper`` and
-``--weights oracle``. Prints the wall time and peak RSS (``os.wait4``) of
-each, and checks ``stats`` against the counts graphgen records beside the
-file. The failure to look for is work or memory that grows with n per
-walker or per group, not per graph.
+``--weights oracle``, and ``sweep-c`` at ten ``--c-frac`` fractions (gmd
+and wjrw at each, 20 walk laws, the same budget and repetitions). Prints
+the wall time and peak RSS (``os.wait4``) of each, and checks ``stats``
+against the counts graphgen records beside the file. The failure to look
+for is work or memory that grows with n per walker, per group or per law,
+not per graph.
 
 Each step, the generator too, runs in a fresh child process: a child's
 peak RSS includes that of the process it was started from, so this one
@@ -42,6 +44,8 @@ _LOAD_AND_LCC = (
 )
 _SAMPLERS = [arg for kind in SAMPLER_ORDER for arg in ("--sampler", kind)]
 _SWEEP = ["sweep-budget", *_SAMPLERS, "--budget", "1000", "--reps", "10", "--c", "30", "--parallel", "1"]
+_FRACTIONS = [arg for tenth in range(1, 11) for arg in ("--c-frac", str(tenth / 10))]
+_SWEEP_C = ["sweep-c", *_FRACTIONS, "--budget", "1000", "--reps", "10", "--parallel", "1"]
 
 
 def run_child(argv: list[str]) -> tuple[float, float, str]:
@@ -87,6 +91,8 @@ def main(argv: list[str] | None = None) -> None:
                 sweep = [*cli, *_SWEEP, "--dataset", str(path), "--weights", weights, "--out", str(Path(tmp) / "sweep.csv")]
                 wall, peak, _ = run_child(sweep)
                 print(f"| {n} | {mb:.0f} | sweep-budget --weights {weights} | {wall:.2f} | {peak:.0f} | |")
+            wall, peak, _ = run_child([*cli, *_SWEEP_C, "--dataset", str(path), "--out", str(Path(tmp) / "sweep.csv")])
+            print(f"| {n} | {mb:.0f} | sweep-c, 10 c-fracs | {wall:.2f} | {peak:.0f} | |")
             path.unlink()
 
 

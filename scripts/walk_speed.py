@@ -15,30 +15,20 @@ median of ``--repeats`` timings.
 from __future__ import annotations
 
 import argparse
-import statistics
-import time
 
 import numpy as np
 
+from ingest_speed import timed
 from walksample import WalkConfig, average_degree, derive_seed, largest_connected_component, load_edge_list, run_walk, run_walks
 
 KINDS = ("srw", "rwe", "md", "gmd", "wjrw")
 
 
-def timed(fn, repeats: int):
-    times, result = [], None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times), result
-
-
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dataset")
     parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     graph = largest_connected_component(load_edge_list(args.dataset)[0])
     params = {"rwe": {"alpha": average_degree(graph)}, "gmd": {"c": max(1, graph.d_max // 2)}}
     params["wjrw"] = params["gmd"]

@@ -1,33 +1,33 @@
 """Five random-walk node samplers over undirected graphs, one transition law.
 
 All five walks follow the same law (n nodes, d_v = degree, N(v) =
-neighbors). Each node v has a size big_v >= d_v and a padding
-pad_v = big_v - d_v. From v the walk moves to a uniform member of N(v)
+neighbors). Each node v pads by pad_v = max(cap - d_v, alpha) to a size
+big_v = d_v + pad_v. From v the walk moves to a uniform member of N(v)
 with probability d_v/big_v; otherwise it escapes to a uniform member of
-its escape target. The kinds differ only in big and in that target:
+its escape target. The kinds differ only in (cap, alpha) and that target:
 
-* ``srw``  - simple random walk: big_v = d_v, so it never escapes.
-* ``rwe``  - random walk with escaping: big_v = d_v + alpha, escaping to
+* ``srw``  - simple random walk: cap 0, alpha 0, so it never escapes.
+* ``rwe``  - random walk with escaping: cap 0 and its alpha, escaping to
   all n nodes (self included); Avrachenkov, Ribeiro & Towsley, WAW 2010.
-* ``gmd``  - generalized maximum-degree walk: big_v = max(c, d_v), escaping
-  to v itself (a virtual self-loop); Li et al., ICDE 2015.
-* ``md``   - maximum-degree walk: ``gmd`` with c bound to the graph's
-  maximum degree.
-* ``wjrw`` - weighted-jump random walk: ``gmd``'s big, but the padding
-  escapes to the jump set U = {u : d_u < c} (self included when v is in U).
+* ``gmd``  - generalized maximum-degree walk: cap c, alpha 0, escaping to
+  v itself (a virtual self-loop); Li et al., ICDE 2015.
+* ``md``   - maximum-degree walk: ``gmd`` with c bound to d_max.
+* ``wjrw`` - weighted-jump random walk: ``gmd``'s padding, escaping to the
+  jump set U = {u : d_u < c} (self included when v is in U).
 
-So rwe and wjrw escape to U, the set of padded nodes: all nodes for rwe,
-{d < c} for wjrw. ``WalkLaw`` holds big, pad and U for one (graph, config).
-The seeded stepper, the closed-form and numeric stationary distributions,
-any block of rows of the transition matrix (one row, or the dense matrix of
-``spectral``) and its diagonal are all derived from it here.
+``WalkLaw`` holds big, pad and U, the padded nodes that rwe and wjrw
+escape to, for one (graph, config). The seeded stepper, the closed-form and
+numeric stationary distributions, any block of rows of the transition
+matrix (one row, or the dense matrix of ``spectral``) and its diagonal are
+all derived from it here.
 
 Walks run on two engines that give the same traces. ``run_walk`` is the
 scalar reference: one walker, one Python step at a time (~1 us a step).
 ``run_walks`` is the lockstep engine: it advances a whole batch of walkers,
-each with its own law, budget, burn-in, start and Philox stream, one numpy
-step at a time (~15 us a step at any width), so it pays off from a few
-dozen walkers on; the harness runs every sweep through it.
+each with its own law (its cap and alpha, no table per law), budget,
+burn-in, start and Philox stream, one numpy step at a time (~15 us a step
+at any width), so it pays off from a few dozen walkers on; the harness runs
+every sweep through it.
 
 The closed form weights each node by big_v. That is exact for every law
 whose escape targets pad equally (srw, md, gmd, rwe, and wjrw when all of U
@@ -148,13 +148,19 @@ class JumpSet:
     total_alpha: int
 
 
+def padding(cap, alpha, degrees) -> np.ndarray:
+    """Padding max(cap - d, alpha) of nodes of the given degrees, float64 for
+    a float alpha; one law over all nodes, or per walker over a batch."""
+    return np.maximum(cap - degrees, alpha)
+
+
 def jump_set(graph: Graph, c: int) -> JumpSet:
     """All nodes v with d_v < c, plus the total padding sum(c - d_v)."""
     if c < 1:
         raise SamplerError("c must be >= 1")
-    members = np.flatnonzero(graph.degrees < c).astype(np.int64)
-    total = int((c - graph.degrees[members]).sum())
-    return JumpSet(members=members, size=len(members), total_alpha=total)
+    pad = padding(c, 0.0, graph.degrees)
+    members = np.flatnonzero(pad).astype(np.int64, copy=False)
+    return JumpSet(members=members, size=len(members), total_alpha=int(pad.sum()))
 
 
 def derive_seed(base_seed: int, repetition: int) -> int:
@@ -178,28 +184,24 @@ def resolve_cap(graph: Graph, config: WalkConfig) -> Optional[int]:
 class WalkLaw:
     """The transition law every walk kind is an instance of.
 
-    From node v the walk escapes with probability ``pad[v] / big[v]``, else
-    it moves to a uniform neighbor (probability ``d_v / big[v]``, so
-    ``big = d + pad``). An escape lands on a uniform member of ``targets``,
+    Node v pads by ``pad[v] = padding(cap, alpha, d_v)``, with each kind's
+    cap and alpha as in the module docstring. From v the walk escapes with
+    probability ``pad[v] / big[v]``, else it moves to a uniform neighbor
+    (``big = d + pad``). An escape lands on a uniform member of ``targets``,
     the padded nodes (rwe, wjrw), or stays at v when ``targets`` is None
     (md, gmd, and any law that pads no node). Built once per (graph,
     config). P's rows and diagonal read ``escape_share``, both stationary
-    distributions read ``reversible``, and the stepper reads the arrays.
+    distributions read ``reversible``, and the engines read the rest.
     """
 
-    __slots__ = ("big", "pad", "targets")
+    __slots__ = ("cap", "alpha", "big", "pad", "targets")
 
     def __init__(self, graph: Graph, config: WalkConfig):
-        kind = config.kind
-        if kind is SamplerKind.SRW:
-            pad = np.zeros(graph.n)
-        elif kind is SamplerKind.RWE:
-            pad = np.full(graph.n, config.alpha)
-        else:
-            pad = np.maximum(resolve_cap(graph, config) - graph.degrees, 0).astype(np.float64)
+        self.cap = resolve_cap(graph, config) or 0
+        self.alpha = 0.0 if config.alpha is None else config.alpha  # keeps alpha = -0.0
+        self.pad = pad = padding(self.cap, self.alpha, graph.degrees)
         self.big = graph.degrees + pad
-        self.pad = pad
-        jumps = kind in (SamplerKind.RWE, SamplerKind.WJRW) and pad.any()
+        jumps = config.kind in (SamplerKind.RWE, SamplerKind.WJRW) and pad.any()
         self.targets = np.flatnonzero(pad) if jumps else None  # never an empty array
 
     def escape_share(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
@@ -336,44 +338,36 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
     """Run many seeded walks in lockstep; trace i equals ``run_walk(graph, configs[i])``.
 
     Every walker of the batch takes its step t in the same numpy operations,
-    whatever its law, budget, burn-in or start policy. Like ``run_walk``,
-    each walker records its whole path and returns the tail after its
-    burn-in. The laws are flattened: ``big``/``pad`` of law l are read at
-    ``l * n + v``. Every pick is a uniform index into a block of one pool
-    array, which holds the neighbor array, ``arange(n)`` (an escape to self
-    enters it at v, a block of size 1) and each law's targets. Each walker
-    keeps its own Philox stream, drawn in chunks; ``random(a)`` then
+    whatever its law, budget, burn-in or start policy, and like ``run_walk``
+    records its whole path and returns the tail after its burn-in. A walker
+    carries its law's cap and alpha, pads its node at each step and tests
+    ``r * (d + pad) < pad``: the float64 values of the scalar stepper's
+    ``r * big < pad``. Every pick is a uniform index into a block of one
+    pool array: ``arange(n)`` (an escape to self picks v, a block of size 1
+    at offset v), the neighbor array, then each jumping law's targets; a
+    walker carries its escape block's offset (0 to self) and size. Each
+    walker keeps its own Philox stream, drawn in chunks; ``random(a)`` then
     ``random(b)`` yields the numbers of one ``random(a + b)``, so the chunk
-    size changes no trace. The escape test and both picks are the scalar
-    stepper's comparisons, bit for bit.
+    size changes no trace. Both picks are the scalar stepper's, bit for bit.
     """
     if graph.n == 0:
         raise SamplerError("cannot walk an empty graph")
     if not configs:
         return []
     n = graph.n
-    keys = [(cfg.kind, cfg.alpha, cfg.c) for cfg in configs]
-    laws: dict = {}  # key -> (law id, escape block size)
-    pool = [graph.indices, np.arange(n, dtype=np.int64)]
-    big, pad, escape_first = [], [], []
-    offset = len(graph.indices) + n
-    for key, cfg in zip(keys, configs):
-        if key in laws:
-            continue
-        law = WalkLaw(graph, cfg)
-        big.append(law.big)
-        pad.append(law.pad)
-        if law.targets is None:
-            escape_first.append(pool[1] + len(graph.indices))
-            laws[key] = (len(laws), 1)
-        else:
-            escape_first.append(np.full(n, offset, dtype=np.int64))
-            laws[key] = (len(laws), len(law.targets))
-            pool.append(law.targets)
-            offset += len(law.targets)
-    pool, big, pad, escape_first = (np.concatenate(x) for x in (pool, big, pad, escape_first))
-    escapes = bool(pad.any())
-    degrees, indptr = graph.degrees, graph.indptr[:-1]
+    pool = [np.arange(n, dtype=np.int64), graph.indices]
+    laws: dict = {}  # (kind, alpha, c) -> (cap, alpha, escape offset, escape size)
+    for cfg in configs:
+        key = (cfg.kind, cfg.alpha, cfg.c)
+        if key not in laws:
+            law = WalkLaw(graph, cfg)
+            if law.targets is None:
+                laws[key] = (law.cap, law.alpha, 0, 1)
+            else:
+                laws[key] = (law.cap, law.alpha, sum(map(len, pool)), len(law.targets))
+                pool.append(law.targets)
+    pool = np.concatenate(pool)
+    degrees, indptr = graph.degrees, graph.indptr[:-1] + n
     isolated = not degrees.all()
 
     rngs = [make_rng(cfg.seed) for cfg in configs]
@@ -385,8 +379,9 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
     # any step are a prefix of this order.
     order = sorted(range(len(configs)), key=lambda i: -len(paths[i]))
     totals = [len(paths[i]) - 1 for i in order]
-    law_of = np.array([laws[keys[i]] for i in order], dtype=np.int64)
-    base, escape_size = law_of[:, 0] * n, law_of[:, 1]
+    walker_laws = [laws[configs[i].kind, configs[i].alpha, configs[i].c] for i in order]
+    cap, alpha, escape_first, escape_size = (np.array(x) for x in zip(*walker_laws))
+    escapes = bool(padding(cap, alpha, graph.min_degree).any())  # a law pads some node iff one of least degree
     walker_rngs = [rngs[i] for i in order]
     walker_paths = [paths[i] for i in order]
     v = np.array([starts[i] for i in order], dtype=np.int64)
@@ -406,13 +401,16 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
             while totals[a - 1] <= done + r:
                 a -= 1
             v = v[:a]
+            d = degrees.take(v)
             if escapes:
-                idx = base[:a] + v
-                esc = draws[2 * r, :a] * big.take(idx) < pad.take(idx)
-                first = np.where(esc, escape_first.take(idx), indptr.take(v))
-                size = np.where(esc, escape_size[:a], degrees.take(v))
+                pad = padding(cap[:a], alpha[:a], d)
+                esc = draws[2 * r, :a] * (d + pad) < pad
+                # A jumping law's block lies past every node id, so the
+                # maximum is its offset, or v for an escape to self.
+                first = np.where(esc, np.maximum(escape_first[:a], v), indptr.take(v))
+                size = np.where(esc, escape_size[:a], d)
             else:
-                first, size = indptr.take(v), degrees.take(v)
+                first, size = indptr.take(v), d
             if isolated and not size.all():
                 raise SamplerError(f"no outgoing transition from isolated node {int(v[size == 0][0])}")
             j = (draws[2 * r + 1, :a] * size).astype(np.int64)

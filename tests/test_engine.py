@@ -7,11 +7,13 @@ whatever else shares the batch.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import preferential_graph
-from walksample import SamplerError, WalkConfig, build_graph, derive_seed, run_walk, run_walks
+from walksample import SamplerError, WalkConfig, build_graph, derive_seed, jump_set, run_walk, run_walks
 
 CHUNK = 1 << 15  # steps per chunk of run_walk's variates
 
@@ -40,6 +42,11 @@ MIXED = [
     dict(kind="wjrw", c=12, budget=700, burn_in=CHUNK + 11, start_policy="degree"),
     dict(kind="wjrw", c=1, budget=1200),  # empty jump set: the simple walk
     dict(kind="wjrw", c=12, budget=1000, start_policy="fixed", start_node=0),
+    # Laws that pad no node: alpha 0 of either sign, c below the least degree (4).
+    dict(kind="rwe", alpha=0.0, budget=300),
+    dict(kind="rwe", alpha=-0.0, budget=300, start_policy="degree"),
+    dict(kind="gmd", c=3, budget=300),
+    dict(kind="wjrw", c=200, budget=800),  # c > d_max (118): U is every node, padded unequally
 ]
 
 
@@ -73,6 +80,25 @@ def test_batch_of_one_and_empty_batch(heavy_graph):
     for fields in MIXED[:6]:
         _assert_same(heavy_graph, [WalkConfig(seed=5, **fields)])
     assert run_walks(heavy_graph, []) == []
+
+
+def test_batch_memory_is_set_by_its_pool_and_traces_not_its_laws():
+    # 40 laws, two walkers each. The batch holds its pick pool (arange(n),
+    # the neighbor array and each wjrw law's jump set, built from a list of
+    # the parts), its traces and chunk buffers (a few times the traces), and
+    # a few n-long arrays at a time; an n-long table per law would be 40.
+    g = preferential_graph(2000, 4, seed=3)
+    cs = range(5, 105, 5)
+    configs = [WalkConfig(kind=kind, c=c, budget=50, seed=_seed(rep)) for kind in ("gmd", "wjrw") for c in cs for rep in range(2)]
+    pool = 8 * (g.n + len(g.indices) + sum(jump_set(g, c).size for c in cs))
+    traces = 8 * sum(cfg.budget for cfg in configs)
+    tracemalloc.start()
+    try:
+        run_walks(g, configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * pool + 6 * traces + 8 * (8 * g.n)
 
 
 def test_isolated_nodes():

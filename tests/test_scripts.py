@@ -47,12 +47,22 @@ def test_ingest_speed_runs_on_a_small_benchmark_file(tmp_path, capsys, monkeypat
     assert "| per-line tokeniser, every block |" in out
 
 
+def test_analyze_memory_runs_on_a_small_benchmark_file(tmp_path, capsys, monkeypatch):
+    # The script reads n from the JSON the analyze child prints.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    written = importlib.import_module("graphgen").write_input(tmp_path / "pa.txt", 16, 800)
+    _load(ROOT / "scripts" / "analyze_memory.py").main([str(written.path), "--sampler", "gmd"])
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:2] == ["pa.txt", str(written.n)] and float(row[3]) > 0
+
+
 def test_scale_stress_runs_on_a_tiny_graph(capsys):
     # The script runs graphgen, checks stats against the counts it records
     # and exits with a message when a command fails or the counts differ.
     _load(ROOT / "scripts" / "scale_stress.py").main(["--sizes", "300"])
     out = capsys.readouterr().out
-    for command in ("graphgen.py", "load + LCC", "stats", "sweep-budget --weights paper", "sweep-budget --weights oracle"):
+    commands = ("graphgen.py", "load + LCC", "stats", "sweep-budget --weights paper", "sweep-budget --weights oracle", "sweep-c, 10 c-fracs")
+    for command in commands:
         assert f"| 300 | 0 | {command} |" in out
 
 
