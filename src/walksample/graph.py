@@ -12,10 +12,9 @@ The ingest holds the edges in one growing key buffer, sorted in place, then
 in one (2m,) arc buffer that becomes ``indices``: at its peak about 1.6
 times the CSR arrays (see ``parse_edge_list``). That is the whole peak of
 load plus ``largest_connected_component`` on a connected input. On a
-disconnected one the component is rebuilt beside the loaded graph, which
-adds about 27 bytes per kept edge at the rebuild's peak (see
-``largest_connected_component``). A graph caches nothing of size m unless
-asked for ``arc_tails``.
+disconnected one the component is selected from the loaded graph's rows,
+beside it, which adds about 24 bytes per kept edge at the selection's peak
+(see ``largest_connected_component``). A graph caches nothing of size m.
 """
 
 from __future__ import annotations
@@ -92,13 +91,6 @@ class Graph:
         return {int(lab): i for i, lab in enumerate(self.labels)}
 
     @cached_property
-    def arc_tails(self) -> np.ndarray:
-        """(2m,) int64, the row of each entry of ``indices``: arc i runs
-        from ``arc_tails[i]`` to ``indices[i]``. Cached for the life of the
-        graph, as large as ``indices``; only ``validate`` reads it."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-
-    @cached_property
     def components(self) -> tuple[int, np.ndarray]:
         """Number of connected components and each node's int32 component label.
 
@@ -155,14 +147,16 @@ class Graph:
             assert np.all(np.diff(nbrs) > 0), f"row {v} not sorted/unique"
             assert v not in nbrs, f"self-loop at {v}"
         # symmetry: the multiset of (u, v) arcs equals the multiset of (v, u)
-        fwd = {(int(a), int(b)) for a, b in zip(self.arc_tails, self.indices)}
+        tails = np.repeat(np.arange(self.n), self.degrees)
+        fwd = {(int(a), int(b)) for a, b in zip(tails, self.indices)}
         assert fwd == {(b, a) for a, b in fwd}, "adjacency not symmetric"
 
 
 def build_graph(
     u: np.ndarray, v: np.ndarray, n: int, labels: np.ndarray | None = None
 ) -> Graph:
-    """Assemble a Graph from deduplicated edge endpoints with internal ids.
+    """Assemble a Graph from deduplicated edge endpoints with internal ids:
+    the CSR builder of the parser and of callers holding edge lists.
 
     ``u``/``v`` hold one entry per undirected edge (no self-loops, no
     duplicates), ids below ``n``, which is at most 2**31 - 1; they may be
@@ -491,7 +485,7 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
     26m bytes, about 1.6 times the graph's arrays. Load plus
     ``largest_connected_component`` of a 103 MB, 6M-line file of 200k nodes
     (connected) peaks at ~123 MB RSS, ~38 MB of it the interpreter with
-    numpy; a disconnected input adds the rebuild of its largest component.
+    numpy; a disconnected input adds the selection of its largest component.
 
     Raises
     ------
@@ -570,28 +564,27 @@ def largest_connected_component(graph: Graph) -> Graph:
     ``argmax`` takes the first largest. A connected (or empty) graph is
     returned unchanged.
 
-    The rebuild reads the kept rows of ``indices`` in place. With m' edges
-    kept it peaks, beside the input graph, at about 27m' bytes: the kept
-    heads and tails as int32, a 1-byte mask and their forward halves, then
-    those halves and ``build_graph``'s 16m'-byte arc buffer.
+    The component is a selection of the input's rows: its nodes' rows of
+    ``indices`` (a component is closed under adjacency), renumbered through
+    an int32 map in node order, which keeps each row sorted; nothing is
+    sorted. With m' edges kept it peaks, beside the input graph, at about
+    24m' bytes: the kept int32 heads beside their int64 source, then beside
+    the int64 ``indices``.
     """
     if graph.n == 0:
         return graph
     ncomp, comp = graph.components
     if ncomp <= 1:
         return graph
-    chosen = np.argmax(np.bincount(comp, minlength=ncomp))
-
-    # A component is closed under adjacency, so its arcs are the rows of its
-    # nodes, and renumbering in node order keeps tail < head.
-    keep = comp == chosen
+    keep = comp == np.argmax(np.bincount(comp, minlength=ncomp))
     new_id = np.cumsum(keep, dtype=np.int32) - 1
-    heads = new_id[graph.indices[np.repeat(keep, graph.degrees)]]
-    tails = np.repeat(new_id[keep], graph.degrees[keep])
-    forward = tails < heads
-    tails, heads = tails[forward], heads[forward]
-    del forward
-    return build_graph(tails, heads, int(keep.sum()), labels=graph.labels[keep])
+    indices = new_id[graph.indices[np.repeat(keep, graph.degrees)]].astype(np.int64)
+    degrees = graph.degrees[keep]
+    indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return Graph(
+        n=len(degrees), m=len(indices) // 2, indptr=indptr, indices=indices, degrees=degrees, labels=graph.labels[keep]
+    )
 
 
 def average_degree(graph: Graph) -> float:

@@ -485,8 +485,8 @@ def _solve_balance(graph: Graph, big: np.ndarray, rhs: np.ndarray, tol: float, m
     Raises ``ConvergenceError`` after ``max_iters`` iterations.
     """
     # reduceat gives an empty row (an isolated node) the value at its offset,
-    # not 0, so the sums start at non-empty rows only; np.bincount over
-    # ``arc_tails`` gives the same sums but takes twice as long.
+    # not 0, so the sums start at non-empty rows only; np.bincount over the
+    # arcs' rows gives the same sums but takes twice as long.
     heads, rows = graph.indices, np.flatnonzero(graph.degrees)
     starts = graph.indptr[rows]
 

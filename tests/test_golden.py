@@ -53,15 +53,40 @@ def test_walk_trace_is_frozen(heavy_graph, fields, want):
 
 SWEEP_DIGEST = "19f9ae78869f8c2a425d5d4a9f99785005472051dfa3316395a830934109428a"
 
+SWEEP_ARGS = ["--format", "json", "--budget", "300", "--budget", "700", "--reps", "3", "--seed", "11", "--parallel", "1"]
+for _kind in ("srw", "rwe", "md", "gmd", "wjrw"):
+    SWEEP_ARGS += ["--sampler", _kind]
+
 
 def test_sweep_budget_report_is_frozen(heavy_graph, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the report names the dataset path
     with open("heavy.txt", "w", encoding="utf-8") as fh:
         write_edge_list(heavy_graph, fh)
-    argv = ["sweep-budget", "--dataset", "heavy.txt", "--out", "report.json", "--format", "json"]
-    for kind in ("srw", "rwe", "md", "gmd", "wjrw"):
-        argv += ["--sampler", kind]
-    argv += ["--budget", "300", "--budget", "700", "--reps", "3", "--seed", "11", "--parallel", "1"]
-    assert main(argv) == 0
+    assert main(["sweep-budget", "--dataset", "heavy.txt", "--out", "report.json", *SWEEP_ARGS]) == 0
     with open("report.json", "rb") as fh:
         assert _digest(fh.read()) == SWEEP_DIGEST
+
+
+# sha256 of each command's output on the heavy graph among other components
+DISCONNECTED_DIGESTS = {
+    "stats": "1ea637d5058725e812b21349207e7631c719ab9b8930dfdf0be4eebd072b8223",
+    "sweep-budget": "187736fb20dc53431d60924648352422505b629145148bac45a104c985e3ce2c",
+}
+
+
+def test_reports_on_a_disconnected_input_are_frozen(heavy_graph, tmp_path, monkeypatch):
+    # A comment, a 300-node ring read first (so the heavy graph's ids do not
+    # start at 0), the heavy graph, isolated edges, a self-loop and a
+    # duplicate line: the walks run on the heavy graph alone.
+    monkeypatch.chdir(tmp_path)
+    with open("disconnected.txt", "w", encoding="utf-8") as fh:
+        fh.write("# a ring, the heavy graph, isolated edges\n")
+        fh.write("".join(f"{10**6 + i} {10**6 + (i + 1) % 300}\n" for i in range(300)))
+        write_edge_list(heavy_graph, fh)
+        fh.write("".join(f"{2 * 10**6 + 2 * i} {2 * 10**6 + 2 * i + 1}\n" for i in range(20)))
+        fh.write("7 7\n1 0\n")
+    assert main(["stats", "--dataset", "disconnected.txt", "--out", "stats.json"]) == 0
+    assert main(["sweep-budget", "--dataset", "disconnected.txt", "--out", "sweep-budget.json", *SWEEP_ARGS]) == 0
+    for command, want in DISCONNECTED_DIGESTS.items():
+        with open(f"{command}.json", "rb") as fh:
+            assert _digest(fh.read()) == want, command

@@ -179,17 +179,42 @@ def _bfs_components(graph) -> list[set[int]]:
     return comps
 
 
+def _induced_subgraph(u, v, keep, labels):
+    """The subgraph ``build_graph`` makes from the edges (u, v) inside the
+    sorted node list ``keep``, ids renumbered in node order."""
+    new_id = {old: new for new, old in enumerate(keep)}
+    pairs = [(new_id[a], new_id[b]) for a, b in zip(u.tolist(), v.tolist()) if a in new_id]
+    return build_graph([a for a, _ in pairs], [b for _, b in pairs], len(keep), labels=labels[keep])
+
+
+def _assert_same_arrays(got, want):
+    for name in ("indptr", "indices", "degrees", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def test_lcc_matches_hand_bfs():
+    # Sparse random graphs, most with isolated nodes; every other one is two
+    # copies of a graph, ids shuffled, so its largest components tie in size.
     rng = np.random.default_rng(2024)
-    for _ in range(20):
+    for trial in range(40):
         n = int(rng.integers(6, 30))
         iu, iv = np.triu_indices(n, k=1)
         mask = rng.random(len(iu)) < 0.08
         if not mask.any():
             continue
-        g = build_graph(iu[mask], iv[mask], n)
-        expected = max((len(c) for c in _bfs_components(g)))
-        assert largest_connected_component(g).n == expected
+        u, v = iu[mask], iv[mask]
+        if trial % 2:
+            ids = rng.permutation(2 * n)
+            u, v, n = ids[np.concatenate([u, u + n])], ids[np.concatenate([v, v + n])], 2 * n
+        g = build_graph(u, v, n, labels=100 + rng.permutation(n))
+        comps = _bfs_components(g)  # in order of their lowest node
+        size = max(len(c) for c in comps)
+        keep = sorted(next(c for c in comps if len(c) == size))
+        lcc = largest_connected_component(g)
+        lcc.validate()
+        assert lcc.n == size
+        _assert_same_arrays(lcc, _induced_subgraph(u, v, keep, g.labels))
 
 
 def test_average_degree(example_graph):
@@ -702,13 +727,6 @@ def test_components_match_scipy():
         _assert_components_match_scipy(make_graph(text))
 
 
-def test_arc_tails_are_the_rows_of_indices(example_graph):
-    tails = example_graph.arc_tails
-    assert tails.dtype == np.int64 and len(tails) == 2 * example_graph.m
-    for v in range(example_graph.n):
-        assert (tails[example_graph.indptr[v] : example_graph.indptr[v + 1]] == v).all()
-
-
 def _graph_bytes(graph):
     return sum(getattr(graph, name).nbytes for name in ("indptr", "indices", "degrees", "labels"))
 
@@ -721,7 +739,8 @@ def crawl_file(tmp_path_factory):
     rng = np.random.default_rng(4)
     labels = rng.permutation(10**6 + 7 * np.arange(graph.n))
     order = rng.permutation(2 * graph.m)
-    tails, heads = labels[graph.arc_tails[order]], labels[graph.indices[order]]
+    tails = np.repeat(np.arange(graph.n), graph.degrees)
+    tails, heads = labels[tails[order]], labels[graph.indices[order]]
     path = tmp_path_factory.mktemp("crawl") / "pa2000.txt"
     path.write_text("".join(f"{a} {b}\n" for a, b in zip(tails.tolist(), heads.tolist())))
     return path
@@ -763,13 +782,15 @@ def test_ingest_peak_is_a_small_multiple_of_the_graph(crawl_file, monkeypatch):
 
 def test_lcc_rebuild_of_a_disconnected_graph_is_lean():
     # A heavy-tailed 2000-node component beside a path, isolated edges and
-    # isolated nodes, ids shuffled. The rebuild reads the component's rows
-    # of ``indices``; through the cached (2m,) arc tails it held 1.9x the
-    # component after the call and peaked at 4.8x.
+    # isolated nodes, ids shuffled. The component is a selection of its rows
+    # of ``indices``; rebuilt through the cached (2m,) arc tails it held 1.9x
+    # the component after the call and peaked at 4.8x, and rebuilt from its
+    # rows by ``build_graph`` it peaked at 1.5x.
     rng = np.random.default_rng(9)
     big = preferential_graph(2000, 15, seed=3)
-    forward = big.arc_tails < big.indices
-    u = np.concatenate([big.arc_tails[forward], np.arange(2000, 2039), np.arange(2040, 2060, 2)])
+    tails = np.repeat(np.arange(big.n), big.degrees)
+    forward = tails < big.indices
+    u = np.concatenate([tails[forward], np.arange(2000, 2039), np.arange(2040, 2060, 2)])
     v = np.concatenate([big.indices[forward], np.arange(2001, 2040), np.arange(2041, 2061, 2)])
     ids = rng.permutation(2065)
     graph = build_graph(ids[u], ids[v], 2065, labels=10**6 + ids)
@@ -780,14 +801,8 @@ def test_lcc_rebuild_of_a_disconnected_graph_is_lean():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "arc_tails" not in graph.__dict__
     assert held < 1.1 * _graph_bytes(lcc), f"held {held / _graph_bytes(lcc):.2f} x the component"
-    assert peak < 2 * _graph_bytes(lcc), f"peak {peak / _graph_bytes(lcc):.2f} x the component"
-    # The induced subgraph, ids renumbered in node order.
+    assert peak < 1.45 * _graph_bytes(lcc), f"peak {peak / _graph_bytes(lcc):.2f} x the component"
     (keep,) = [sorted(c) for c in _bfs_components(graph) if len(c) == 2000]
-    new_id = {old: new for new, old in enumerate(keep)}
-    pairs = [(new_id[a], new_id[b]) for a, b in zip(ids[u].tolist(), ids[v].tolist()) if a in new_id]
-    want = build_graph([a for a, _ in pairs], [b for _, b in pairs], 2000, labels=graph.labels[keep])
-    for name in ("indptr", "indices", "degrees", "labels"):
-        assert np.array_equal(getattr(lcc, name), getattr(want, name)), name
+    _assert_same_arrays(lcc, _induced_subgraph(ids[u], ids[v], keep, graph.labels))
     assert (lcc.n, lcc.m) == (2000, big.m)

@@ -776,6 +776,16 @@ def test_cli_stats_stdout_and_out_file(tmp_path, example_file, capsys):
     assert json.loads(target.read_text(encoding="utf-8"))["m"] == 7
 
 
+def test_cli_out_in_a_missing_directory_fails_before_loading(tmp_path, example_file, capsys, monkeypatch):
+    loads = []
+    monkeypatch.setattr(harness, "load_edge_list", loads.append)
+    out = tmp_path / "missing" / "x.csv"
+    argv = ["run", "--dataset", str(example_file), "--sampler", "srw", "--budget", "10", "--out", str(out)]
+    assert main(argv) == 2
+    assert loads == [] and not out.parent.exists()
+    assert capsys.readouterr().err == f"error: --out {out}: no such directory\n"
+
+
 def test_cli_rerun_writes_identical_bytes(tmp_path, example_file):
     argv = [
         "sweep-budget",
