@@ -185,6 +185,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = resolve_config(args)
         if config.output_path and not Path(config.output_path).parent.is_dir():
             raise UsageError(f"--out {config.output_path}: no such directory")
+        if config.output_path and Path(config.output_path).is_dir():
+            raise UsageError(f"--out {config.output_path}: is a directory")
         text = _COMMANDS[args.command][0](config)
         if config.output_path:
             Path(config.output_path).write_text(text, encoding="utf-8", newline="\n")

@@ -113,6 +113,8 @@ class ExperimentConfig:
         for name, values in (("budget", self.budgets), ("c", self.c_values), ("burn-in", (self.burn_in,))):
             if any(v >= 1 << 63 for v in values):
                 raise UsageError(f"{name} must be < 2^63")
+        if any(self.burn_in + b >= 1 << 60 for b in self.budgets):  # a walk's path, 8 bytes a node
+            raise UsageError("burn-in + budget must be < 2^60")
         if self.parallel < 0:
             raise UsageError("parallel must be >= 0")
         if not 0 <= self.base_seed < 1 << 64:
@@ -187,9 +189,19 @@ def _even_slices(walks: Sequence[WalkConfig], parts: int) -> list[range]:
 _SWEEP: tuple = ()  # set in each pool worker
 
 
-def _worker_init(*sweep) -> None:
+def _worker_init(cpus, *sweep) -> None:
+    """Keep the sweep, and pin this worker to the CPU id at the head of the
+    ``cpus`` queue, which it puts back at the tail: workers take the ids in
+    turn, round-robin once there are more workers than ids. Where
+    ``sched_setaffinity`` is missing or refuses, the worker runs unpinned."""
     global _SWEEP
     _SWEEP = sweep
+    cpu = cpus.get()
+    cpus.put(cpu)
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except (AttributeError, OSError):
+        pass
 
 
 def _walk_slice(span: range, sweep: tuple = ()) -> list[ReportRow]:
@@ -242,8 +254,9 @@ def _run_tasks(config: ExperimentConfig, graph: Graph, groups: Sequence[tuple]) 
     list is then cut once into ranges of about equal walk steps, and this
     process or a process pool maps ``_walk_slice`` over them. Pool workers
     receive the config, graph, walks and weights through the initializer;
-    under the fork start method they inherit them without copying.
-    ``parallel`` 0 means one worker per CPU in this process's affinity set.
+    under the fork start method they inherit them without copying. Each
+    worker runs on one CPU of this process's affinity set, in turn.
+    ``parallel`` 0 means one worker per CPU in that set.
     """
     walks = _make_tasks(config, groups)
     truth = true_degree_distribution(graph)
@@ -254,15 +267,28 @@ def _run_tasks(config: ExperimentConfig, graph: Graph, groups: Sequence[tuple]) 
             weights[group] = estimation_weights(graph, walk, config.weight_mode)
     sweep = (config, graph, walks, truth, weights)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = config.parallel or cpus
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    workers = config.parallel or len(cpus)
     total_steps = sum(w.burn_in + w.budget for w in walks)
     slices = _even_slices(walks, max(workers, math.ceil(total_steps / _BATCH_STEPS)))
     if workers > 1 and len(slices) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+        import multiprocessing  # only a pool pays its import
+        from concurrent.futures import ProcessPoolExecutor
 
+        # A kernel that does not balance load across CPUs leaves every
+        # forked worker on its parent's CPU, where they take turns; so each
+        # worker pins itself to one of these ids (see _worker_init). The
+        # queue and the pool share one start method: a queue made for fork
+        # cannot be pickled into a spawned worker.
+        context = multiprocessing.get_context()
+        queue = context.SimpleQueue()
+        for cpu in cpus[: min(workers, len(slices))]:
+            queue.put(cpu)
         with ProcessPoolExecutor(
-            max_workers=min(workers, len(slices)), initializer=_worker_init, initargs=sweep
+            max_workers=min(workers, len(slices)),
+            mp_context=context,
+            initializer=_worker_init,
+            initargs=(queue, *sweep),
         ) as pool:
             parts = list(pool.map(_walk_slice, slices))
     else:

@@ -368,6 +368,10 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
                 pool.append(law.targets)
     pool = np.concatenate(pool)
     degrees, indptr = graph.degrees, graph.indptr[:-1] + n
+    # The float64 operands of each step, so that it casts nothing: one table
+    # a batch, not one a law. Padding reads the int64 degrees, which is exact
+    # for a cap of 2^53 or more, where float64 is not.
+    float_degrees = degrees.astype(np.float64)
     isolated = not degrees.all()
 
     rngs = [make_rng(cfg.seed) for cfg in configs]
@@ -381,12 +385,13 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
     totals = [len(paths[i]) - 1 for i in order]
     walker_laws = [laws[configs[i].kind, configs[i].alpha, configs[i].c] for i in order]
     cap, alpha, escape_first, escape_size = (np.array(x) for x in zip(*walker_laws))
+    escape_size = escape_size.astype(np.float64)
     escapes = bool(padding(cap, alpha, graph.min_degree).any())  # a law pads some node iff one of least degree
     walker_rngs = [rngs[i] for i in order]
     walker_paths = [paths[i] for i in order]
     v = np.array([starts[i] for i in order], dtype=np.int64)
 
-    done, active = 0, len(order)
+    done, active, width = 0, len(order), 0
     while done < totals[0]:
         while totals[active - 1] <= done:
             active -= 1
@@ -400,23 +405,27 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
         for r in range(k):
             while totals[a - 1] <= done + r:
                 a -= 1
-            v = v[:a]
-            d = degrees.take(v)
+            if a != width:  # cut the per-walker columns only when walkers stop
+                width = a
+                v, cap_a, alpha_a, first_a, size_a = v[:a], cap[:a], alpha[:a], escape_first[:a], escape_size[:a]
             if escapes:
-                pad = padding(cap[:a], alpha[:a], d)
+                pad = padding(cap_a, alpha_a, degrees.take(v))
+                d = float_degrees.take(v)
                 esc = draws[2 * r, :a] * (d + pad) < pad
                 # A jumping law's block lies past every node id, so the
                 # maximum is its offset, or v for an escape to self.
-                first = np.where(esc, np.maximum(escape_first[:a], v), indptr.take(v))
-                size = np.where(esc, escape_size[:a], d)
+                first = np.where(esc, np.maximum(first_a, v), indptr.take(v))
+                size = np.where(esc, size_a, d)
             else:
-                first, size = indptr.take(v), d
+                first, size = indptr.take(v), float_degrees.take(v)
             if isolated and not size.all():
                 raise SamplerError(f"no outgoing transition from isolated node {int(v[size == 0][0])}")
+            # A draw r < 1 times an integer size below 2^53 rounds below
+            # size, so j < size: the scalar stepper's clamp never binds here.
             j = (draws[2 * r + 1, :a] * size).astype(np.int64)
-            np.minimum(j, size - 1, out=j)
             v = visits[r, :a]
             pool.take(np.add(first, j, out=j), out=v)
+        del draws  # before the next chunk draws its own
         for i in range(active):
             walker_paths[i][done + 1 : done + 1 + k] = visits[: totals[i] - done, i]
         done += k

@@ -47,6 +47,9 @@ MIXED = [
     dict(kind="rwe", alpha=-0.0, budget=300, start_policy="degree"),
     dict(kind="gmd", c=3, budget=300),
     dict(kind="wjrw", c=200, budget=800),  # c > d_max (118): U is every node, padded unequally
+    # A cap that float64 cannot hold: the padding must be taken on int64 degrees.
+    dict(kind="gmd", c=2**53 + 1, budget=300),
+    dict(kind="wjrw", c=2**53 + 1, budget=300, start_policy="degree"),
 ]
 
 

@@ -390,15 +390,23 @@ def test_slices_cut_inside_a_group_keep_each_walks_repetition_and_seed(example_f
     assert got == want
 
 
+def _start_pools_by(monkeypatch, method: str) -> None:
+    """Make the harness start its pools, and their CPU-id queues, by ``method``."""
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda name=None: get_context(name or method))
+
+
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
 def test_pool_under_a_pickling_start_method_equals_sequential_bytes(example_file, monkeypatch, method):
-    # Unlike fork, these start methods pickle the initializer's arguments.
+    # Unlike fork, these start methods pickle the initializer's arguments,
+    # the CPU-id queue among them.
     pools, pool = [], concurrent.futures.ProcessPoolExecutor
 
     def pool_with_context(*args, **kwargs):
-        pools.append(method)
-        return pool(*args, mp_context=multiprocessing.get_context(method), **kwargs)
+        pools.append(kwargs["mp_context"].get_start_method())
+        return pool(*args, **kwargs)
 
+    _start_pools_by(monkeypatch, method)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool_with_context)
     base = dict(samplers=("srw", "rwe", "gmd", "wjrw"), budgets=(40, 90), repetitions=3, c_values=(3,), burn_in=2)
     for fmt in OUTPUT_FORMATS:
@@ -446,6 +454,76 @@ def test_default_parallel_counts_only_cpus_in_the_affinity_set(example_file, mon
     assert cmd_sweep_budget(example_config(example_file, **base)) == cmd_sweep_budget(
         example_config(example_file, parallel=1, **base)
     )
+
+
+_sched_getaffinity = getattr(os, "sched_getaffinity", None)
+_worker_init = harness._worker_init
+_affinity_log = None  # the file that _logged_worker_init appends to
+
+
+def _logged_worker_init(cpus, *sweep) -> None:
+    """``harness._worker_init``, then one line with the worker's affinity set.
+
+    Forked pool workers inherit it, and the log path, from the test."""
+    _worker_init(cpus, *sweep)
+    with open(_affinity_log, "a", encoding="utf-8") as log:
+        log.write(" ".join(map(str, sorted(_sched_getaffinity(0)))) + "\n")
+
+
+def _refuse_affinity(pid, cpus) -> None:
+    raise OSError(22, "Invalid argument")
+
+
+def _logged_forked_sweep(example_file, tmp_path, monkeypatch, **kw) -> list[set[int]]:
+    """Each worker's affinity set in a forked pool that runs a sweep; its
+    output must equal the same sweep's at parallel=1."""
+    base = dict(samplers=("srw", "wjrw"), budgets=(30,), repetitions=4, c_values=(3,))
+    want = cmd_sweep_budget(example_config(example_file, parallel=1, **base))
+    log = tmp_path / "affinity.txt"
+    log.touch()
+    _start_pools_by(monkeypatch, "fork")
+    monkeypatch.setattr(harness, "_worker_init", _logged_worker_init)
+    monkeypatch.setitem(globals(), "_affinity_log", log)
+    assert cmd_sweep_budget(example_config(example_file, **base, **kw)) == want
+    return [set(map(int, line.split())) for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+needs_affinity = pytest.mark.skipif(_sched_getaffinity is None, reason="no sched_getaffinity")
+needs_two_cpus = pytest.mark.skipif(
+    _sched_getaffinity is None or len(_sched_getaffinity(0)) < 2, reason="needs two usable CPUs"
+)
+
+
+@needs_two_cpus
+def test_pool_workers_run_on_different_cpus(example_file, tmp_path, monkeypatch):
+    # Two slices on two workers; each worker is pinned to a CPU of its own.
+    affinities = _logged_forked_sweep(example_file, tmp_path, monkeypatch, parallel=2)
+    assert len(affinities) == 2
+    assert all(len(cpus) == 1 for cpus in affinities)
+    assert affinities[0] != affinities[1]
+    assert set.union(*affinities) <= _sched_getaffinity(0)
+
+
+@needs_two_cpus
+def test_more_pool_workers_than_cpus_share_them_round_robin(example_file, tmp_path, monkeypatch):
+    two = set(sorted(_sched_getaffinity(0))[:2])
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: two)
+    affinities = _logged_forked_sweep(example_file, tmp_path, monkeypatch, parallel=3)
+    assert len(affinities) == 3 and all(len(cpus) == 1 for cpus in affinities)
+    taken = [cpu for cpus in affinities for cpu in cpus]
+    assert set(taken) == two
+    assert sorted(taken.count(cpu) for cpu in two) == [1, 2]
+
+
+@needs_affinity
+@pytest.mark.parametrize("refusal", ["raises", "missing"])
+def test_a_worker_that_cannot_pin_runs_unpinned_with_the_same_bytes(example_file, tmp_path, monkeypatch, refusal):
+    if refusal == "raises":
+        monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    affinities = _logged_forked_sweep(example_file, tmp_path, monkeypatch, parallel=2)
+    assert affinities == [_sched_getaffinity(0)] * 2
 
 
 def test_sweep_budget_shares_seeds_across_samplers(example_file):
@@ -779,11 +857,12 @@ def test_cli_stats_stdout_and_out_file(tmp_path, example_file, capsys):
 def test_cli_out_in_a_missing_directory_fails_before_loading(tmp_path, example_file, capsys, monkeypatch):
     loads = []
     monkeypatch.setattr(harness, "load_edge_list", loads.append)
-    out = tmp_path / "missing" / "x.csv"
-    argv = ["run", "--dataset", str(example_file), "--sampler", "srw", "--budget", "10", "--out", str(out)]
-    assert main(argv) == 2
-    assert loads == [] and not out.parent.exists()
-    assert capsys.readouterr().err == f"error: --out {out}: no such directory\n"
+    for out, message in ((tmp_path / "missing" / "x.csv", "no such directory"), (tmp_path, "is a directory")):
+        argv = ["run", "--dataset", str(example_file), "--sampler", "srw", "--budget", "10", "--out", str(out)]
+        assert main(argv) == 2
+        assert loads == []
+        assert capsys.readouterr().err == f"error: --out {out}: {message}\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_rerun_writes_identical_bytes(tmp_path, example_file):
@@ -887,6 +966,11 @@ def test_cli_exit_codes(tmp_path, example_file, capsys, monkeypatch):
         (["analyze", "--sampler", "gmd", "--c", huge], "c must be < 2^63"),
         (["run", "--sampler", "srw", "--budget", huge, "--reps", "1"], "budget must be < 2^63"),
         (["run", "--sampler", "srw", "--budget", "3", "--burn-in", huge, "--reps", "1"], "burn-in must be < 2^63"),
+        # a walk whose path of 8-byte nodes has no int64 byte count -> 2, not numpy's "array is too big"
+        (["run", "--sampler", "srw", "--budget", str(2**60), "--reps", "1"], "burn-in + budget must be < 2^60"),
+        (["run", "--sampler", "srw", "--budget", "5", "--burn-in", str(2**62)], "burn-in + budget must be < 2^60"),
+        (["sweep-budget", "--sampler", "srw", "--budget", "5", "--budget", str(2**60 - 5), "--burn-in", "5"],
+         "burn-in + budget must be < 2^60"),
     ):
         assert main(argv + ["--dataset", str(example_file)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -325,6 +325,19 @@ def test_lockstep_walks_equal_scalar_walks_at_any_chunk(data, graph_seed, n, chu
         assert np.array_equal(trace.nodes, want.nodes), cfg
 
 
+def test_a_draw_below_one_picks_below_every_size():
+    # run_walks takes int(r * size) without the scalar stepper's clamp to
+    # size - 1: for the largest draw r = 1 - 2^-53 and any integer size below
+    # 2^53, the rounded product stays below size.
+    r = np.nextafter(1.0, 0.0)
+    powers = np.array([1 << k for k in range(17, 54)], dtype=np.int64)
+    sizes = np.concatenate([np.arange(1, (1 << 16) + 1), powers - 1, powers[:-1], powers[:-1] + 1])
+    assert sizes.max() == (1 << 53) - 1
+    products = r * sizes.astype(np.float64)
+    assert (products < sizes).all()
+    assert (products.astype(np.int64) < sizes).all()
+
+
 # ----------------------------------------------------------- stationary
 
 
