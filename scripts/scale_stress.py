@@ -10,7 +10,9 @@ and wjrw at each, 20 walk laws, the same budget and repetitions). Prints
 the wall time and peak RSS (``os.wait4``) of each, and checks ``stats``
 against the counts graphgen records beside the file. The failure to look
 for is work or memory that grows with n per walker, per group or per law,
-not per graph.
+not per graph. Each sweep row's "over stats MB" is its peak minus that of
+``stats``, which loads the same graph and walks nothing: what the sweep
+holds beyond the graph.
 
 Each step, the generator too, runs in a fresh child process: a child's
 peak RSS includes that of the process it was started from, so this one
@@ -68,31 +70,31 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[200_000])
     args = parser.parse_args(argv)
-    print("| n | file MB | command | wall s | peak RSS MB | |")
-    print("|---|---|---|---|---|---|")
+    print("| n | file MB | command | wall s | peak RSS MB | over stats MB | |")
+    print("|---|---|---|---|---|---|---|")
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.sizes:
             path = Path(tmp) / f"pa{n}.txt"
             wall, peak, _ = run_child([str(ROOT / "perfbench" / "graphgen.py"), str(n), "800", str(path)])
             written = json.loads(path.with_name(path.name + ".json").read_text(encoding="utf-8"))
             mb = path.stat().st_size / 1e6
-            print(f"| {n} | {mb:.0f} | graphgen.py | {wall:.2f} | {peak:.0f} | |")
+            print(f"| {n} | {mb:.0f} | graphgen.py | {wall:.2f} | {peak:.0f} | | |")
             cli = ["-m", "walksample.cli"]
             wall, peak, out = run_child(["-c", _LOAD_AND_LCC.format(path=str(path))])
-            print(f"| {n} | {mb:.0f} | load + LCC | {wall:.2f} | {peak:.0f} | parse {mb / float(out):.1f} MB/s |")
+            print(f"| {n} | {mb:.0f} | load + LCC | {wall:.2f} | {peak:.0f} | | parse {mb / float(out):.1f} MB/s |")
             wall, peak, out = run_child([*cli, "stats", "--dataset", str(path)])
             stats = json.loads(out)
             m = written["m"]
             want = {"n": n, "m": m, "lcc_n": n, "dropped_self_loops": written["self_loops"], "dropped_duplicates": m}
             if any(stats[key] != value for key, value in want.items()):
                 raise SystemExit(f"stats of {path.name} read {stats}, not {want}")
-            print(f"| {n} | {mb:.0f} | stats | {wall:.2f} | {peak:.0f} | |")
-            for weights in ("paper", "oracle"):
-                sweep = [*cli, *_SWEEP, "--dataset", str(path), "--weights", weights, "--out", str(Path(tmp) / "sweep.csv")]
-                wall, peak, _ = run_child(sweep)
-                print(f"| {n} | {mb:.0f} | sweep-budget --weights {weights} | {wall:.2f} | {peak:.0f} | |")
-            wall, peak, _ = run_child([*cli, *_SWEEP_C, "--dataset", str(path), "--out", str(Path(tmp) / "sweep.csv")])
-            print(f"| {n} | {mb:.0f} | sweep-c, 10 c-fracs | {wall:.2f} | {peak:.0f} | |")
+            print(f"| {n} | {mb:.0f} | stats | {wall:.2f} | {peak:.0f} | | |")
+            stats_peak = peak
+            out = str(Path(tmp) / "sweep.csv")
+            sweeps = [(f"sweep-budget --weights {w}", [*_SWEEP, "--weights", w]) for w in ("paper", "oracle")]
+            for command, argv in [*sweeps, ("sweep-c, 10 c-fracs", _SWEEP_C)]:
+                wall, peak, _ = run_child([*cli, *argv, "--dataset", str(path), "--out", out])
+                print(f"| {n} | {mb:.0f} | {command} | {wall:.2f} | {peak:.0f} | {peak - stats_peak:.0f} | |")
             path.unlink()
 
 

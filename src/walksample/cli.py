@@ -28,6 +28,7 @@ from .harness import (
     cmd_sweep_budget,
     cmd_sweep_c,
 )
+from .samplers import WalkTooLongError
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -192,7 +193,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             Path(config.output_path).write_text(text, encoding="utf-8", newline="\n")
         else:
             sys.stdout.write(text)
-    except (UsageError, EdgeListParseError, EmptyGraphError, OSError) as exc:
+    except (UsageError, EdgeListParseError, EmptyGraphError, OSError, WalkTooLongError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numeric/internal failures

@@ -105,8 +105,10 @@ def kl_divergence(true_p: Distribution, est_q: Distribution, eps: float = 1e-12)
 
 
 def _trace_nodes(trace) -> np.ndarray:
-    nodes = getattr(trace, "nodes", trace)
-    nodes = np.asarray(nodes, dtype=np.int64)
+    """A trace's node ids: int32 ones (a walk's) as they are, others as int64."""
+    nodes = np.asarray(getattr(trace, "nodes", trace))
+    if nodes.dtype != np.int32:
+        nodes = nodes.astype(np.int64, copy=False)
     if nodes.size == 0:
         raise ValueError("empty trace")
     return nodes
@@ -118,11 +120,11 @@ def _node_values(fn: WeightFunction, nodes: np.ndarray) -> np.ndarray:
         uniq, inverse = np.unique(nodes, return_inverse=True)
         vals = np.asarray([float(fn(int(v))) for v in uniq])
         return vals[inverse]
-    return np.asarray(fn, dtype=np.float64)[nodes]
+    return np.asarray(fn, dtype=np.float64).take(nodes)
 
 
-def _inclusion_weights(pi: WeightFunction, nodes: np.ndarray) -> np.ndarray:
-    pivals = _node_values(pi, nodes)
+def _inverse(pivals: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """1/pi of each occurrence, given its pi value; raises at a nonpositive one."""
     if np.any(pivals <= 0):
         bad = int(nodes[np.argmax(pivals <= 0)])
         raise ZeroInclusionProbability(
@@ -138,7 +140,7 @@ def ht_ratio_estimate(trace, pi: WeightFunction, f: WeightFunction) -> float:
     unnormalized; any positive scaling cancels in the ratio.
     """
     nodes = _trace_nodes(trace)
-    w = _inclusion_weights(pi, nodes)
+    w = _inverse(_node_values(pi, nodes), nodes)
     fvals = _node_values(f, nodes)
     return float((w * fvals).sum() / w.sum())
 
@@ -151,9 +153,14 @@ def degree_distribution_estimate(trace, pi: WeightFunction, graph: "Graph") -> D
     graph, so degrees never visited carry explicit zero mass.
     """
     nodes = _trace_nodes(trace)
-    w = _inclusion_weights(pi, nodes)
+    return degree_estimate_from_pi(nodes, _node_values(pi, nodes), graph)
+
+
+def degree_estimate_from_pi(nodes: np.ndarray, pivals: np.ndarray, graph: "Graph") -> Distribution:
+    """``degree_distribution_estimate`` of a trace's ``nodes``, given the pi
+    value of each occurrence rather than a weight function over all nodes."""
     support, category = graph.degree_classes
-    sums = np.bincount(category[nodes], weights=w, minlength=len(support))
+    sums = np.bincount(category.take(nodes), weights=_inverse(pivals, nodes), minlength=len(support))
     return Distribution.from_weights(support, sums)
 
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimation import Distribution, degree_distribution_estimate, kl_divergence, true_degree_distribution, unique_count
+from .estimation import Distribution, degree_estimate_from_pi, kl_divergence, true_degree_distribution, unique_count
 from .graph import Graph, average_degree, graph_stats, largest_connected_component, load_edge_list
 from .samplers import (
     KINDS_READING,
@@ -113,7 +113,7 @@ class ExperimentConfig:
         for name, values in (("budget", self.budgets), ("c", self.c_values), ("burn-in", (self.burn_in,))):
             if any(v >= 1 << 63 for v in values):
                 raise UsageError(f"{name} must be < 2^63")
-        if any(self.burn_in + b >= 1 << 60 for b in self.budgets):  # a walk's path, 8 bytes a node
+        if any(self.burn_in + b >= 1 << 60 for b in self.budgets):  # a path's bytes, 4 a node, fit int64
             raise UsageError("burn-in + budget must be < 2^60")
         if self.parallel < 0:
             raise UsageError("parallel must be >= 0")
@@ -208,13 +208,16 @@ def _walk_slice(span: range, sweep: tuple = ()) -> list[ReportRow]:
     """The report row of each walk in ``span``, a range of the sweep's walk list.
 
     ``sweep`` is (config, graph, walks, truth, weights by group); a pool
-    worker reads the one its initializer received. The slice runs as one
-    lockstep batch. Walk i is repetition i mod R of its group, as
+    worker reads the one its initializer received. A group's weights are its
+    pi per degree class under ``paper`` (a node's closed form depends on its
+    degree alone), or its solved (n,) vector under ``oracle``. The slice
+    runs as one lockstep batch. Walk i is repetition i mod R of its group, as
     ``_make_tasks`` lays out each group's R walks in a row. Under timing a
     walk's millis are its share of the slice's walk time, in proportion to
     its burn-in plus budget, plus the time spent scoring its own trace.
     """
     config, graph, walks, truth, weights = sweep or _SWEEP
+    category = graph.degree_classes[1]
     walks = walks[span.start : span.stop]
     dataset = Path(config.dataset_path).stem
     t0 = time.perf_counter()
@@ -223,7 +226,9 @@ def _walk_slice(span: range, sweep: tuple = ()) -> list[ReportRow]:
     rows = []
     for index, walk, trace in zip(span, walks, traces):
         t0 = time.perf_counter()
-        estimate = degree_distribution_estimate(trace, weights[walk.kind, walk.c, walk.alpha], graph)
+        pi, by_class = weights[walk.kind, walk.c, walk.alpha]
+        nodes = trace.nodes
+        estimate = degree_estimate_from_pi(nodes, pi.take(category.take(nodes) if by_class else nodes), graph)
         kl = kl_divergence(truth, estimate)
         unique = unique_count(trace)
         walk_s = walk_s_per_step * (walk.burn_in + walk.budget)
@@ -250,7 +255,8 @@ def _run_tasks(config: ExperimentConfig, graph: Graph, groups: Sequence[tuple]) 
     """Run R repetitions of every (sampler, c, alpha, budget) group; one row
     per walk, in walk order.
 
-    The truth and each group's weights are computed once, here; the walk
+    The truth and each group's weights are computed once, here (under
+    ``paper`` one value per degree class, not an (n,) vector); the walk
     list is then cut once into ranges of about equal walk steps, and this
     process or a process pool maps ``_walk_slice`` over them. Pool workers
     receive the config, graph, walks and weights through the initializer;
@@ -260,11 +266,14 @@ def _run_tasks(config: ExperimentConfig, graph: Graph, groups: Sequence[tuple]) 
     """
     walks = _make_tasks(config, groups)
     truth = true_degree_distribution(graph)
-    weights: dict = {}
+    weights: dict = {}  # group -> (pi, whether pi is indexed by degree class rather than node)
     for walk in walks:
         group = (walk.kind, walk.c, walk.alpha)
         if group not in weights:
-            weights[group] = estimation_weights(graph, walk, config.weight_mode)
+            if config.weight_mode == "paper":
+                weights[group] = (stationary_closed_form(graph, walk, graph.degree_classes[0]), True)
+            else:
+                weights[group] = (estimation_weights(graph, walk, "oracle"), False)
     sweep = (config, graph, walks, truth, weights)
 
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)

@@ -21,21 +21,28 @@ numeric stationary distributions, any block of rows of the transition
 matrix (one row, or the dense matrix of ``spectral``) and its diagonal are
 all derived from it here.
 
-Walks run on two engines that give the same traces. ``run_walk`` is the
-scalar reference: one walker, one Python step at a time (~1 us a step).
-``run_walks`` is the lockstep engine: it advances a whole batch of walkers,
-each with its own law (its cap and alpha, no table per law), budget,
-burn-in, start and Philox stream, one numpy step at a time (~15 us a step
-at any width), so it pays off from a few dozen walkers on; the harness runs
-every sweep through it.
+Walks run on two engines that give the same traces, int32 node ids at 4
+bytes a step. ``run_walk`` is the scalar reference: one walker, one Python
+step at a time (~1 us a step). ``run_walks`` is the lockstep engine: it
+advances a whole batch of walkers, each with its own law (its cap and alpha,
+no table per law), budget, burn-in, start and Philox stream, one numpy step
+at a time (~15 us a step at any width), so it pays off from a few dozen
+walkers on; the harness runs every sweep through it. It picks neighbours
+from the graph's own ``indices`` and escapes from a small pool of the node
+ids and the jumping laws' targets, so beyond the graph a batch holds its
+traces, that pool and fixed-size chunk buffers.
 
 The closed form weights each node by big_v. That is exact for every law
 whose escape targets pad equally (srw, md, gmd, rwe, and wjrw when all of U
 shares one degree): such a law is reversible with pi proportional to big.
 Otherwise (wjrw) the closed form spreads the padding evenly over U, which is
-what the ``paper`` estimation-weights mode uses; the ``oracle`` mode uses
-the numeric stationary, there one conjugate-gradient solve of the law's
-balance equations.
+what the ``paper`` estimation-weights mode uses. A node's closed-form
+weight depends on its degree alone, so a sweep keeps one value per degree
+class and law (``stationary_closed_form`` given degrees), not an n-long
+vector per law.
+The ``oracle`` mode uses the numeric
+stationary, there one conjugate-gradient solve of the law's balance
+equations.
 """
 
 from __future__ import annotations
@@ -57,6 +64,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 class SamplerError(ValueError):
     """Invalid sampler configuration or an impossible transition."""
+
+
+class WalkTooLongError(SamplerError):
+    """A walk's path of ``burn_in + budget`` nodes cannot be allocated."""
 
 
 class ConvergenceError(RuntimeError):
@@ -126,9 +137,10 @@ class WalkConfig:
 class Trace:
     """Ordered node visits of one walk, with its provenance.
 
-    With a burn-in, ``nodes`` is a view of the walk's whole path, whose base
-    keeps the ``burn_in`` unrecorded nodes alive: ``burn_in + budget`` nodes
-    a walk, as the harness counts them when it cuts a sweep into batches.
+    ``nodes`` are int32 node ids, 4 bytes a step. With a burn-in, ``nodes``
+    is a view of the walk's whole path, whose base keeps the ``burn_in``
+    unrecorded nodes alive: ``burn_in + budget`` nodes a walk, as the harness
+    counts them when it cuts a sweep into batches.
     """
 
     nodes: np.ndarray
@@ -301,9 +313,22 @@ def _draw_start(graph: Graph, config: WalkConfig, rng: np.random.Generator) -> i
     r = float(rng.random())
     if config.start_policy == "degree":
         cum = graph.indptr[1:]  # cumulative degrees
+        if not cum[-1]:
+            raise SamplerError("a degree-proportional start needs an edge")
         return int(np.searchsorted(cum, r * cum[-1], side="right"))
     v = int(r * graph.n)
     return v if v < graph.n else graph.n - 1
+
+
+def _empty_path(config: WalkConfig) -> np.ndarray:
+    """An uninitialised int32 path of the walk's ``burn_in + budget`` nodes."""
+    size = config.burn_in + config.budget
+    try:
+        return np.empty(size, dtype=np.int32)
+    except MemoryError:
+        raise WalkTooLongError(
+            f"cannot allocate the path of a walk of burn-in + budget = {size} nodes ({4 * size} bytes)"
+        ) from None
 
 
 def run_walk(graph: Graph, config: WalkConfig) -> Trace:
@@ -318,7 +343,7 @@ def run_walk(graph: Graph, config: WalkConfig) -> Trace:
         raise SamplerError("cannot walk an empty graph")
     advance = _stepper(graph, WalkLaw(graph, config))
     rng = make_rng(config.seed)
-    path = np.empty(config.burn_in + config.budget, dtype=np.int64)
+    path = _empty_path(config)
     path[0] = v = start = _draw_start(graph, config, rng)
     chunk = 1 << 15
     for first in range(1, len(path), chunk):  # first: the index the chunk's first step fills
@@ -339,14 +364,17 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
 
     Every walker of the batch takes its step t in the same numpy operations,
     whatever its law, budget, burn-in or start policy, and like ``run_walk``
-    records its whole path and returns the tail after its burn-in. A walker
-    carries its law's cap and alpha, pads its node at each step and tests
-    ``r * (d + pad) < pad``: the float64 values of the scalar stepper's
-    ``r * big < pad``. Every pick is a uniform index into a block of one
-    pool array: ``arange(n)`` (an escape to self picks v, a block of size 1
-    at offset v), the neighbor array, then each jumping law's targets; a
-    walker carries its escape block's offset (0 to self) and size. Each
-    walker keeps its own Philox stream, drawn in chunks; ``random(a)`` then
+    records its whole path, int32 node ids at 4 bytes a step, and returns the
+    tail after its burn-in. A walker carries its law's cap and alpha, pads its
+    node at each step and tests ``r * (d + pad) < pad``: the float64 values of
+    the scalar stepper's ``r * big < pad``. A neighbour pick reads
+    ``graph.indices`` in place, at offset ``indptr[v]``. An escape pick is a
+    uniform index into a block of a small pool, ``arange(n)`` (an escape to
+    self picks v, a block of size 1 at offset v) then each jumping law's
+    targets; a walker carries its escape block's offset (0 to self) and size,
+    and escaping walkers take the escape pick in place of the neighbour pick.
+    A batch in which no law escapes makes only the neighbour pick. Each walker
+    keeps its own Philox stream, drawn in chunks; ``random(a)`` then
     ``random(b)`` yields the numbers of one ``random(a + b)``, so the chunk
     size changes no trace. Both picks are the scalar stepper's, bit for bit.
     """
@@ -355,7 +383,7 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
     if not configs:
         return []
     n = graph.n
-    pool = [np.arange(n, dtype=np.int64), graph.indices]
+    pool = [np.arange(n, dtype=np.int64)]
     laws: dict = {}  # (kind, alpha, c) -> (cap, alpha, escape offset, escape size)
     for cfg in configs:
         key = (cfg.kind, cfg.alpha, cfg.c)
@@ -367,7 +395,11 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
                 laws[key] = (law.cap, law.alpha, sum(map(len, pool)), len(law.targets))
                 pool.append(law.targets)
     pool = np.concatenate(pool)
-    degrees, indptr = graph.degrees, graph.indptr[:-1] + n
+    degrees, indptr = graph.degrees, graph.indptr[:-1]
+    # Picks are clipped into range, as an escaping walker's neighbour pick
+    # may point past the array; an edgeless graph's walkers all escape, and
+    # pick from a stand-in of one element.
+    neighbours = graph.indices if len(graph.indices) else np.zeros(1, dtype=np.int64)
     # The float64 operands of each step, so that it casts nothing: one table
     # a batch, not one a law. Padding reads the int64 degrees, which is exact
     # for a cap of 2^53 or more, where float64 is not.
@@ -376,7 +408,7 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
 
     rngs = [make_rng(cfg.seed) for cfg in configs]
     starts = [_draw_start(graph, cfg, rng) for cfg, rng in zip(configs, rngs)]
-    paths = [np.empty(cfg.burn_in + cfg.budget, dtype=np.int64) for cfg in configs]
+    paths = [_empty_path(cfg) for cfg in configs]
     for path, start in zip(paths, starts):
         path[0] = start
     # Walkers sorted by steps to take, most first: those still walking at
@@ -408,23 +440,25 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
             if a != width:  # cut the per-walker columns only when walkers stop
                 width = a
                 v, cap_a, alpha_a, first_a, size_a = v[:a], cap[:a], alpha[:a], escape_first[:a], escape_size[:a]
+            size = float_degrees.take(v)
             if escapes:
                 pad = padding(cap_a, alpha_a, degrees.take(v))
-                d = float_degrees.take(v)
-                esc = draws[2 * r, :a] * (d + pad) < pad
-                # A jumping law's block lies past every node id, so the
-                # maximum is its offset, or v for an escape to self.
-                first = np.where(esc, np.maximum(first_a, v), indptr.take(v))
-                size = np.where(esc, size_a, d)
-            else:
-                first, size = indptr.take(v), float_degrees.take(v)
+                esc = draws[2 * r, :a] * (size + pad) < pad
+                np.putmask(size, esc, size_a)
             if isolated and not size.all():
                 raise SamplerError(f"no outgoing transition from isolated node {int(v[size == 0][0])}")
             # A draw r < 1 times an integer size below 2^53 rounds below
             # size, so j < size: the scalar stepper's clamp never binds here.
             j = (draws[2 * r + 1, :a] * size).astype(np.int64)
-            v = visits[r, :a]
-            pool.take(np.add(first, j, out=j), out=v)
+            first = indptr.take(v)
+            nxt = visits[r, :a]
+            neighbours.take(np.add(first, j, out=first), out=nxt, mode="clip")
+            if escapes:
+                # A jumping law's block lies past every node id, so the
+                # maximum is its offset, or v for an escape to self.
+                first = np.maximum(first_a, v)
+                np.putmask(nxt, esc, pool.take(np.add(first, j, out=first), mode="clip"))
+            v = nxt
         del draws  # before the next chunk draws its own
         for i in range(active):
             walker_paths[i][done + 1 : done + 1 + k] = visits[: totals[i] - done, i]
@@ -432,7 +466,7 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
     return [Trace(nodes=path[cfg.burn_in :], config=cfg, start=start) for cfg, path, start in zip(configs, paths, starts)]
 
 
-def stationary_closed_form(graph: Graph, config: WalkConfig) -> np.ndarray:
+def stationary_closed_form(graph: Graph, config: WalkConfig, degrees: Optional[np.ndarray] = None) -> np.ndarray:
     """Stationary distribution by formula, normalized to sum 1.
 
     Proportional to ``big = d + pad``, which is exact for a reversible law:
@@ -440,16 +474,27 @@ def stationary_closed_form(graph: Graph, config: WalkConfig) -> np.ndarray:
     members of U share one degree. Otherwise (wjrw) the mass escaping to the
     targets is spread evenly over them: each member of U gets d_v plus the
     average padding sum(c - d_u)/|U| (see module docstring).
+
+    A node's mass depends on its degree alone. Given int64 ``degrees``, the
+    result is instead the mass of a node of each of those degrees, with no
+    n-long result beyond the transient one its total is summed over; each
+    mass is one correctly rounded division, so it equals the distribution's
+    value at such a node bit for bit.
     """
     law = WalkLaw(graph, config)
-    weights, targets = law.big, law.targets
-    if not law.reversible:
-        weights = weights.copy()
-        weights[targets] = graph.degrees[targets] + law.pad.sum() / len(targets)
-    total = weights.sum()
+    share = None if law.reversible else law.pad.sum() / len(law.targets)
+
+    def weights(d: np.ndarray) -> np.ndarray:
+        pad = padding(law.cap, law.alpha, d)
+        if share is not None:
+            pad[pad > 0] = share
+        return d + pad
+
+    every = weights(graph.degrees)
+    total = every.sum()
     if total <= 0:
         raise SamplerError("graph has no edges; stationary undefined")
-    return weights / total
+    return (every if degrees is None else weights(degrees)) / total
 
 
 def stationary_numeric(

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import preferential_graph
 from walksample import SamplerError, WalkConfig, build_graph, derive_seed, jump_set, run_walk, run_walks
@@ -86,15 +88,15 @@ def test_batch_of_one_and_empty_batch(heavy_graph):
 
 
 def test_batch_memory_is_set_by_its_pool_and_traces_not_its_laws():
-    # 40 laws, two walkers each. The batch holds its pick pool (arange(n),
-    # the neighbor array and each wjrw law's jump set, built from a list of
-    # the parts), its traces and chunk buffers (a few times the traces), and
-    # a few n-long arrays at a time; an n-long table per law would be 40.
+    # 40 laws, two walkers each. The batch holds its escape pool (arange(n)
+    # and each wjrw law's jump set, built from a list of the parts), its
+    # traces at 4 bytes a step and chunk buffers (a few times the traces),
+    # and a few n-long arrays at a time; an n-long table per law would be 40.
     g = preferential_graph(2000, 4, seed=3)
     cs = range(5, 105, 5)
     configs = [WalkConfig(kind=kind, c=c, budget=50, seed=_seed(rep)) for kind in ("gmd", "wjrw") for c in cs for rep in range(2)]
-    pool = 8 * (g.n + len(g.indices) + sum(jump_set(g, c).size for c in cs))
-    traces = 8 * sum(cfg.budget for cfg in configs)
+    pool = 8 * (g.n + sum(jump_set(g, c).size for c in cs))
+    traces = 4 * sum(cfg.budget for cfg in configs)
     tracemalloc.start()
     try:
         run_walks(g, configs)
@@ -102,6 +104,82 @@ def test_batch_memory_is_set_by_its_pool_and_traces_not_its_laws():
     finally:
         tracemalloc.stop()
     assert peak < 2 * pool + 6 * traces + 8 * (8 * g.n)
+
+
+def test_batch_memory_is_its_traces_at_4_bytes_a_step_not_its_arcs():
+    # A dense graph (n = 800, ~320k arcs), where a copy of graph.indices at 8
+    # bytes an arc (2.6 MB) would outweigh everything else the batch holds:
+    # its paths at 4 bytes a step, chunk buffers of 2^15 walker-steps (two
+    # copies of the draws at 16 bytes a step, the visits at 8) and a few
+    # n-long arrays (the escape pool, the float degrees, one law's tables).
+    n = 800
+    iu, iv = np.triu_indices(n, k=1)
+    mask = np.random.default_rng(5).random(len(iu)) < 0.5
+    g = build_graph(iu[mask], iv[mask], n)
+    kinds = [("srw", {}), ("rwe", {"alpha": 3.0}), ("md", {}), ("gmd", {"c": 420}), ("wjrw", {"c": 420})]
+    configs = [WalkConfig(kind=k, budget=2000, burn_in=3 * r, seed=_seed(r), **kw) for k, kw in kinds for r in range(4)]
+    steps = sum(cfg.burn_in + cfg.budget for cfg in configs)
+    tracemalloc.start()
+    try:
+        run_walks(g, configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * steps + 32 * CHUNK + 16 * 8 * n < 8 * len(g.indices)
+
+
+@st.composite
+def _small_graphs_and_walks(draw):
+    """A graph of 1-8 nodes, isolated ones allowed (the edgeless graph too),
+    and 1-6 walks of every kind on it: rwe with alpha 0 of either sign, c
+    below the least degree and above the largest."""
+    n = draw(st.integers(1, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = np.array(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [], dtype=np.int64).reshape(-1, 2)
+    graph = build_graph(edges[:, 0], edges[:, 1], n)
+    least, most = int(graph.degrees.min()), int(graph.d_max)
+    laws = st.one_of(
+        st.just({"kind": "srw"}),
+        st.just({"kind": "md"}),
+        st.builds(lambda a: {"kind": "rwe", "alpha": a}, st.sampled_from([0.0, -0.0, 0.5, 1.0, 7.25])),
+        st.builds(
+            lambda k, c: {"kind": k, "c": c},
+            st.sampled_from(["gmd", "wjrw"]),
+            st.sampled_from(sorted({max(1, c) for c in (least - 1, least, least + 1, most, most + 1, most + 5)})),
+        ),
+    )
+    starts = st.one_of(
+        st.just({"start_policy": "uniform"}),
+        st.just({"start_policy": "degree"}),
+        st.builds(lambda v: {"start_policy": "fixed", "start_node": v}, st.integers(0, n - 1)),
+    )
+    walk = st.builds(
+        lambda law, start, budget, burn_in, seed: WalkConfig(budget=budget, burn_in=burn_in, seed=seed, **law, **start),
+        laws,
+        starts,
+        st.integers(1, 30),
+        st.integers(0, 10),
+        st.integers(0, 2**64 - 1),
+    )
+    return graph, draw(st.lists(walk, min_size=1, max_size=6))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(case=_small_graphs_and_walks())
+def test_random_small_graphs_walk_alike_in_both_engines(case):
+    # A walk the scalar engine cannot take (stuck on an isolated node, or a
+    # degree-proportional start without an edge) raises in the batch too.
+    graph, configs = case
+    walkable = []
+    for cfg in configs:
+        try:
+            run_walk(graph, cfg)
+        except SamplerError:
+            with pytest.raises(SamplerError):
+                run_walks(graph, [cfg])
+        else:
+            walkable.append(cfg)
+    _assert_same(graph, walkable)
 
 
 def test_isolated_nodes():

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import walksample.graph as graph_module
-from conftest import EXAMPLE_EDGES
+from conftest import EXAMPLE_EDGES, preferential_graph
 from walksample import ConvergenceError, WalkConfig, average_degree, cli, derive_seed, harness
 from walksample.cli import build_parser, main, parse_config_file, resolve_config
 from walksample.harness import (
@@ -442,6 +443,25 @@ def test_weights_are_computed_once_per_group_under_a_pool(example_file, monkeypa
     cmd_sweep_budget(cfg)
     assert pools == [2]
     assert calls == [("srw", None, None), ("rwe", None, 2.0), ("gmd", 3, None), ("wjrw", 3, None)]
+
+
+def test_paper_sweep_peak_does_not_grow_with_its_laws():
+    # Under paper weights a group keeps one value per degree class, not an
+    # (n,) vector, so 20 gmd thresholds peak as 2 do: within one 8n-byte vector.
+    graph = preferential_graph(20000, 2, seed=4)
+    graph.degree_classes  # cached before either run is measured
+    thresholds = range(2, 2 + 5 * 20, 5)
+
+    def peak(laws: int) -> int:
+        groups = [("gmd", c, None, 20) for c in thresholds[:laws]]
+        tracemalloc.start()
+        try:
+            harness._run_tasks(example_config("g.txt", repetitions=2, parallel=1), graph, groups)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20) < peak(2) + 8 * graph.n
 
 
 def test_default_parallel_counts_only_cpus_in_the_affinity_set(example_file, monkeypatch):
@@ -966,7 +986,7 @@ def test_cli_exit_codes(tmp_path, example_file, capsys, monkeypatch):
         (["analyze", "--sampler", "gmd", "--c", huge], "c must be < 2^63"),
         (["run", "--sampler", "srw", "--budget", huge, "--reps", "1"], "budget must be < 2^63"),
         (["run", "--sampler", "srw", "--budget", "3", "--burn-in", huge, "--reps", "1"], "burn-in must be < 2^63"),
-        # a walk whose path of 8-byte nodes has no int64 byte count -> 2, not numpy's "array is too big"
+        # a walk of 2^60 nodes or more -> 2 at config validation, not numpy's "array is too big"
         (["run", "--sampler", "srw", "--budget", str(2**60), "--reps", "1"], "burn-in + budget must be < 2^60"),
         (["run", "--sampler", "srw", "--budget", "5", "--burn-in", str(2**62)], "burn-in + budget must be < 2^60"),
         (["sweep-budget", "--sampler", "srw", "--budget", "5", "--budget", str(2**60 - 5), "--burn-in", "5"],
@@ -974,6 +994,24 @@ def test_cli_exit_codes(tmp_path, example_file, capsys, monkeypatch):
     ):
         assert main(argv + ["--dataset", str(example_file)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+    # a walk below that bound whose path cannot be allocated -> 2, naming its
+    # burn-in + budget and its bytes, in this process and from a pool worker
+    pools, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+    long = 2**60 - 1
+    for argv in (
+        ["run", "--sampler", "srw", "--budget", str(long), "--reps", "1"],
+        ["sweep-budget", "--sampler", "srw", "--budget", "5", "--budget", str(long), "--reps", "2", "--parallel", "2"],
+    ):
+        assert main(argv + ["--dataset", str(example_file)]) == 2
+        nodes = f"burn-in + budget = {long} nodes ({4 * long} bytes)"
+        assert capsys.readouterr().err == f"error: cannot allocate the path of a walk of {nodes}\n"
+    assert pools == [2]
     # sweep-budget without a sampler or without a budget -> 2
     sweep_bare = ["sweep-budget", "--dataset", str(example_file)]
     assert main(sweep_bare + ["--budget", "10"]) == 2

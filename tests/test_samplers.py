@@ -350,6 +350,20 @@ def test_closed_form_values_on_reference_graph(example_graph):
     assert np.allclose(stationary_closed_form(g, config("wjrw", c=3)), np.array([4, 3, 3, 3, 3]) / 16, atol=1e-15)
 
 
+def test_closed_form_at_degree_classes_has_the_bits_of_the_vector():
+    # A node's closed-form mass depends on its degree alone: given the degree
+    # classes, the masses per class equal the vector's at every node, bit for
+    # bit, for reversible laws and for wjrw with unequal padding alike.
+    rng = np.random.default_rng(11)
+    g = random_connected_graph(rng, 40, 0.05, 0.3)
+    support, category = g.degree_classes
+    least, most = g.min_degree, g.d_max
+    laws = [config("srw"), config("rwe", alpha=0.7), config("md")]
+    laws += [config(kind, c=c) for kind in ("gmd", "wjrw") for c in (least, least + 2, most + 3, 2**53 + 1)]
+    for cfg in laws:
+        assert stationary_closed_form(g, cfg, support)[category].tobytes() == stationary_closed_form(g, cfg).tobytes(), cfg
+
+
 def _fixed_point_l1(g, cfg, pi) -> float:
     """||pi P - pi||_1 against the dense transition matrix, which does not
     go through ``stationary_numeric``."""

@@ -61,9 +61,18 @@ def test_scale_stress_runs_on_a_tiny_graph(capsys):
     # and exits with a message when a command fails or the counts differ.
     _load(ROOT / "scripts" / "scale_stress.py").main(["--sizes", "300"])
     out = capsys.readouterr().out
-    commands = ("graphgen.py", "load + LCC", "stats", "sweep-budget --weights paper", "sweep-budget --weights oracle", "sweep-c, 10 c-fracs")
-    for command in commands:
-        assert f"| 300 | 0 | {command} |" in out
+    cells = [[cell.strip() for cell in line.strip("|").split("|")] for line in out.splitlines()]
+    rows = {row[2]: row[3:] for row in cells if row[:2] == ["300", "0"]}
+    sweeps = ("sweep-budget --weights paper", "sweep-budget --weights oracle", "sweep-c, 10 c-fracs")
+    assert list(rows) == ["graphgen.py", "load + LCC", "stats", *sweeps]
+    # "over stats MB": each sweep's peak RSS minus that of stats (both printed
+    # rounded, so within 1 of their difference), blank on the other rows
+    stats_peak = float(rows["stats"][1])
+    for command, (_, peak, over, _) in rows.items():
+        if command in sweeps:
+            assert abs(float(over) - (float(peak) - stats_peak)) <= 1
+        else:
+            assert over == ""
 
 
 def test_readme_quickstart_runs(capsys):
