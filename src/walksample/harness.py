@@ -98,6 +98,8 @@ class ExperimentConfig:
                 raise UsageError(f"unknown sampler {kind!r}")
         if self.repetitions < 1:
             raise UsageError("reps must be >= 1")
+        if self.repetitions >= 1 << 31:  # found here, not while listing reps walks a group
+            raise UsageError("reps must be < 2^31")
         if any(b < 1 for b in self.budgets):
             raise UsageError("budget must be >= 1")
         if any(c < 1 for c in self.c_values):
@@ -123,6 +125,8 @@ class ExperimentConfig:
             object.__setattr__(self, "alpha", float(self.alpha))
             if not 0 <= self.alpha < math.inf:
                 raise UsageError("alpha must be finite and >= 0")
+            if self.alpha >= 1 << 63:  # so that every padded size is finite
+                raise UsageError("alpha must be < 2^63")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ its escape target. The kinds differ only in (cap, alpha) and that target:
 * ``wjrw`` - weighted-jump random walk: ``gmd``'s padding, escaping to the
   jump set U = {u : d_u < c} (self included when v is in U).
 
+A law's cap and alpha are both float64, so every reader pads in the same
+double arithmetic: exactly for a cap below 2^53, and as the cap's nearest
+double above that. ``WalkConfig`` bounds c and alpha below 2^63, so every
+padded size is finite.
+
 ``WalkLaw`` holds big, pad and U, the padded nodes that rwe and wjrw
 escape to, for one (graph, config). The seeded stepper, the closed-form and
 numeric stationary distributions, any block of rows of the transition
@@ -123,6 +128,9 @@ class WalkConfig:
             object.__setattr__(self, "c", int(self.c))
         elif self.c is not None:
             raise SamplerError(f"c is not a parameter of {self.kind.value}")
+        for name in ("alpha", "c"):  # so that every padded size is finite
+            if (getattr(self, name) or 0) >= 1 << 63:
+                raise SamplerError(f"{name} must be < 2^63")
         if self.budget < 1:
             raise SamplerError("budget must be >= 1")
         if self.burn_in < 0:
@@ -162,7 +170,7 @@ class JumpSet:
 
 def padding(cap, alpha, degrees) -> np.ndarray:
     """Padding max(cap - d, alpha) of nodes of the given degrees, float64 for
-    a float alpha; one law over all nodes, or per walker over a batch."""
+    a float cap or alpha; one law over all nodes, or per walker over a batch."""
     return np.maximum(cap - degrees, alpha)
 
 
@@ -197,11 +205,11 @@ class WalkLaw:
     """The transition law every walk kind is an instance of.
 
     Node v pads by ``pad[v] = padding(cap, alpha, d_v)``, with each kind's
-    cap and alpha as in the module docstring. From v the walk escapes with
-    probability ``pad[v] / big[v]``, else it moves to a uniform neighbor
-    (``big = d + pad``). An escape lands on a uniform member of ``targets``,
-    the padded nodes (rwe, wjrw), or stays at v when ``targets`` is None
-    (md, gmd, and any law that pads no node). Built once per (graph,
+    cap and alpha as in the module docstring, both float64. From v the walk
+    escapes with probability ``pad[v] / big[v]``, else it moves to a uniform
+    neighbor (``big = d + pad``). An escape lands on a uniform member of
+    ``targets``, the padded nodes (rwe, wjrw), or stays at v when ``targets``
+    is None (md, gmd, and any law that pads no node). Built once per (graph,
     config). P's rows and diagonal read ``escape_share``, both stationary
     distributions read ``reversible``, and the engines read the rest.
     """
@@ -209,7 +217,7 @@ class WalkLaw:
     __slots__ = ("cap", "alpha", "big", "pad", "targets")
 
     def __init__(self, graph: Graph, config: WalkConfig):
-        self.cap = resolve_cap(graph, config) or 0
+        self.cap = float(resolve_cap(graph, config) or 0)
         self.alpha = 0.0 if config.alpha is None else config.alpha  # keeps alpha = -0.0
         self.pad = pad = padding(self.cap, self.alpha, graph.degrees)
         self.big = graph.degrees + pad
@@ -365,25 +373,25 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
     Every walker of the batch takes its step t in the same numpy operations,
     whatever its law, budget, burn-in or start policy, and like ``run_walk``
     records its whole path, int32 node ids at 4 bytes a step, and returns the
-    tail after its burn-in. A walker carries its law's cap and alpha, pads its
-    node at each step and tests ``r * (d + pad) < pad``: the float64 values of
-    the scalar stepper's ``r * big < pad``. A neighbour pick reads
-    ``graph.indices`` in place, at offset ``indptr[v]``. An escape pick is a
-    uniform index into a block of a small pool, ``arange(n)`` (an escape to
-    self picks v, a block of size 1 at offset v) then each jumping law's
-    targets; a walker carries its escape block's offset (0 to self) and size,
-    and escaping walkers take the escape pick in place of the neighbour pick.
-    A batch in which no law escapes makes only the neighbour pick. Each walker
-    keeps its own Philox stream, drawn in chunks; ``random(a)`` then
-    ``random(b)`` yields the numbers of one ``random(a + b)``, so the chunk
-    size changes no trace. Both picks are the scalar stepper's, bit for bit.
+    tail after its burn-in. A walker carries its law's float64 cap and alpha,
+    pads its node's float64 degree d at each step and tests
+    ``r * (d + pad) < pad``: the values of the scalar stepper's
+    ``r * big < pad``. A neighbour pick reads ``graph.indices`` in place, at
+    offset ``indptr[v]``. An escape pick is a uniform index into a block of a
+    small pool, ``arange(n)`` (an escape to self picks v, a block of size 1 at
+    offset v) then each jumping law's targets; a walker carries its escape
+    block's offset (0 to self) and size, and escaping walkers take the escape
+    pick in place of the neighbour pick. A batch in which no law escapes makes
+    only the neighbour pick. Each walker keeps its own Philox stream, drawn in
+    chunks; ``random(a)`` then ``random(b)`` yields the numbers of one
+    ``random(a + b)``, so the chunk size changes no trace. Both picks are the
+    scalar stepper's, bit for bit.
     """
     if graph.n == 0:
         raise SamplerError("cannot walk an empty graph")
     if not configs:
         return []
-    n = graph.n
-    pool = [np.arange(n, dtype=np.int64)]
+    pool = [np.arange(graph.n, dtype=np.int64)]
     laws: dict = {}  # (kind, alpha, c) -> (cap, alpha, escape offset, escape size)
     for cfg in configs:
         key = (cfg.kind, cfg.alpha, cfg.c)
@@ -395,42 +403,39 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
                 laws[key] = (law.cap, law.alpha, sum(map(len, pool)), len(law.targets))
                 pool.append(law.targets)
     pool = np.concatenate(pool)
-    degrees, indptr = graph.degrees, graph.indptr[:-1]
+    # The float64 operands of each step, so that it casts nothing: one table
+    # a batch, not one a law.
+    degrees, indptr = graph.degrees.astype(np.float64), graph.indptr[:-1]
     # Picks are clipped into range, as an escaping walker's neighbour pick
     # may point past the array; an edgeless graph's walkers all escape, and
     # pick from a stand-in of one element.
     neighbours = graph.indices if len(graph.indices) else np.zeros(1, dtype=np.int64)
-    # The float64 operands of each step, so that it casts nothing: one table
-    # a batch, not one a law. Padding reads the int64 degrees, which is exact
-    # for a cap of 2^53 or more, where float64 is not.
-    float_degrees = degrees.astype(np.float64)
     isolated = not degrees.all()
 
-    rngs = [make_rng(cfg.seed) for cfg in configs]
-    starts = [_draw_start(graph, cfg, rng) for cfg, rng in zip(configs, rngs)]
-    paths = [_empty_path(cfg) for cfg in configs]
+    # The batch in walker order, by steps to take, most first: those still
+    # walking at any step are a prefix of it, and a path too long to allocate
+    # fails before a shorter one is allocated.
+    order = sorted(range(len(configs)), key=lambda i: -(configs[i].burn_in + configs[i].budget))
+    walkers = [configs[i] for i in order]
+    rngs = [make_rng(cfg.seed) for cfg in walkers]
+    starts = [_draw_start(graph, cfg, rng) for cfg, rng in zip(walkers, rngs)]
+    paths = [_empty_path(cfg) for cfg in walkers]
+    totals = [len(path) - 1 for path in paths]
+    columns = zip(*(laws[cfg.kind, cfg.alpha, cfg.c] for cfg in walkers))
+    cap, alpha, escape_first, escape_size = map(np.array, columns, (np.float64, np.float64, np.int64, np.float64))
+    escapes = bool(padding(cap, alpha, graph.min_degree).any())  # a law pads some node iff one of least degree
+    v = np.array(starts, dtype=np.int64)
     for path, start in zip(paths, starts):
         path[0] = start
-    # Walkers sorted by steps to take, most first: those still walking at
-    # any step are a prefix of this order.
-    order = sorted(range(len(configs)), key=lambda i: -len(paths[i]))
-    totals = [len(paths[i]) - 1 for i in order]
-    walker_laws = [laws[configs[i].kind, configs[i].alpha, configs[i].c] for i in order]
-    cap, alpha, escape_first, escape_size = (np.array(x) for x in zip(*walker_laws))
-    escape_size = escape_size.astype(np.float64)
-    escapes = bool(padding(cap, alpha, graph.min_degree).any())  # a law pads some node iff one of least degree
-    walker_rngs = [rngs[i] for i in order]
-    walker_paths = [paths[i] for i in order]
-    v = np.array([starts[i] for i in order], dtype=np.int64)
 
-    done, active, width = 0, len(order), 0
+    done, active, width = 0, len(walkers), 0
     while done < totals[0]:
         while totals[active - 1] <= done:
             active -= 1
         k = min(max(1, _LOCKSTEP_CHUNK // active), totals[0] - done)
         draws = np.empty((active, 2 * k))
         for i in range(active):
-            walker_rngs[i].random(out=draws[i, : 2 * min(k, totals[i] - done)])
+            rngs[i].random(out=draws[i, : 2 * min(k, totals[i] - done)])
         draws = draws.T.copy()  # row 2r: escape tests of step r; row 2r + 1: picks
         visits = np.empty((k, active), dtype=np.int64)
         a = active
@@ -440,9 +445,9 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
             if a != width:  # cut the per-walker columns only when walkers stop
                 width = a
                 v, cap_a, alpha_a, first_a, size_a = v[:a], cap[:a], alpha[:a], escape_first[:a], escape_size[:a]
-            size = float_degrees.take(v)
+            size = degrees.take(v)
             if escapes:
-                pad = padding(cap_a, alpha_a, degrees.take(v))
+                pad = padding(cap_a, alpha_a, size)
                 esc = draws[2 * r, :a] * (size + pad) < pad
                 np.putmask(size, esc, size_a)
             if isolated and not size.all():
@@ -461,9 +466,10 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
             v = nxt
         del draws  # before the next chunk draws its own
         for i in range(active):
-            walker_paths[i][done + 1 : done + 1 + k] = visits[: totals[i] - done, i]
+            paths[i][done + 1 : done + 1 + k] = visits[: totals[i] - done, i]
         done += k
-    return [Trace(nodes=path[cfg.burn_in :], config=cfg, start=start) for cfg, path, start in zip(configs, paths, starts)]
+    traces = [Trace(nodes=path[w.burn_in :], config=w, start=start) for w, path, start in zip(walkers, paths, starts)]
+    return [traces[i] for i in np.argsort(order)]  # in config order
 
 
 def stationary_closed_form(graph: Graph, config: WalkConfig, degrees: Optional[np.ndarray] = None) -> np.ndarray:

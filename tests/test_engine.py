@@ -15,7 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import preferential_graph
-from walksample import SamplerError, WalkConfig, build_graph, derive_seed, jump_set, run_walk, run_walks
+from walksample import (
+    SamplerError,
+    WalkConfig,
+    WalkTooLongError,
+    build_graph,
+    derive_seed,
+    jump_set,
+    run_walk,
+    run_walks,
+    samplers,
+)
 
 CHUNK = 1 << 15  # steps per chunk of run_walk's variates
 
@@ -49,7 +59,7 @@ MIXED = [
     dict(kind="rwe", alpha=-0.0, budget=300, start_policy="degree"),
     dict(kind="gmd", c=3, budget=300),
     dict(kind="wjrw", c=200, budget=800),  # c > d_max (118): U is every node, padded unequally
-    # A cap that float64 cannot hold: the padding must be taken on int64 degrees.
+    # A cap that float64 cannot hold: both engines pad with its nearest double.
     dict(kind="gmd", c=2**53 + 1, budget=300),
     dict(kind="wjrw", c=2**53 + 1, budget=300, start_policy="degree"),
 ]
@@ -85,6 +95,21 @@ def test_batch_of_one_and_empty_batch(heavy_graph):
     for fields in MIXED[:6]:
         _assert_same(heavy_graph, [WalkConfig(seed=5, **fields)])
     assert run_walks(heavy_graph, []) == []
+
+
+def test_a_path_too_long_to_allocate_fails_before_a_shorter_one_is_allocated(heavy_graph, monkeypatch):
+    # The batch allocates its paths longest first, whatever the config order.
+    sizes, empty_path = [], samplers._empty_path
+
+    def recorded(config):
+        sizes.append(config.burn_in + config.budget)
+        return empty_path(config)
+
+    monkeypatch.setattr(samplers, "_empty_path", recorded)
+    configs = [WalkConfig(kind="srw", budget=b) for b in (1 << 20, (1 << 60) - 1, 10)]
+    with pytest.raises(WalkTooLongError, match=f"burn-in \\+ budget = {(1 << 60) - 1} nodes"):
+        run_walks(heavy_graph, configs)
+    assert sizes == [(1 << 60) - 1]
 
 
 def test_batch_memory_is_set_by_its_pool_and_traces_not_its_laws():

@@ -11,7 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import walksample.graph as graph_module
@@ -22,6 +22,7 @@ from walksample.harness import (
     CSV_HEADER,
     OUTPUT_FORMATS,
     SAMPLER_ORDER,
+    SWEEP_C_SAMPLERS,
     WEIGHT_MODES,
     ExperimentConfig,
     ReportRow,
@@ -39,6 +40,7 @@ from walksample.harness import (
     cmd_sweep_c,
     render_json,
 )
+from walksample.samplers import KINDS_READING
 
 MU_WJRW = (math.sqrt(5) - 1) / 6
 
@@ -79,8 +81,15 @@ def test_experiment_config_validation(tmp_path):
     with pytest.raises(UsageError, match="burn-in"):
         ExperimentConfig(p, burn_in=-1)
     for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(UsageError, match="alpha"):
+        with pytest.raises(UsageError, match="alpha must be finite and >= 0"):
             ExperimentConfig(p, alpha=bad)
+    for bad in (2.0**63, 1.7976931348623157e308):
+        with pytest.raises(UsageError, match=r"alpha must be < 2\^63"):
+            ExperimentConfig(p, alpha=bad)
+    for bad in (2**31, 2**63):
+        with pytest.raises(UsageError, match=r"reps must be < 2\^31"):
+            ExperimentConfig(p, repetitions=bad)
+    assert ExperimentConfig(p, repetitions=2**31 - 1, alpha=2.0**62).repetitions == 2**31 - 1
     for bad in (-1, 2**64, 10**23):
         with pytest.raises(UsageError, match=r"seed must lie in \[0, 2\^64\)"):
             ExperimentConfig(p, base_seed=bad)
@@ -1012,6 +1021,26 @@ def test_cli_exit_codes(tmp_path, example_file, capsys, monkeypatch):
         nodes = f"burn-in + budget = {long} nodes ({4 * long} bytes)"
         assert capsys.readouterr().err == f"error: cannot allocate the path of a walk of {nodes}\n"
     assert pools == [2]
+    # an --alpha of 2^63 or more (which overflowed a stationary total and
+    # exited 1), or a --reps of 2^31 or more (which listed every walk first) -> 2
+    # before the dataset loads
+    with monkeypatch.context() as patch:
+        loads = []
+        patch.setattr(harness, "load_edge_list", loads.append)
+        for argv, message in (
+            (run_rwe + ["--alpha", "1e308", "--reps", "1"], "alpha must be < 2^63"),
+            (run_rwe + ["--alpha", "1e308", "--reps", "1", "--weights", "oracle"], "alpha must be < 2^63"),
+            (run_rwe + ["--alpha", str(2.0**63)], "alpha must be < 2^63"),
+            (["sweep-budget", "--sampler", "rwe", "--budget", "3", "--alpha", "1.7976931348623157e308"],
+             "alpha must be < 2^63"),
+            (["analyze", "--sampler", "rwe", "--alpha", "1e308"], "alpha must be < 2^63"),
+            (run_srw + ["--reps", str(2**31)], "reps must be < 2^31"),
+            (run_srw + ["--reps", str(2**62)], "reps must be < 2^31"),
+            (run_srw + ["--reps", str(2**63)], "reps must be < 2^31"),
+        ):
+            assert main(argv + ["--dataset", str(example_file)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert loads == []
     # sweep-budget without a sampler or without a budget -> 2
     sweep_bare = ["sweep-budget", "--dataset", str(example_file)]
     assert main(sweep_bare + ["--budget", "10"]) == 2
@@ -1028,6 +1057,104 @@ def test_cli_exit_codes(tmp_path, example_file, capsys, monkeypatch):
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: stationary solve: residual 1e-03 > rtol=1e-12 after 1 iterations\n")
+
+
+# Arguments for the CLI property test below, as text. "<example>" is the
+# five-node example, "<config>" a config file naming it, "<out>" a new file,
+# "<dir>" a directory and "<missing>" a path in a missing directory. Each
+# flag has small valid values and edge values, most of them invalid. No
+# --budget or --burn-in is 2^31 (valid: an 8 GiB path, a walk of 2^31
+# steps), and --parallel stays at a few workers, as the walk lists do:
+# at most 8 walks.
+_EDGE = ("0", "-1", str(2**31), str(2**62), str(2**63), "nan", "inf", "-0.0", "1.7976931348623157e308", "")
+_PATHS = ("", "<dir>", "<missing>")
+_NO_2_31 = tuple(value for value in _EDGE if value != str(2**31))
+_CLI_ARGUMENTS = {  # flag -> (valid values, edge values)
+    "dataset": (("<example>",), _PATHS),
+    "config": (("<config>",), _PATHS),
+    "out": (("<out>",), _PATHS),
+    "sampler": (SAMPLER_ORDER, ("", "0")),
+    "budget": (("1", "3", "20"), _NO_2_31),
+    "c": (("1", "3", "5"), _EDGE),
+    "c-frac": (("0.25", "1"), _EDGE),
+    "alpha": (("0.5", "3"), _EDGE),
+    "reps": (("1", "2"), _EDGE),
+    "seed": (("7",), _EDGE),
+    "weights": (WEIGHT_MODES, ("",)),
+    "format": (OUTPUT_FORMATS, ("",)),
+    "parallel": (("1", "2"), ("-1", "0")),
+    "burn-in": (("0", "2"), _NO_2_31),
+}
+
+
+@st.composite
+def _cli_argv(draw) -> list[str]:
+    """A command and valid values of its own flags, then up to two of those
+    flags set to an edge value instead."""
+    command = draw(st.sampled_from(tuple(cli._COMMANDS)))
+    flags = cli._COMMANDS[command][2]
+
+    def valid(flag, choices=None, most=1):
+        values = st.sampled_from(choices or _CLI_ARGUMENTS[flag][0])
+        return draw(st.lists(values, min_size=1, max_size=most, unique=True))
+
+    args = {"dataset": ["<example>"]}
+    if command != "stats":
+        sweep = command.startswith("sweep")
+        args["sampler"] = valid("sampler", SWEEP_C_SAMPLERS if command == "sweep-c" else None, 1 + sweep)
+        reads = {param: set(args["sampler"]) & {kind.value for kind in kinds} for param, kinds in KINDS_READING.items()}
+        if command == "sweep-c" or (reads["c"] and draw(st.booleans())):
+            threshold = "c-frac" if command == "sweep-c" and draw(st.booleans()) else "c"
+            args[threshold] = valid(threshold, most=1 + (command == "sweep-c"))
+        if reads["alpha"] and draw(st.booleans()):
+            args["alpha"] = valid("alpha")
+    if "budget" in flags:  # and --reps, lest the default 100 walks a group start a worker per CPU
+        args["budget"] = valid("budget", most=1 + (command == "sweep-budget"))
+        args["reps"] = valid("reps")
+    for flag in ("config", "out", "seed", "weights", "format", "parallel", "burn-in"):
+        if flag in flags and draw(st.booleans()):
+            args[flag] = valid(flag)
+    for flag in draw(st.lists(st.sampled_from([f for f in flags if f != "timing"]), max_size=2, unique=True)):
+        args[flag] = [draw(st.sampled_from(_CLI_ARGUMENTS[flag][1]))]
+    timing = ["--timing"] if "timing" in flags and draw(st.booleans()) else []
+    return [command, *(f"--{flag}={value}" for flag, values in args.items() for value in values), *timing]
+
+
+@settings(
+    derandomize=True, max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=_cli_argv())
+@example(argv=["run", "--dataset=<example>", "--sampler=rwe", "--budget=3", "--alpha=1.7976931348623157e308"])
+def test_cli_exits_0_or_2_and_finds_what_needs_no_graph_before_loading(
+    tmp_path, example_file, monkeypatch, capsys, argv
+):
+    # Any argv built from a command's own flags exits 0, or 2 with one error
+    # line; an error that needs no graph is found before the dataset loads.
+    places = {"<example>": example_file, "<config>": tmp_path / "valid.cfg", "<out>": tmp_path / "out"}
+    places.update({"<dir>": tmp_path, "<missing>": tmp_path / "missing" / "x"})
+    for name, path in places.items():
+        argv = [arg.replace(name, str(path)) for arg in argv]
+    (tmp_path / "valid.cfg").write_text(f"dataset = {example_file}\nreps = 1\n", encoding="utf-8")
+    loads = []
+
+    def counted_load(path):
+        loads.append(path)
+        return graph_module.load_edge_list(path)
+
+    monkeypatch.setattr(harness, "load_edge_list", counted_load)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2), (argv, err)
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        assert "Traceback" not in err
+        # the only error left after a load is the dataset's own
+        assert len(loads) <= 1 and str(example_file) not in loads, (argv, err)
 
 
 def test_analyze_above_the_dense_cap_is_a_usage_error(example_file, monkeypatch, capsys):

@@ -61,6 +61,12 @@ def test_config_requires_alpha_only_for_escaping_walk():
     with pytest.raises(SamplerError):
         config("srw", alpha=1.0)
     assert config("rwe", alpha=0.0).alpha == 0.0
+    # an alpha of 2^63 or more, the largest finite double among them, would
+    # overflow a padded size or a stationary total
+    for bad in (2.0**63, np.finfo(np.float64).max):
+        with pytest.raises(SamplerError, match=r"alpha must be < 2\^63"):
+            config("rwe", alpha=bad)
+    assert config("rwe", alpha=np.nextafter(2.0**63, 0)).alpha < 2**63
 
 
 def test_config_requires_threshold_only_for_padded_walks():
@@ -72,6 +78,10 @@ def test_config_requires_threshold_only_for_padded_walks():
         with pytest.raises(SamplerError, match="c must be an integer"):
             config(kind, c=2.5)
         assert config(kind, c=np.int64(3)).c == 3
+        for bad in (2**63, 2**64):  # before the walk, not numpy's OverflowError in it
+            with pytest.raises(SamplerError, match=r"c must be < 2\^63"):
+                config(kind, c=bad)
+        assert config(kind, c=2**63 - 1).c == 2**63 - 1
     with pytest.raises(SamplerError):
         config("md", c=3)
     with pytest.raises(SamplerError):
