@@ -177,16 +177,16 @@ def estimation_weights(graph: Graph, config: WalkConfig, mode: str) -> np.ndarra
 _BATCH_STEPS = 1 << 20
 
 
-def _even_slices(walks: Sequence[WalkConfig], parts: int) -> list[range]:
-    """At most ``parts`` contiguous, non-empty ranges of ``walks``' indices, of about equal walk steps.
+def _even_slices(steps: np.ndarray, parts: int) -> list[range]:
+    """At most ``parts`` contiguous, non-empty ranges of walk indices, of about
+    equal walk steps, where ``steps[i]`` is walk i's burn-in plus budget.
 
-    A walk joins the range its middle step (burn-in plus budget) falls in, so
-    each range is within one walk of an equal share, and no range is empty:
-    there are never more ranges than walks, however large ``parts`` is.
+    A walk joins the range its middle step falls in, so each range is within
+    one walk of an equal share, and no range is empty: there are never more
+    ranges than walks, however large ``parts`` is.
     """
-    steps = np.array([w.burn_in + w.budget for w in walks])
     middles = (np.cumsum(steps) - steps / 2) * parts / steps.sum()
-    bounds = [0, *(np.flatnonzero(np.diff(np.floor(middles))) + 1), len(walks)]
+    bounds = [0, *(np.flatnonzero(np.diff(np.floor(middles))) + 1), len(steps)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -209,26 +209,34 @@ def _worker_init(cpus, *sweep) -> None:
 
 
 def _walk_slice(span: range, sweep: tuple = ()) -> list[ReportRow]:
-    """The report row of each walk in ``span``, a range of the sweep's walk list.
+    """The report row of each walk in ``span``, a range of the sweep's walk indices.
 
-    ``sweep`` is (config, graph, walks, truth, weights by group); a pool
-    worker reads the one its initializer received. A group's weights are its
-    pi per degree class under ``paper`` (a node's closed form depends on its
-    degree alone), or its solved (n,) vector under ``oracle``. The slice
-    runs as one lockstep batch. Walk i is repetition i mod R of its group, as
-    ``_make_tasks`` lays out each group's R walks in a row. Under timing a
-    walk's millis are its share of the slice's walk time, in proportion to
-    its burn-in plus budget, plus the time spent scoring its own trace.
+    ``sweep`` is (config, graph, groups, truth, weights by law); a pool
+    worker reads the one its initializer received. Walk i is repetition
+    i mod R of group i div R, seeded by ``derive_seed(base_seed, i mod R)``;
+    the slice lists only its own walks and runs them as one lockstep batch.
+    A law's weights are its pi per degree class under ``paper`` (a node's
+    closed form depends on its degree alone), or its solved (n,) vector
+    under ``oracle``. Under timing a walk's millis are its share of the
+    slice's walk time, in proportion to its burn-in plus budget, plus the
+    time spent scoring its own trace.
     """
-    config, graph, walks, truth, weights = sweep or _SWEEP
+    config, graph, groups, truth, weights = sweep or _SWEEP
     category = graph.degree_classes[1]
-    walks = walks[span.start : span.stop]
+    places = [divmod(index, config.repetitions) for index in span]
+    walks = [
+        WalkConfig(
+            kind=kind, c=c, alpha=alpha, budget=budget, seed=derive_seed(config.base_seed, rep), burn_in=config.burn_in
+        )
+        for group, rep in places
+        for kind, c, alpha, budget in [groups[group]]
+    ]
     dataset = Path(config.dataset_path).stem
     t0 = time.perf_counter()
     traces = run_walks(graph, walks)
     walk_s_per_step = (time.perf_counter() - t0) / sum(w.burn_in + w.budget for w in walks)
     rows = []
-    for index, walk, trace in zip(span, walks, traces):
+    for (_, rep), walk, trace in zip(places, walks, traces):
         t0 = time.perf_counter()
         pi, by_class = weights[walk.kind, walk.c, walk.alpha]
         nodes = trace.nodes
@@ -244,7 +252,7 @@ def _walk_slice(span: range, sweep: tuple = ()) -> list[ReportRow]:
                 c=walk.c,
                 alpha=walk.alpha,
                 budget=walk.budget,
-                repetition=index % config.repetitions,
+                repetition=rep,
                 seed=walk.seed,
                 kl=kl,
                 log10_kl=math.log10(kl) if kl > 0 else None,
@@ -257,33 +265,34 @@ def _walk_slice(span: range, sweep: tuple = ()) -> list[ReportRow]:
 
 def _run_tasks(config: ExperimentConfig, graph: Graph, groups: Sequence[tuple]) -> list[ReportRow]:
     """Run R repetitions of every (sampler, c, alpha, budget) group; one row
-    per walk, in walk order.
+    per walk, in walk order: each group's R walks in a row.
 
-    The truth and each group's weights are computed once, here (under
+    The truth and each law's weights are computed once, here (under
     ``paper`` one value per degree class, not an (n,) vector); the walk
-    list is then cut once into ranges of about equal walk steps, and this
-    process or a process pool maps ``_walk_slice`` over them. Pool workers
-    receive the config, graph, walks and weights through the initializer;
-    under the fork start method they inherit them without copying. Each
-    worker runs on one CPU of this process's affinity set, in turn.
-    ``parallel`` 0 means one worker per CPU in that set.
+    indices are then cut once into ranges of about equal walk steps, and
+    this process or a process pool maps ``_walk_slice`` over them, which
+    lists each range's walks itself. Pool workers receive the config,
+    graph, groups and weights through the initializer; under the fork start
+    method they inherit them without copying. Each worker runs on one CPU of
+    this process's affinity set, in turn. ``parallel`` 0 means one worker
+    per CPU in that set.
     """
-    walks = _make_tasks(config, groups)
     truth = true_degree_distribution(graph)
-    weights: dict = {}  # group -> (pi, whether pi is indexed by degree class rather than node)
-    for walk in walks:
-        group = (walk.kind, walk.c, walk.alpha)
-        if group not in weights:
-            if config.weight_mode == "paper":
-                weights[group] = (stationary_closed_form(graph, walk, graph.degree_classes[0]), True)
-            else:
-                weights[group] = (estimation_weights(graph, walk, "oracle"), False)
-    sweep = (config, graph, walks, truth, weights)
+    weights: dict = {}  # law -> (pi, whether pi is indexed by degree class rather than node)
+    for kind, c, alpha in dict.fromkeys(group[:3] for group in groups):
+        law = WalkConfig(kind=kind, c=c, alpha=alpha)
+        if config.weight_mode == "paper":
+            weights[law.kind, law.c, law.alpha] = (stationary_closed_form(graph, law, graph.degree_classes[0]), True)
+        else:
+            weights[law.kind, law.c, law.alpha] = (estimation_weights(graph, law, "oracle"), False)
+    sweep = (config, graph, groups, truth, weights)
 
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     workers = config.parallel or len(cpus)
-    total_steps = sum(w.burn_in + w.budget for w in walks)
-    slices = _even_slices(walks, max(workers, math.ceil(total_steps / _BATCH_STEPS)))
+    group_steps = [config.burn_in + budget for *_, budget in groups]
+    total_steps = config.repetitions * sum(group_steps)  # a Python int: an int64 sum could wrap
+    steps = np.repeat(group_steps, config.repetitions)
+    slices = _even_slices(steps, max(workers, math.ceil(total_steps / _BATCH_STEPS)))
     if workers > 1 and len(slices) > 1:
         import multiprocessing  # only a pool pays its import
         from concurrent.futures import ProcessPoolExecutor
@@ -412,23 +421,6 @@ def _walk_groups(config: ExperimentConfig, graph: Graph, samplers: Sequence[str]
         if kind in samplers
         for c in (thresholds if kind in KINDS_READING["c"] else [None])
         for budget in sorted(budgets)
-    ]
-
-
-def _make_tasks(config: ExperimentConfig, groups: Sequence[tuple]) -> list[WalkConfig]:
-    """The walks of (sampler, c, alpha, budget) groups: each group's
-    repetitions in a row, repetition r seeded by ``derive_seed(base_seed, r)``."""
-    return [
-        WalkConfig(
-            kind=sampler,
-            c=c,
-            alpha=alpha,
-            budget=budget,
-            seed=derive_seed(config.base_seed, rep),
-            burn_in=config.burn_in,
-        )
-        for sampler, c, alpha, budget in groups
-        for rep in range(config.repetitions)
     ]
 
 

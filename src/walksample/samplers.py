@@ -175,12 +175,16 @@ def padding(cap, alpha, degrees) -> np.ndarray:
 
 
 def jump_set(graph: Graph, c: int) -> JumpSet:
-    """All nodes v with d_v < c, plus the total padding sum(c - d_v)."""
-    if c < 1:
+    """All nodes v with d_v < c, the escape targets of wjrw at c, plus the
+    total padding sum(c - d_v) over them, an exact int."""
+    if isinstance(c, Integral) and c < 1:
         raise SamplerError("c must be >= 1")
-    pad = padding(c, 0.0, graph.degrees)
-    members = np.flatnonzero(pad).astype(np.int64, copy=False)
-    return JumpSet(members=members, size=len(members), total_alpha=int(pad.sum()))
+    config = WalkConfig(SamplerKind.WJRW, c=c)
+    members = WalkLaw(graph, config).targets
+    if members is None:
+        members = np.zeros(0, np.int64)
+    total = config.c * len(members) - int(graph.degrees[members].sum())
+    return JumpSet(members=members, size=len(members), total_alpha=total)
 
 
 def derive_seed(base_seed: int, repetition: int) -> int:

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,6 @@ from walksample.harness import (
     UsageError,
     _fmt,
     _even_slices,
-    _make_tasks,
     _thresholds,
     _walk_groups,
     aggregate_rows,
@@ -323,18 +323,16 @@ def test_parallel_sweep_equals_sequential_bytes(
         assert cmd_sweep_budget(example_config(example_file, parallel=parallel, **cfg)) == want
 
 
-def test_even_slices_are_contiguous_and_balanced(example_file):
-    cfg = example_config(example_file, repetitions=4, burn_in=1)
-    groups = (("srw", None, None), ("rwe", None, 2.5), ("gmd", 2, None), ("gmd", 3, None), ("wjrw", 3, None))
-    tasks = _make_tasks(cfg, [(kind, c, alpha, budget) for kind, c, alpha in groups for budget in (10, 300)])
-    steps = [t.burn_in + t.budget for t in tasks]
+def test_even_slices_are_contiguous_and_balanced():
+    # five laws at budgets 10 and 300, each group's 4 repetitions in a row, burn-in 1
+    steps = np.repeat([1 + budget for _ in range(5) for budget in (10, 300)], 4)
     for parts in range(1, 8):
-        slices = [tasks[span.start : span.stop] for span in _even_slices(tasks, parts)]
-        assert len(slices) == parts
-        assert all(slices)
-        assert [t for part in slices for t in part] == tasks  # contiguous, in order
-        for part in slices:  # within one task of an equal share
-            assert abs(sum(t.burn_in + t.budget for t in part) - sum(steps) / parts) <= max(steps)
+        spans = _even_slices(steps, parts)
+        assert len(spans) == parts
+        assert all(spans)
+        assert [i for span in spans for i in span] == list(range(len(steps)))  # contiguous, in order
+        for span in spans:  # within one walk of an equal share
+            assert abs(steps[span.start : span.stop].sum() - steps.sum() / parts) <= steps.max()
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -343,20 +341,45 @@ def test_even_slices_are_contiguous_and_balanced(example_file):
     parts=st.integers(1, 80),
 )
 def test_even_slices_property(walks, parts):
-    configs = [WalkConfig(kind="srw", budget=budget, burn_in=burn_in) for budget, burn_in in walks]
-    steps = [budget + burn_in for budget, burn_in in walks]
-    slices = [configs[span.start : span.stop] for span in _even_slices(configs, parts)]
-    assert 1 <= len(slices) <= parts
-    assert all(slices)
-    assert [w for part in slices for w in part] == configs  # contiguous, in order
-    for part in slices:  # within one walk of an equal share
-        assert abs(sum(w.burn_in + w.budget for w in part) - sum(steps) / parts) <= max(steps)
+    steps = np.array([budget + burn_in for budget, burn_in in walks])
+    spans = _even_slices(steps, parts)
+    assert 1 <= len(spans) <= parts
+    assert all(spans)
+    assert [i for span in spans for i in span] == list(range(len(walks)))  # contiguous, in order
+    for span in spans:  # within one walk of an equal share
+        assert abs(steps[span.start : span.stop].sum() - steps.sum() / parts) <= steps.max()
 
 
 def test_even_slices_never_cut_more_ranges_than_walks():
     # the ranges come from the walks, so a huge part count allocates nothing of its size
-    walks = [WalkConfig(kind="srw", budget=5)] * 3
-    assert _even_slices(walks, 1 << 62) == [range(0, 1), range(1, 2), range(2, 3)]
+    assert _even_slices(np.full(3, 5), 1 << 62) == [range(0, 1), range(1, 2), range(2, 3)]
+
+
+def test_a_sweep_lists_only_the_walks_of_its_first_slice_before_the_first_batch(example_file, monkeypatch):
+    built, batches = [], []
+
+    class FirstBatch(Exception):
+        pass
+
+    def counted_config(**fields):
+        built.append(fields)
+        return WalkConfig(**fields)
+
+    def first_batch(graph, walks):
+        batches.append((len(built), len(walks)))
+        raise FirstBatch
+
+    monkeypatch.setattr(harness, "WalkConfig", counted_config)
+    monkeypatch.setattr(harness, "run_walks", first_batch)
+    monkeypatch.setattr(harness, "_BATCH_STEPS", 100)  # 45 slices of the 300 walks
+    cfg = example_config(
+        example_file, samplers=("srw", "gmd", "wjrw"), budgets=(10, 20), repetitions=50, c_values=(3,), parallel=1
+    )
+    with pytest.raises(FirstBatch):
+        cmd_sweep_budget(cfg)
+    [(configs, walks)] = batches
+    assert walks <= 10  # the first slice is a few of the 3 x 2 x 50 walks
+    assert configs <= walks + 3  # its walks and one config per law, not all 300
 
 
 def test_sweep_cut_into_many_slices_matches_one_batch(example_file, monkeypatch):

@@ -132,6 +132,17 @@ def test_jump_set_empty_when_threshold_below_degrees(example_graph):
         jump_set(example_graph, 0)
 
 
+def test_jump_set_total_is_exact_and_a_huge_or_non_integer_c_raises_sampler_error():
+    graph = make_graph("1 2\n1 3\n1 4\n2 3\n")  # degrees 3, 2, 2, 1
+    js = jump_set(graph, 2**62)
+    assert js.members.tolist() == [0, 1, 2, 3]
+    assert js.total_alpha == 4 * 2**62 - 8 == 2**64 - 8  # not the float sum's 2^64
+    with pytest.raises(SamplerError, match=r"c must be < 2\^63"):  # not numpy's OverflowError
+        jump_set(graph, 2**63)
+    with pytest.raises(SamplerError, match="c must be an integer"):
+        jump_set(graph, 2.5)
+
+
 # ------------------------------------------------------- transition rows
 
 
