@@ -31,6 +31,7 @@ from .graph import Graph, average_degree, graph_stats, largest_connected_compone
 from .samplers import (
     KINDS_READING,
     RNG_ALGORITHM,
+    SamplerError,
     SamplerKind,
     WalkConfig,
     derive_seed,
@@ -100,33 +101,25 @@ class ExperimentConfig:
             raise UsageError("reps must be >= 1")
         if self.repetitions >= 1 << 31:  # found here, not while listing reps walks a group
             raise UsageError("reps must be < 2^31")
-        if any(b < 1 for b in self.budgets):
-            raise UsageError("budget must be >= 1")
-        if any(c < 1 for c in self.c_values):
-            raise UsageError("c must be >= 1")
+        try:  # each walk value is checked by building a walk of it, before the dataset loads
+            for budget in self.budgets or (1,):
+                WalkConfig(kind="srw", budget=budget, burn_in=self.burn_in)
+            for c in self.c_values:
+                WalkConfig(kind="gmd", c=c)
+            if self.alpha is not None:
+                object.__setattr__(self, "alpha", WalkConfig(kind="rwe", alpha=self.alpha).alpha)
+        except SamplerError as exc:
+            raise UsageError(str(exc)) from None
         if not all(0 < f <= 1 for f in self.c_fractions):
             raise UsageError("c-frac must lie in (0, 1]")
         if self.output_format not in OUTPUT_FORMATS:
             raise UsageError(f"unknown format {self.output_format!r}")
         if self.weight_mode not in WEIGHT_MODES:
             raise UsageError(f"unknown weights mode {self.weight_mode!r}")
-        if self.burn_in < 0:
-            raise UsageError("burn-in must be >= 0")
-        for name, values in (("budget", self.budgets), ("c", self.c_values), ("burn-in", (self.burn_in,))):
-            if any(v >= 1 << 63 for v in values):
-                raise UsageError(f"{name} must be < 2^63")
-        if any(self.burn_in + b >= 1 << 60 for b in self.budgets):  # a path's bytes, 4 a node, fit int64
-            raise UsageError("burn-in + budget must be < 2^60")
         if self.parallel < 0:
             raise UsageError("parallel must be >= 0")
         if not 0 <= self.base_seed < 1 << 64:
             raise UsageError("seed must lie in [0, 2^64)")
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", float(self.alpha))
-            if not 0 <= self.alpha < math.inf:
-                raise UsageError("alpha must be finite and >= 0")
-            if self.alpha >= 1 << 63:  # so that every padded size is finite
-                raise UsageError("alpha must be < 2^63")
 
 
 @dataclass(frozen=True)
@@ -183,10 +176,13 @@ def _even_slices(steps: np.ndarray, parts: int) -> list[range]:
 
     A walk joins the range its middle step falls in, so each range is within
     one walk of an equal share, and no range is empty: there are never more
-    ranges than walks, however large ``parts`` is.
+    ranges than walks, however large ``parts`` is, nor more than ``parts``:
+    the steps are summed in float64 (exact below 2^53; an int64 sum wraps)
+    and a rounded share is held in [0, parts) and never below the last.
     """
-    middles = (np.cumsum(steps) - steps / 2) * parts / steps.sum()
-    bounds = [0, *(np.flatnonzero(np.diff(np.floor(middles))) + 1), len(steps)]
+    cum = np.cumsum(steps, dtype=np.float64)
+    shares = np.minimum(np.floor((cum - steps / 2) * parts / cum[-1]), parts - 1)
+    bounds = [0, *(np.flatnonzero(np.diff(np.maximum.accumulate(shares))) + 1), len(steps)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 

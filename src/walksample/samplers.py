@@ -100,6 +100,7 @@ class WalkConfig:
 
     ``alpha`` and ``c`` are given for, and only for, the kinds in
     ``KINDS_READING``. ``seed`` fully determines the walk on a given graph.
+    It is the one place that states the bounds of a walk's values.
     """
 
     kind: SamplerKind
@@ -112,29 +113,33 @@ class WalkConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", SamplerKind(self.kind))
+        try:
+            object.__setattr__(self, "kind", SamplerKind(self.kind))
+        except ValueError:
+            raise SamplerError(f"unknown sampler {self.kind!r}") from None
         for name in ("c", "budget", "burn_in", "start_node"):
             if not isinstance(getattr(self, name), (Integral, type(None))):
                 raise SamplerError(f"{name} must be an integer")
-        if self.kind in KINDS_READING["alpha"]:
-            if self.alpha is None or not 0 <= self.alpha < np.inf:
-                raise SamplerError(f"{self.kind.value} requires a finite nonnegative alpha")
-            object.__setattr__(self, "alpha", float(self.alpha))
-        elif self.alpha is not None:
-            raise SamplerError(f"alpha is not a parameter of {self.kind.value}")
-        if self.kind in KINDS_READING["c"]:
-            if self.c is None or int(self.c) < 1:
-                raise SamplerError(f"{self.kind.value} requires a positive integer c")
-            object.__setattr__(self, "c", int(self.c))
-        elif self.c is not None:
-            raise SamplerError(f"c is not a parameter of {self.kind.value}")
-        for name in ("alpha", "c"):  # so that every padded size is finite
-            if (getattr(self, name) or 0) >= 1 << 63:
-                raise SamplerError(f"{name} must be < 2^63")
+        for name, kinds in KINDS_READING.items():
+            if getattr(self, name) is None and self.kind in kinds:
+                raise SamplerError(f"{self.kind.value} requires {name}")
+            if getattr(self, name) is not None and self.kind not in kinds:
+                raise SamplerError(f"{name} is not a parameter of {self.kind.value}")
+        if self.c is not None and self.c < 1:
+            raise SamplerError("c must be >= 1")
+        if self.alpha is not None and not 0 <= self.alpha < np.inf:
+            raise SamplerError("alpha must be finite and >= 0")
+        for name, cast in (("alpha", float), ("c", int)):
+            if getattr(self, name) is not None:
+                if getattr(self, name) >= 1 << 63:  # so that every padded size is finite
+                    raise SamplerError(f"{name} must be < 2^63")
+                object.__setattr__(self, name, cast(getattr(self, name)))
         if self.budget < 1:
             raise SamplerError("budget must be >= 1")
         if self.burn_in < 0:
-            raise SamplerError("burn_in must be >= 0")
+            raise SamplerError("burn-in must be >= 0")
+        if self.burn_in + self.budget >= 1 << 60:  # a path's bytes, 4 a node, fit int64
+            raise SamplerError("burn-in + budget must be < 2^60")
         if self.start_policy not in _START_POLICIES:
             raise SamplerError(f"unknown start policy {self.start_policy!r}")
         if (self.start_node is None) == (self.start_policy == "fixed"):
@@ -177,8 +182,6 @@ def padding(cap, alpha, degrees) -> np.ndarray:
 def jump_set(graph: Graph, c: int) -> JumpSet:
     """All nodes v with d_v < c, the escape targets of wjrw at c, plus the
     total padding sum(c - d_v) over them, an exact int."""
-    if isinstance(c, Integral) and c < 1:
-        raise SamplerError("c must be >= 1")
     config = WalkConfig(SamplerKind.WJRW, c=c)
     members = WalkLaw(graph, config).targets
     if members is None:

@@ -225,6 +225,8 @@ def test_graph_stats_example(example_graph):
     st = graph_stats(example_graph)
     assert (st.n, st.m, st.d_max) == (5, 7, 4)
     assert st.tvd_srw_vs_uniform == pytest.approx(4 / 35, abs=1e-12)
+    with pytest.raises(EmptyGraphError, match="without edges"):
+        graph_stats(build_graph([], [], 3))
 
 
 def test_degrees_match_edge_count():

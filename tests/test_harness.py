@@ -40,7 +40,7 @@ from walksample.harness import (
     cmd_sweep_c,
     render_json,
 )
-from walksample.samplers import KINDS_READING
+from walksample.samplers import KINDS_READING, SamplerError
 
 MU_WJRW = (math.sqrt(5) - 1) / 6
 
@@ -94,6 +94,52 @@ def test_experiment_config_validation(tmp_path):
         with pytest.raises(UsageError, match=r"seed must lie in \[0, 2\^64\)"):
             ExperimentConfig(p, base_seed=bad)
     assert ExperimentConfig(p, base_seed=2**64 - 1).base_seed == 2**64 - 1
+
+
+WALK_EDGE_VALUES = (0, -1, 1, 2.5, -0.0, 2**53 + 1, 2**60 - 1, 2**60, 2**62, 2**63, math.nan, math.inf, 1e308)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    budget=st.sampled_from(WALK_EDGE_VALUES),
+    burn_in=st.sampled_from(WALK_EDGE_VALUES),
+    c=st.sampled_from(WALK_EDGE_VALUES),
+    alpha=st.sampled_from(WALK_EDGE_VALUES),
+)
+def test_experiment_config_rejects_the_walk_values_walk_config_rejects(budget, burn_in, c, alpha):
+    # the config's walk values, checked in this order, each by the walk of it
+    walks = (dict(kind="srw", budget=budget, burn_in=burn_in), dict(kind="gmd", c=c), dict(kind="rwe", alpha=alpha))
+    rejected = None
+    for walk in walks:
+        try:
+            WalkConfig(**walk)
+        except SamplerError as exc:
+            rejected = str(exc)
+            break
+    build = lambda: ExperimentConfig("x.txt", budgets=(budget,), burn_in=burn_in, c_values=(c,), alpha=alpha)
+    if rejected is None:
+        assert build().alpha == float(alpha)
+    else:
+        with pytest.raises(UsageError) as info:
+            build()
+        assert str(info.value) == rejected
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(budgets=(2.5,)), "budget must be an integer"),
+        (dict(c_values=(2.5,)), "c must be an integer"),
+        (dict(burn_in=1.5), "burn_in must be an integer"),
+    ],
+    ids=["budget", "c", "burn-in"],
+)
+def test_a_non_integer_walk_value_is_a_usage_error_before_the_dataset_loads(example_file, monkeypatch, bad, message):
+    loads = []
+    monkeypatch.setattr(harness, "load_edge_list", loads.append)
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        cmd_run(example_config(example_file, **{"samplers": ("gmd",), "budgets": (3,), **bad}))
+    assert loads == []
 
 
 def test_experiment_config_keeps_each_list_value_once_in_the_order_given(tmp_path):
@@ -353,6 +399,9 @@ def test_even_slices_property(walks, parts):
 def test_even_slices_never_cut_more_ranges_than_walks():
     # the ranges come from the walks, so a huge part count allocates nothing of its size
     assert _even_slices(np.full(3, 5), 1 << 62) == [range(0, 1), range(1, 2), range(2, 3)]
+    # nor more than ``parts``, where an int64 sum of the steps would wrap past 2^63
+    assert _even_slices(np.repeat([2**59], 16), 2) == [range(0, 8), range(8, 16)]
+    assert _even_slices(np.repeat([2**59], 40), 1) == [range(0, 40)]
 
 
 def test_a_sweep_lists_only_the_walks_of_its_first_slice_before_the_first_batch(example_file, monkeypatch):
@@ -369,12 +418,12 @@ def test_a_sweep_lists_only_the_walks_of_its_first_slice_before_the_first_batch(
         batches.append((len(built), len(walks)))
         raise FirstBatch
 
-    monkeypatch.setattr(harness, "WalkConfig", counted_config)
-    monkeypatch.setattr(harness, "run_walks", first_batch)
-    monkeypatch.setattr(harness, "_BATCH_STEPS", 100)  # 45 slices of the 300 walks
     cfg = example_config(
         example_file, samplers=("srw", "gmd", "wjrw"), budgets=(10, 20), repetitions=50, c_values=(3,), parallel=1
     )
+    monkeypatch.setattr(harness, "WalkConfig", counted_config)
+    monkeypatch.setattr(harness, "run_walks", first_batch)
+    monkeypatch.setattr(harness, "_BATCH_STEPS", 100)  # 45 slices of the 300 walks
     with pytest.raises(FirstBatch):
         cmd_sweep_budget(cfg)
     [(configs, walks)] = batches
@@ -1016,8 +1065,9 @@ def test_cli_exit_codes(tmp_path, example_file, capsys, monkeypatch):
         (["run", "--sampler", "wjrw", "--c", huge, "--budget", "3", "--reps", "1"], "c must be < 2^63"),
         (["sweep-c", "--sampler", "gmd", "--c", huge, "--budget", "3", "--reps", "1"], "c must be < 2^63"),
         (["analyze", "--sampler", "gmd", "--c", huge], "c must be < 2^63"),
-        (["run", "--sampler", "srw", "--budget", huge, "--reps", "1"], "budget must be < 2^63"),
-        (["run", "--sampler", "srw", "--budget", "3", "--burn-in", huge, "--reps", "1"], "burn-in must be < 2^63"),
+        (["run", "--sampler", "srw", "--budget", huge, "--reps", "1"], "burn-in + budget must be < 2^60"),
+        (["run", "--sampler", "srw", "--budget", "3", "--burn-in", huge, "--reps", "1"],
+         "burn-in + budget must be < 2^60"),
         # a walk of 2^60 nodes or more -> 2 at config validation, not numpy's "array is too big"
         (["run", "--sampler", "srw", "--budget", str(2**60), "--reps", "1"], "burn-in + budget must be < 2^60"),
         (["run", "--sampler", "srw", "--budget", "5", "--burn-in", str(2**62)], "burn-in + budget must be < 2^60"),

@@ -48,6 +48,8 @@ def config(kind: str, **kw) -> WalkConfig:
 
 def test_config_coerces_kind_string():
     assert config("srw").kind is SamplerKind.SRW
+    with pytest.raises(SamplerError, match="unknown sampler 'zigzag'"):
+        config("zigzag")
 
 
 def test_config_requires_alpha_only_for_escaping_walk():
@@ -104,6 +106,17 @@ def test_config_rejects_bad_budget_burn_in_and_start():
             config("srw", **bad)
     ok = config("srw", budget=np.int32(2), burn_in=np.int64(1), start_policy="fixed", start_node=np.int64(1))
     assert (ok.budget, ok.burn_in, ok.start_node) == (2, 1, 1)
+    # a path's bytes, 4 a node, fit int64
+    for bad in (dict(budget=2**60), dict(budget=2**59, burn_in=2**59), dict(budget=2**63), dict(burn_in=2**63)):
+        with pytest.raises(SamplerError, match=r"^burn-in \+ budget must be < 2\^60$"):
+            config("srw", **bad)
+    assert config("srw", budget=2**59, burn_in=2**59 - 1).budget == 2**59
+
+
+def test_a_walk_of_2_62_nodes_raises_sampler_error_before_numpy_sizes_its_path(example_graph):
+    for walk in (run_walk, lambda graph, cfg: run_walks(graph, [cfg])):
+        with pytest.raises(SamplerError, match=r"burn-in \+ budget must be < 2\^60"):
+            walk(example_graph, WalkConfig("srw", budget=2**62))
 
 
 def test_resolve_cap(example_graph):
