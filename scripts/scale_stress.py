@@ -14,9 +14,11 @@ not per graph. Each sweep row's "over stats MB" is its peak minus that of
 ``stats``, which loads the same graph and walks nothing: what the sweep
 holds beyond the graph.
 
-Each step, the generator too, runs in a fresh child process: a child's
-peak RSS includes that of the process it was started from, so this one
-holds only its imports.
+Each step, the generator too, runs in a fresh child process with an empty
+dataset cache of its own, so every command parses the file: a child's peak
+RSS includes that of the process it was started from, so this one holds
+only its imports. The load + LCC row times ``parse_edge_list`` on the opened
+file, the parse alone.
 
     PYTHONPATH=src python3 scripts/scale_stress.py --sizes 200000
 
@@ -41,8 +43,8 @@ from walksample.harness import SAMPLER_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
 _LOAD_AND_LCC = (
-    "import time, walksample; t0 = time.perf_counter(); graph, _ = walksample.load_edge_list({path!r}); "
-    "print(time.perf_counter() - t0); walksample.largest_connected_component(graph)"
+    "import time, walksample; fh = open({path!r}, encoding='utf-8'); t0 = time.perf_counter(); "
+    "graph, _ = walksample.parse_edge_list(fh); print(time.perf_counter() - t0); walksample.largest_connected_component(graph)"
 )
 _SAMPLERS = [arg for kind in SAMPLER_ORDER for arg in ("--sampler", kind)]
 _SWEEP = ["sweep-budget", *_SAMPLERS, "--budget", "1000", "--reps", "10", "--c", "30", "--parallel", "1"]
@@ -52,15 +54,18 @@ _SWEEP_C = ["sweep-c", *_FRACTIONS, "--budget", "1000", "--reps", "10", "--paral
 
 def run_child(argv: list[str]) -> tuple[float, float, str]:
     """Wall seconds, peak RSS in MB (``os.wait4``) and stdout of one child
-    process, with this process's copy of walksample first on its path."""
+    process, with this process's copy of walksample first on its path and an
+    empty dataset cache (``XDG_CACHE_HOME``), so that its loads parse."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(walksample.__file__)), env.get("PYTHONPATH")]))
-    t0 = time.perf_counter()
-    with subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE, text=True) as proc:
-        out = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    wall = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory() as cache:
+        env["XDG_CACHE_HOME"] = cache
+        t0 = time.perf_counter()
+        with subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE, text=True) as proc:
+            out = proc.stdout.read()
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        wall = time.perf_counter() - t0
     if proc.returncode:
         raise SystemExit(f"exit status {proc.returncode}: {' '.join(argv)}")
     return wall, usage.ru_maxrss / 1024, out  # KiB on Linux

@@ -15,12 +15,21 @@ load plus ``largest_connected_component`` on a connected input. On a
 disconnected one the component is selected from the loaded graph's rows,
 beside it, which adds about 24 bytes per kept edge at the selection's peak
 (see ``largest_connected_component``). A graph caches nothing of size m.
+
+``load_edge_list`` keeps what it parses in a dataset cache addressed by each
+file's content, so a file is parsed once however many commands read it;
+``parse_edge_list`` never touches the cache.
 """
 
 from __future__ import annotations
 
+import io
+import os
+import stat
 import sys
-from dataclasses import dataclass
+import tempfile
+from contextlib import suppress
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
@@ -537,14 +546,174 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
     return graph, report
 
 
+# The dataset cache: ``load_edge_list`` keeps each file's graph and report
+# under ``<cache dir>/walksample/<key>.npy``, the key being the BLAKE2b-256 of
+# ``_CACHE_TAG`` and the file's bytes. A record is consecutive .npy arrays
+# (read by ``_read_int64s``: no pickle, no zip archive):
+# an int64 header (``_CACHE_VERSION``, n, m and the four report counts), then
+# ``indptr``, ``indices`` and ``labels``. A change to what ``parse_edge_list``
+# returns must bump ``_CACHE_VERSION``, which retires every older record.
+_CACHE_VERSION = 1
+_CACHE_TAG = b"walksample edge-list graph %d\n" % _CACHE_VERSION
+_HASH_BUFFER = 1 << 16
+
+# BLAKE2b-256 from the interpreter's own module: ``hashlib``'s sha256 loads
+# OpenSSL, ~3.6 MB of resident pages in every command that loads a graph,
+# and the interpreter's own sha256 takes 2.6x BLAKE2b's time (38 against
+# 14 ms on a 9.6 MB file, one core of a 2-vCPU Xeon, Python 3.11); a miss
+# hashes the file twice.
+try:
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
+
+
+def _new_digest():
+    return blake2b(_CACHE_TAG, digest_size=32)
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/walksample``, under ``~/.cache`` where
+    ``XDG_CACHE_HOME`` is unset, empty or relative (the XDG rule); None
+    without a home directory, which means no cache."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.expanduser("~/.cache")
+    return Path(root) / "walksample" if os.path.isabs(root) else None
+
+
+def _writable(folder: Path) -> bool:
+    """Whether a record can be written in ``folder``, made here if missing.
+    Where none can, a miss parses without hashing the file a second time."""
+    try:
+        folder.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        return False
+    return os.access(folder, os.W_OK)
+
+
+class _HashingReader(io.RawIOBase):
+    """Reads a binary file through, feeding every byte read to ``digest``."""
+
+    def __init__(self, raw: io.RawIOBase, digest) -> None:
+        self.raw = raw
+        self.digest = digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.raw.readinto(buffer)
+        self.digest.update(memoryview(buffer)[:count])
+        return count
+
+
+def _read_int64s(fh) -> np.ndarray:
+    """The next array of a record: a version 1.0 .npy array, 1-d int64,
+    whose header claims no more elements than the rest of the file holds,
+    so a damaged header cannot make the reader size a huge array."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 .npy array")
+    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if dtype != np.int64 or len(shape) != 1 or not 0 <= shape[0] <= left // 8:
+        raise ValueError("not a 1-d int64 array within the file")
+    array = np.empty(shape[0], dtype=np.int64)
+    if fh.readinto(array) != array.nbytes:
+        raise ValueError("truncated array")
+    return array
+
+
+def _read_cached(folder: Path, digest) -> tuple[Graph, IngestReport] | None:
+    """The graph and report stored in ``folder`` under ``digest``, or None when the record
+    is missing, unreadable or fails a structural check.
+
+    The checks cost O(n + m): every array is 1-d int64 of the header's
+    lengths, ``indptr`` runs from 0 to 2m without decreasing, every index is
+    in [0, n), the report kept m edges and nothing follows the arrays. The
+    content itself is vouched for by the key.
+    """
+    try:
+        with open(folder / f"{digest.hexdigest()}.npy", "rb") as fh:
+            arrays = [_read_int64s(fh) for _ in range(4)]
+            if fh.read(1):
+                return None
+        header, indptr, indices, labels = arrays
+        if len(header) != 7 or header[0] != _CACHE_VERSION:
+            return None
+        n, m, kept, self_loops, duplicates, comments = header[1:].tolist()
+        if n < 1 or kept != m or (len(indptr), len(indices), len(labels)) != (n + 1, 2 * m, n):
+            return None
+        degrees = np.diff(indptr)
+        if indptr[0] != 0 or indptr[-1] != 2 * m or degrees.min() < 0:
+            return None
+        if m and not (indices.min() >= 0 and indices.max() < n):
+            return None
+    except (OSError, ValueError):  # no record, or not one of .npy arrays
+        return None
+    graph = Graph(n=n, m=m, indptr=indptr, indices=indices, degrees=degrees, labels=labels)
+    return graph, IngestReport(kept, self_loops, duplicates, comments)
+
+
+def _store(folder: Path, digest, graph: Graph, report: IngestReport) -> None:
+    """Write the record of ``graph`` and ``report`` in ``folder`` under
+    ``digest`` through a temporary file and ``os.replace``; a failure leaves
+    the cache as it was. Each array is written from its own buffer, with no
+    copy."""
+    header = np.array([_CACHE_VERSION, graph.n, graph.m, *astuple(report)], dtype=np.int64)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for array in (header, graph.indptr, graph.indices, graph.labels):
+                np.save(fh, array, allow_pickle=False)
+        os.replace(tmp, folder / f"{digest.hexdigest()}.npy")
+    except BaseException as exc:
+        with suppress(OSError):
+            os.unlink(tmp)
+        if not isinstance(exc, OSError):
+            raise
+
+
 def load_edge_list(path: str | Path) -> tuple[Graph, IngestReport]:
-    """Parse an edge-list file (UTF-8)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_edge_list(fh)
-        except UnicodeDecodeError as exc:
-            bad = exc.object[exc.start]
-            raise EdgeListParseError(f"{path}: not UTF-8 (byte 0x{bad:02x}: {exc.reason})") from None
+    """Parse an edge-list file (UTF-8), or read its graph from the dataset cache.
+
+    A regular file is hashed first (BLAKE2b-256 of ``_CACHE_TAG`` and its
+    bytes, through a small buffer) where the cache directory exists; a
+    record under that key is returned when it passes ``_read_cached``'s
+    checks, equal bit for bit to a fresh parse. Otherwise the file is parsed
+    while its bytes are hashed again, and the result is stored under the
+    digest of exactly the bytes parsed, so a file edited since the lookup is
+    never stored under the old content's key. Where no record can be
+    written, the file is parsed without that second hash. Any cache failure
+    (an unwritable directory, a damaged or old record) is silently a parse,
+    and a file that fails to parse is never stored. Other paths (a pipe, a
+    device) are parsed without the cache.
+    """
+    with open(path, "rb", buffering=0) as raw:
+        folder = _cache_dir() if stat.S_ISREG(os.fstat(raw.fileno()).st_mode) else None
+        if folder is not None and folder.is_dir():
+            lookup = _HashingReader(raw, _new_digest())
+            buffer = bytearray(_HASH_BUFFER)
+            while lookup.readinto(buffer):
+                pass
+            cached = _read_cached(folder, lookup.digest)
+            if cached is not None:
+                return cached
+            raw.seek(0)
+        digest = _new_digest() if folder is not None and _writable(folder) else None
+        source = raw if digest is None else _HashingReader(raw, digest)
+        with io.TextIOWrapper(io.BufferedReader(source), encoding="utf-8") as text:
+            try:
+                graph, report = parse_edge_list(text)
+            except UnicodeDecodeError as exc:
+                bad = exc.object[exc.start]
+                raise EdgeListParseError(f"{path}: not UTF-8 (byte 0x{bad:02x}: {exc.reason})") from None
+    if digest is not None:
+        _store(folder, digest, graph, report)
+    return graph, report
 
 
 def write_edge_list(graph: Graph, stream: IO[str]) -> None:

@@ -21,6 +21,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields
+from numbers import Integral
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -97,13 +98,16 @@ class ExperimentConfig:
         for kind in self.samplers:
             if kind not in SAMPLER_ORDER:
                 raise UsageError(f"unknown sampler {kind!r}")
+        for name, flag in (("repetitions", "reps"), ("parallel", "parallel")):
+            if not isinstance(getattr(self, name), Integral):
+                raise UsageError(f"{flag} must be an integer")
         if self.repetitions < 1:
             raise UsageError("reps must be >= 1")
         if self.repetitions >= 1 << 31:  # found here, not while listing reps walks a group
             raise UsageError("reps must be < 2^31")
         try:  # each walk value is checked by building a walk of it, before the dataset loads
             for budget in self.budgets or (1,):
-                WalkConfig(kind="srw", budget=budget, burn_in=self.burn_in)
+                WalkConfig(kind="srw", budget=budget, burn_in=self.burn_in, seed=self.base_seed)
             for c in self.c_values:
                 WalkConfig(kind="gmd", c=c)
             if self.alpha is not None:

@@ -117,8 +117,9 @@ class WalkConfig:
             object.__setattr__(self, "kind", SamplerKind(self.kind))
         except ValueError:
             raise SamplerError(f"unknown sampler {self.kind!r}") from None
-        for name in ("c", "budget", "burn_in", "start_node"):
-            if not isinstance(getattr(self, name), (Integral, type(None))):
+        for name in ("c", "budget", "burn_in", "seed", "start_node"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) or value is None and name in ("c", "start_node")):
                 raise SamplerError(f"{name} must be an integer")
         for name, kinds in KINDS_READING.items():
             if getattr(self, name) is None and self.kind in kinds:

@@ -84,6 +84,16 @@ def dataset_path(name: str) -> Path:
     return path
 
 
+@pytest.fixture(autouse=True)
+def dataset_cache(tmp_path_factory, monkeypatch) -> Path:
+    """A fresh, empty dataset cache for each test, outside its ``tmp_path``:
+    no test writes under HOME or reads a graph another test cached, so a
+    test that measures or patches the parser parses on its first load."""
+    cache = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache / "walksample"
+
+
 @pytest.fixture(scope="session")
 def example_graph() -> Graph:
     return make_graph(EXAMPLE_EDGES)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import io
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -808,3 +810,209 @@ def test_lcc_rebuild_of_a_disconnected_graph_is_lean():
     (keep,) = [sorted(c) for c in _bfs_components(graph) if len(c) == 2000]
     _assert_same_arrays(lcc, _induced_subgraph(ids[u], ids[v], keep, graph.labels))
     assert (lcc.n, lcc.m) == (2000, big.m)
+
+
+# --- the dataset cache -------------------------------------------------------
+
+
+def _records(cache):
+    return sorted(cache.glob("*")) if cache.exists() else []
+
+
+def _assert_same_load(got, want):
+    (graph, report), (fresh, fresh_report) = got, want
+    assert report == fresh_report
+    assert (graph.n, graph.m) == (fresh.n, fresh.m)
+    assert all(type(a) is int for a in (graph.n, graph.m, *vars(report).values()))
+    for name in ("indptr", "indices", "degrees", "labels"):
+        a, b = getattr(graph, name), getattr(fresh, name)
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), name
+
+
+def _parse_file(path):
+    with open(path, encoding="utf-8") as fh:
+        return parse_edge_list(fh)
+
+
+def _no_parse(stream):
+    raise AssertionError("parsed instead of reading the cache")
+
+
+def test_a_cache_hit_equals_a_fresh_parse(crawl_file, dataset_cache, monkeypatch):
+    fresh = _parse_file(crawl_file)
+    _assert_same_load(load_edge_list(crawl_file), fresh)  # a miss
+    (record,) = _records(dataset_cache)
+    graph = fresh[0]
+    assert record.stat().st_size - 8 * (2 * graph.m + 2 * graph.n + 1) < 1024  # four small .npy headers
+    monkeypatch.setattr(graph_module, "parse_edge_list", _no_parse)
+    tracemalloc.start()
+    try:
+        hit = load_edge_list(str(crawl_file))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_same_load(hit, fresh)
+    # a hit holds the graph's arrays and one small hashing buffer
+    assert peak < 1.25 * _graph_bytes(hit[0]), f"peak {peak / _graph_bytes(hit[0]):.2f} x the graph"
+    assert _records(dataset_cache) == [record]
+
+
+def test_a_file_rewritten_at_the_same_size_and_mtime_is_parsed_again(tmp_path, dataset_cache):
+    path = tmp_path / "edges.txt"
+    path.write_text("1 2\n2 3\n", encoding="utf-8")
+    before = path.stat()
+    assert load_edge_list(path)[0].labels.tolist() == [1, 2, 3]
+    path.write_text("1 2\n2 4\n", encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size and path.stat().st_mtime_ns == before.st_mtime_ns
+    graph, report = load_edge_list(path)
+    assert graph.labels.tolist() == [1, 2, 4]
+    _assert_same_load((graph, report), _parse_file(path))
+    assert len(_records(dataset_cache)) == 2
+
+
+def _rewrite_record(record, change):
+    """Rewrite the record's arrays after ``change(arrays)``."""
+    with open(record, "rb") as fh:
+        arrays = [np.load(fh) for _ in range(4)]
+    change(arrays)
+    with open(record, "wb") as fh:
+        for array in arrays:
+            np.save(fh, array)
+
+
+def _claim_huge_indices(record):
+    """Rewrite the record with an ``indices`` header that claims 10^15
+    elements, where the file holds its real 2m."""
+    with open(record, "rb") as fh:
+        arrays = [np.load(fh) for _ in range(4)]
+    with open(record, "wb") as fh:
+        np.save(fh, arrays[0])
+        np.save(fh, arrays[1])
+        np.lib.format.write_array_header_1_0(fh, {"descr": "<i8", "fortran_order": False, "shape": (10**15,)})
+        fh.write(arrays[2].tobytes())
+        np.save(fh, arrays[3])
+
+
+def _set(which, at, value):
+    def change(arrays):
+        arrays[which][at] = value
+
+    return change
+
+
+DAMAGES = {
+    "truncated": lambda record: record.write_bytes(record.read_bytes()[:-9]),
+    "garbage": lambda record: record.write_bytes(b"not a cached graph\n" * 50),
+    "a zip archive": lambda record: record.write_bytes(b"PK\x03\x04" + bytes(100)),
+    "empty": lambda record: record.write_bytes(b""),
+    "trailing bytes": lambda record: record.write_bytes(record.read_bytes() + b"\0"),
+    "old version": lambda record: _rewrite_record(record, _set(0, 0, graph_module._CACHE_VERSION - 1)),
+    "index out of range": lambda record: _rewrite_record(record, _set(2, 0, 10**6)),
+    "decreasing indptr": lambda record: _rewrite_record(record, _set(1, 1, -1)),
+    "report off m": lambda record: _rewrite_record(record, _set(0, 3, 0)),
+    "int32 labels": lambda record: _rewrite_record(record, lambda arrays: arrays.__setitem__(3, arrays[3].astype(np.int32))),
+    "huge indices header": _claim_huge_indices,
+    "a directory": lambda record: (record.unlink(), record.mkdir()),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGES, ids=list(DAMAGES))
+def test_a_damaged_cache_record_is_parsed_again_and_rewritten(tmp_path, dataset_cache, monkeypatch, damage):
+    path = tmp_path / "edges.txt"
+    path.write_text("# two components\n" + EXAMPLE_EDGES + "1 1\n2 1\n10 11\n", encoding="utf-8")
+    fresh = _parse_file(path)
+    load_edge_list(path)
+    (record,) = _records(dataset_cache)
+    DAMAGES[damage](record)
+    parses = []
+    monkeypatch.setattr(graph_module, "parse_edge_list", lambda stream: parses.append(1) or parse_edge_list(stream))
+    _assert_same_load(load_edge_list(path), fresh)
+    assert parses == [1]
+    if damage != "a directory":  # os.replace cannot put a file over a directory
+        monkeypatch.setattr(graph_module, "parse_edge_list", _no_parse)
+        _assert_same_load(load_edge_list(path), fresh)
+    assert _records(dataset_cache) == [record]
+
+
+def test_an_unwritable_cache_directory_still_loads(tmp_path, monkeypatch):
+    path = tmp_path / "edges.txt"
+    path.write_text(EXAMPLE_EDGES, encoding="utf-8")
+    not_a_directory = tmp_path / "cache"
+    not_a_directory.write_text("a regular file", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
+    for _ in range(2):
+        _assert_same_load(load_edge_list(path), _parse_file(path))
+    assert not_a_directory.read_text(encoding="utf-8") == "a regular file"
+
+
+def test_a_load_hashes_the_file_only_where_a_record_can_be_read_or_written(tmp_path, dataset_cache, monkeypatch):
+    path = tmp_path / "edges.txt"
+    path.write_text(EXAMPLE_EDGES, encoding="utf-8")
+    hashes = []
+    new_digest = graph_module._new_digest
+    monkeypatch.setattr(graph_module, "_new_digest", lambda: hashes.append(1) or new_digest())
+    for edges, hashed in ((EXAMPLE_EDGES, 1), (EXAMPLE_EDGES, 1), (EXAMPLE_EDGES + "1 6\n", 2)):
+        path.write_text(edges, encoding="utf-8")
+        hashes.clear()
+        _assert_same_load(load_edge_list(path), _parse_file(path))
+        assert len(hashes) == hashed  # a first-ever load (no directory yet), a hit, a miss
+    assert len(_records(dataset_cache)) == 2
+    not_a_directory = tmp_path / "cache"
+    not_a_directory.write_text("a regular file", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
+    hashes.clear()
+    _assert_same_load(load_edge_list(path), _parse_file(path))
+    assert hashes == []  # no record can be read or written: a plain parse
+
+
+def test_cache_lives_under_home_without_an_absolute_xdg_cache_home(tmp_path, monkeypatch):
+    path = tmp_path / "edges.txt"
+    path.write_text(EXAMPLE_EDGES, encoding="utf-8")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.chdir(tmp_path)
+    for value in (None, "", "relative"):
+        if value is None:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", value)
+        load_edge_list(path)
+        assert len(_records(tmp_path / "home" / ".cache" / "walksample")) == 1
+    assert not (tmp_path / "relative").exists()
+    # without a home directory, expanduser leaves "~" as it is: no cache
+    monkeypatch.setattr(os.path, "expanduser", lambda p: p)
+    _assert_same_load(load_edge_list(path), _parse_file(path))
+    assert not (tmp_path / "~").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_is_parsed_without_the_cache(tmp_path, dataset_cache):
+    fifo = tmp_path / "edges.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_text(EXAMPLE_EDGES, encoding="utf-8"))
+    writer.start()
+    try:
+        got = load_edge_list(fifo)
+    finally:
+        writer.join()
+    _assert_same_load(got, parse_edge_list(io.StringIO(EXAMPLE_EDGES)))
+    assert _records(dataset_cache) == []
+
+
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        (b"1 2\n2 x\n", "line 2: non-integer token in ['2', 'x']"),
+        (b"# nothing\n3 3\n", "edge list contains no usable edges"),
+        (b"1 2\n\xff 3\n", "bad.txt: not UTF-8 (byte 0xff: invalid start byte)"),
+    ],
+    ids=["malformed line", "no edges", "not UTF-8"],
+)
+def test_a_file_that_fails_to_parse_is_never_cached(tmp_path, dataset_cache, content, error):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    for _ in range(2):
+        with pytest.raises((EdgeListParseError, EmptyGraphError)) as info:
+            load_edge_list(path)
+        assert str(info.value).endswith(error)
+    assert _records(dataset_cache) == []

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -131,8 +132,12 @@ def test_experiment_config_rejects_the_walk_values_walk_config_rejects(budget, b
         (dict(budgets=(2.5,)), "budget must be an integer"),
         (dict(c_values=(2.5,)), "c must be an integer"),
         (dict(burn_in=1.5), "burn_in must be an integer"),
+        (dict(base_seed=2.5), "seed must be an integer"),
+        (dict(base_seed=None), "seed must be an integer"),
+        (dict(repetitions=2.5), "reps must be an integer"),
+        (dict(parallel=1.5), "parallel must be an integer"),
     ],
-    ids=["budget", "c", "burn-in"],
+    ids=["budget", "c", "burn-in", "seed", "no-seed", "reps", "parallel"],
 )
 def test_a_non_integer_walk_value_is_a_usage_error_before_the_dataset_loads(example_file, monkeypatch, bad, message):
     loads = []
@@ -988,6 +993,65 @@ def test_cli_rerun_writes_identical_bytes(tmp_path, example_file):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# Every command, walking commands in one process; stats takes no --format.
+CACHED_COMMANDS = [
+    ["stats"],
+    ["run", "--sampler", "wjrw", "--budget", "40", "--c", "3", "--reps", "3", "--parallel", "1"],
+    ["sweep-budget", "--sampler", "srw", "--sampler", "gmd", "--budget", "20", "--budget", "40", "--c", "3"]
+    + ["--reps", "2", "--weights", "oracle", "--parallel", "1"],
+    ["sweep-c", "--sampler", "wjrw", "--c-frac", "0.5", "--c-frac", "1", "--budget", "30", "--reps", "2", "--parallel", "1"],
+    ["analyze", "--sampler", "wjrw", "--c", "3"],
+]
+
+
+def _command_outputs(dataset, out_dir, before=lambda: None) -> dict:
+    """Each command's output bytes in each format; ``before`` runs before each."""
+    outputs = {}
+    for argv in CACHED_COMMANDS:
+        for fmt in ("csv", "json") if argv[0] != "stats" else ("json",):
+            before()
+            out = out_dir / f"{argv[0]}.{fmt}"
+            flags = ["--format", fmt] if argv[0] != "stats" else []
+            assert main([*argv, "--dataset", str(dataset), *flags, "--out", str(out)]) == 0
+            outputs[argv[0], fmt] = out.read_bytes()
+    return outputs
+
+
+@pytest.fixture()
+def two_component_file(tmp_path) -> Path:
+    path = tmp_path / "edges.txt"
+    path.write_text("# two components\n" + EXAMPLE_EDGES + "1 1\n2 1\n10 11\n", encoding="utf-8")
+    return path
+
+
+def test_cli_writes_the_same_bytes_on_a_cache_miss_and_a_hit(tmp_path, two_component_file, dataset_cache, monkeypatch):
+    clear = lambda: shutil.rmtree(dataset_cache, ignore_errors=True)
+    misses = _command_outputs(two_component_file, tmp_path, before=clear)
+    assert len(list(dataset_cache.iterdir())) == 1
+    with monkeypatch.context() as m:
+        m.setattr(graph_module, "parse_edge_list", lambda stream: pytest.fail("parsed on a cache hit"))
+        hits = _command_outputs(two_component_file, tmp_path)
+    assert hits == misses and all(misses.values())
+    assert json.loads(misses["stats", "json"])["lcc_n"] == 5
+
+
+def test_cli_runs_alike_when_the_cache_directory_cannot_be_made(tmp_path, two_component_file, monkeypatch):
+    cached = _command_outputs(two_component_file, tmp_path)
+    not_a_directory = tmp_path / "cache"
+    not_a_directory.write_text("a regular file", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
+    assert _command_outputs(two_component_file, tmp_path) == cached
+
+
+def test_cli_malformed_input_fails_alike_on_every_run(tmp_path, dataset_cache, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 2\n2 x\n", encoding="utf-8")
+    for _ in range(2):
+        assert main(["stats", "--dataset", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 2: non-integer token in ['2', 'x']\n"
+    assert not list(dataset_cache.glob("*"))  # the directory may be made, but holds no record
 
 
 def test_cli_too_many_node_ids_is_malformed_input(tmp_path, capsys, monkeypatch):

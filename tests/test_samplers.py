@@ -101,7 +101,8 @@ def test_config_rejects_bad_budget_burn_in_and_start():
         config("srw", start_policy="fixed")  # start_node missing
     with pytest.raises(SamplerError):
         config("srw", start_node=2)  # start_node without fixed policy
-    for bad in (dict(budget=2.5), dict(burn_in=1.5), dict(start_policy="fixed", start_node=1.5)):
+    bads = (dict(budget=2.5), dict(burn_in=1.5), dict(seed=1.5), dict(seed=None), dict(budget=None))
+    for bad in (*bads, dict(start_policy="fixed", start_node=1.5)):
         with pytest.raises(SamplerError, match="must be an integer"):
             config("srw", **bad)
     ok = config("srw", budget=np.int32(2), burn_in=np.int64(1), start_policy="fixed", start_node=np.int64(1))

@@ -45,6 +45,7 @@ def test_ingest_speed_runs_on_a_small_benchmark_file(tmp_path, capsys, monkeypat
     assert f"n={written.n} m={written.m}" in out
     assert "peak RSS of one load + LCC in a fresh process:" in out
     assert "| per-line tokeniser, every block |" in out
+    assert "| dataset cache miss (load_edge_list) |" in out and "| dataset cache hit (load_edge_list) |" in out
 
 
 def test_analyze_memory_runs_on_a_small_benchmark_file(tmp_path, capsys, monkeypatch):
