@@ -7,6 +7,17 @@ seeded experiment harness producing CSV/JSON accuracy and uniqueness
 reports.
 """
 
+import os
+
+# numpy's bundled OpenBLAS starts its threads as numpy loads, and each spins
+# for 2^28 cycles (OpenBLAS's default timeout) before it sleeps, although most
+# commands make no BLAS call. 2^20 cycles is under a millisecond, and still
+# long enough that dgeev's BLAS threads stay awake between its calls. This
+# must run before the first submodule imports numpy; a user's own timeout is
+# kept, and the thread count is left alone. Pool workers inherit the setting.
+if "OPENBLAS_THREAD_TIMEOUT" not in os.environ and "GOTO_THREAD_TIMEOUT" not in os.environ:
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "20"
+
 from .estimation import (
     Distribution,
     ZeroInclusionProbability,

@@ -563,20 +563,26 @@ def _solve_balance(graph: Graph, big: np.ndarray, rhs: np.ndarray, tol: float, m
         out[rows] -= np.add.reduceat(x.take(heads), starts)
         return out
 
+    # Inner products and norms are numpy's own sums, not BLAS ddot
+    # (np.dot, np.linalg.norm): OpenBLAS splits a ddot of more than 10,000
+    # elements across its threads, so its bits would depend on their count.
+    def norm(v: np.ndarray) -> float:
+        return np.sqrt((v * v).sum())
+
     inverse_big = 1.0 / big
     x = np.zeros(graph.n)
     r = rhs.copy()
-    stop = tol * np.linalg.norm(rhs)
+    stop = tol * norm(rhs)
     for iteration in range(max_iters):
-        if np.linalg.norm(r) < stop:
+        if norm(r) < stop:
             return x
         z = inverse_big * r
-        rho = np.dot(r, z)
+        rho = (r * z).sum()
         p = z if iteration == 0 else z + (rho / rho_prev) * p
         q = system(p)
-        alpha = rho / np.dot(p, q)
+        alpha = rho / (p * q).sum()
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-    residual = np.linalg.norm(rhs - system(x)) / np.linalg.norm(rhs)
+    residual = norm(rhs - system(x)) / norm(rhs)
     raise ConvergenceError(f"stationary solve: residual {residual:.3e} > rtol={tol:g} after {max_iters} iterations")

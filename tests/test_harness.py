@@ -1379,3 +1379,41 @@ def test_cli_import_loads_no_process_pool():
     modules = _modules_loaded_by_cli_import()
     assert "walksample.harness" in modules
     assert "concurrent.futures.process" not in modules
+
+
+# Records OPENBLAS_THREAD_TIMEOUT when ``import walksample`` first asks for
+# numpy, which starts OpenBLAS's threads as it loads.
+_TIMEOUT_AT_NUMPY_IMPORT = """
+import os, sys
+
+class Spy:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not Spy.seen:
+            Spy.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, Spy())
+import walksample
+print(*Spy.seen, os.environ.get("GOTO_THREAD_TIMEOUT"))
+"""
+
+
+@pytest.mark.parametrize(
+    "given, seen",
+    [
+        ({}, "20 None"),
+        ({"OPENBLAS_THREAD_TIMEOUT": "28"}, "28 None"),
+        ({"GOTO_THREAD_TIMEOUT": "28"}, "None 28"),
+    ],
+)
+def test_import_sets_blas_thread_timeout_before_numpy_loads(given, seen):
+    import walksample
+
+    src = str(Path(walksample.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")}
+    env.update(given, PYTHONPATH=src)
+    probe = [sys.executable, "-c", _TIMEOUT_AT_NUMPY_IMPORT]
+    assert subprocess.run(probe, env=env, capture_output=True, text=True, check=True).stdout.split() == seen.split()

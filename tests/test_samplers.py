@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,6 +482,36 @@ def test_numeric_requires_connectivity():
         stationary_numeric(build_graph([], [], 0), config("srw"))
     with pytest.raises(SamplerError, match="graph has no edges"):
         stationary_closed_form(build_graph([], [], 3), config("srw"))
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="needs two usable CPUs for two BLAS threads")
+def test_numeric_bits_do_not_depend_on_blas_threads():
+    # A CG solve over more than 10,000 nodes: OpenBLAS splits a ddot of that
+    # length across its threads, so the solve must take no BLAS reduction.
+    probe = (
+        "import sys\n"
+        "from conftest import preferential_graph\n"
+        "from walksample import WalkConfig, stationary_numeric\n"
+        "from walksample.samplers import WalkLaw\n"
+        "g = preferential_graph(12000, 3, 1)\n"
+        "cfg = WalkConfig('wjrw', c=8)\n"
+        "assert g.n > 10_000 and not WalkLaw(g, cfg).reversible\n"
+        "sys.stdout.write(stationary_numeric(g, cfg).tobytes().hex())\n"
+    )
+    paths = [Path(samplers.__file__).resolve().parent.parent, Path(__file__).resolve().parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", probe], env=dict(env, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(outputs[0]) == 2 * 8 * 12000
+    assert outputs[0] == outputs[1]
 
 
 def test_numeric_converges_on_bipartite_graphs():
