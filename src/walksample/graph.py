@@ -95,11 +95,6 @@ class Graph:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     @cached_property
-    def label_to_internal(self) -> dict[int, int]:
-        """Mapping from original external id back to internal id."""
-        return {int(lab): i for i, lab in enumerate(self.labels)}
-
-    @cached_property
     def components(self) -> tuple[int, np.ndarray]:
         """Number of connected components and each node's int32 component label.
 

@@ -21,7 +21,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -114,7 +114,7 @@ class ExperimentConfig:
                 object.__setattr__(self, "alpha", WalkConfig(kind="rwe", alpha=self.alpha).alpha)
         except SamplerError as exc:
             raise UsageError(str(exc)) from None
-        if not all(0 < f <= 1 for f in self.c_fractions):
+        if not all(isinstance(f, Real) and 0 < f <= 1 for f in self.c_fractions):
             raise UsageError("c-frac must lie in (0, 1]")
         if self.output_format not in OUTPUT_FORMATS:
             raise UsageError(f"unknown format {self.output_format!r}")

@@ -22,9 +22,9 @@ padded size is finite.
 
 ``WalkLaw`` holds big, pad and U, the padded nodes that rwe and wjrw
 escape to, for one (graph, config). The seeded stepper, the closed-form and
-numeric stationary distributions, any block of rows of the transition
-matrix (one row, or the dense matrix of ``spectral``) and its diagonal are
-all derived from it here.
+numeric stationary distributions, the transition matrix's rows (all of them
+for the dense matrix of ``spectral``) and its diagonal are all derived from
+it here.
 
 Walks run on two engines that give the same traces, int32 node ids at 4
 bytes a step. ``run_walk`` is the scalar reference: one walker, one Python
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -121,6 +121,8 @@ class WalkConfig:
             value = getattr(self, name)
             if not (isinstance(value, Integral) or value is None and name in ("c", "start_node")):
                 raise SamplerError(f"{name} must be an integer")
+        if not (self.alpha is None or isinstance(self.alpha, Real)):
+            raise SamplerError("alpha must be a real number")
         for name, kinds in KINDS_READING.items():
             if getattr(self, name) is None and self.kind in kinds:
                 raise SamplerError(f"{self.kind.value} requires {name}")
@@ -165,30 +167,10 @@ class Trace:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class JumpSet:
-    """Nodes with degree below the padding threshold c."""
-
-    members: np.ndarray
-    size: int
-    total_alpha: int
-
-
 def padding(cap, alpha, degrees) -> np.ndarray:
     """Padding max(cap - d, alpha) of nodes of the given degrees, float64 for
     a float cap or alpha; one law over all nodes, or per walker over a batch."""
     return np.maximum(cap - degrees, alpha)
-
-
-def jump_set(graph: Graph, c: int) -> JumpSet:
-    """All nodes v with d_v < c, the escape targets of wjrw at c, plus the
-    total padding sum(c - d_v) over them, an exact int."""
-    config = WalkConfig(SamplerKind.WJRW, c=c)
-    members = WalkLaw(graph, config).targets
-    if members is None:
-        members = np.zeros(0, np.int64)
-    total = config.c * len(members) - int(graph.degrees[members].sum())
-    return JumpSet(members=members, size=len(members), total_alpha=total)
 
 
 def derive_seed(base_seed: int, repetition: int) -> int:
@@ -204,11 +186,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
-def resolve_cap(graph: Graph, config: WalkConfig) -> Optional[int]:
-    """Padding threshold in effect: d_max for md, else c (None if the kind reads no c)."""
-    return graph.d_max if config.kind is SamplerKind.MD else config.c
-
-
 class WalkLaw:
     """The transition law every walk kind is an instance of.
 
@@ -218,14 +195,15 @@ class WalkLaw:
     neighbor (``big = d + pad``). An escape lands on a uniform member of
     ``targets``, the padded nodes (rwe, wjrw), or stays at v when ``targets``
     is None (md, gmd, and any law that pads no node). Built once per (graph,
-    config). P's rows and diagonal read ``escape_share``, both stationary
-    distributions read ``reversible``, and the engines read the rest.
+    config). P's rows (``_transition_rows``) and diagonal read
+    ``escape_share``, both stationary distributions read ``reversible``, and
+    the engines read the rest.
     """
 
     __slots__ = ("cap", "alpha", "big", "pad", "targets")
 
     def __init__(self, graph: Graph, config: WalkConfig):
-        self.cap = float(resolve_cap(graph, config) or 0)
+        self.cap = float(graph.d_max if config.kind is SamplerKind.MD else (config.c or 0))
         self.alpha = 0.0 if config.alpha is None else config.alpha  # keeps alpha = -0.0
         self.pad = pad = padding(self.cap, self.alpha, graph.degrees)
         self.big = graph.degrees + pad
@@ -289,35 +267,9 @@ def _transition_rows(graph: Graph, config: WalkConfig, lo: int, hi: int) -> np.n
     return rows
 
 
-def transition_row(graph: Graph, config: WalkConfig, v: int) -> np.ndarray:
-    """Exact one-step transition probabilities from node v (dense length n)."""
-    if not 0 <= v < graph.n:
-        raise SamplerError(f"node {v} out of range")
-    return _transition_rows(graph, config, v, v + 1)[0]
-
-
 def self_transition_probabilities(graph: Graph, config: WalkConfig) -> np.ndarray:
     """Diagonal of the transition matrix, one value per node."""
     return WalkLaw(graph, config).escape_share()
-
-
-def step(
-    graph: Graph,
-    config: WalkConfig,
-    jump: Optional[JumpSet],
-    v: int,
-    rng: np.random.Generator,
-) -> int:
-    """Draw the next node from v; consumes exactly two uniform variates.
-
-    Builds the walk's law on every call (O(n)); ``run_walk`` builds it once
-    per walk. ``jump`` is accepted for compatibility and unused: the law
-    derives the jump set from (graph, config) itself.
-    """
-    if not 0 <= v < graph.n:
-        raise SamplerError(f"node {v} out of range")
-    r = rng.random(2)
-    return _stepper(graph, WalkLaw(graph, config))(v, float(r[0]), float(r[1]))
 
 
 def _draw_start(graph: Graph, config: WalkConfig, rng: np.random.Generator) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -163,12 +163,11 @@ def expected_repeat_probability(graph: Graph, config: WalkConfig, pi: Distributi
     return float(_dense_pi(graph.n, pi) @ self_transition_probabilities(graph, config))
 
 
-def reversibility_residual(matrix: WalkMatrix, pi: Distribution, graph: Optional[Graph] = None) -> float:
+def reversibility_residual(matrix: WalkMatrix, pi: Distribution) -> float:
     """Worst detailed-balance violation max |pi_v P_vu - pi_u P_uv|.
 
     Zero (to rounding) iff the chain is reversible under pi. The support of
-    pi is always validated against the matrix; ``graph`` is accepted for
-    compatibility and unused.
+    pi is validated against the matrix.
 
     Works on blocks of rows of about ``_RESIDUAL_BLOCK_BYTES`` each: rows
     ``lo:hi`` of the flow ``pi_v P_vu`` minus the same rows of its transpose

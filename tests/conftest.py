@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walksample import Graph, build_graph, largest_connected_component, parse_edge_list
+from walksample import Graph, largest_connected_component, parse_edge_list
+from walksample.graph import build_graph
 
 # Worked 5-node reference graph: node 1 joined to everything, plus the
 # edges (2,4), (3,4), (3,5). Degrees (4,2,3,3,2), 7 edges.

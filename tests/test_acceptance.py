@@ -24,7 +24,6 @@ from walksample import (
     dense_transition_matrix,
     derive_seed,
     expected_repeat_probability,
-    graph_stats,
     ht_ratio_estimate,
     load_edge_list,
     run_walk,
@@ -34,6 +33,7 @@ from walksample import (
     stationary_numeric,
 )
 from walksample.cli import main
+from walksample.graph import graph_stats
 from walksample.harness import ExperimentConfig, cmd_sweep_budget, cmd_sweep_c
 
 F = Fraction

@@ -15,17 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import preferential_graph
-from walksample import (
-    SamplerError,
-    WalkConfig,
-    WalkTooLongError,
-    build_graph,
-    derive_seed,
-    jump_set,
-    run_walk,
-    run_walks,
-    samplers,
-)
+from walksample import SamplerError, WalkConfig, WalkTooLongError, derive_seed, run_walk, run_walks, samplers
+from walksample.graph import build_graph
 
 CHUNK = 1 << 15  # steps per chunk of run_walk's variates
 
@@ -120,7 +111,7 @@ def test_batch_memory_is_set_by_its_pool_and_traces_not_its_laws():
     g = preferential_graph(2000, 4, seed=3)
     cs = range(5, 105, 5)
     configs = [WalkConfig(kind=kind, c=c, budget=50, seed=_seed(rep)) for kind in ("gmd", "wjrw") for c in cs for rep in range(2)]
-    pool = 8 * (g.n + sum(jump_set(g, c).size for c in cs))
+    pool = 8 * (g.n + sum(len(samplers.WalkLaw(g, WalkConfig("wjrw", c=c)).targets) for c in cs))
     traces = 4 * sum(cfg.budget for cfg in configs)
     tracemalloc.start()
     try:

@@ -19,9 +19,8 @@ from walksample import (
     stationary_closed_form,
     stationary_numeric,
     true_degree_distribution,
-    tvd,
-    unique_count,
 )
+from walksample.estimation import tvd, unique_count
 
 
 def dist(support, mass) -> Distribution:

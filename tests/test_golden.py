@@ -14,7 +14,8 @@ import hashlib
 import pytest
 
 from conftest import preferential_graph
-from walksample import WalkConfig, derive_seed, run_walk, write_edge_list
+from walksample import WalkConfig, derive_seed, run_walk
+from walksample.graph import write_edge_list
 from walksample.cli import main
 
 

@@ -19,13 +19,11 @@ from walksample import (
     Graph,
     IngestReport,
     average_degree,
-    build_graph,
-    graph_stats,
     largest_connected_component,
     load_edge_list,
     parse_edge_list,
-    write_edge_list,
 )
+from walksample.graph import build_graph, graph_stats, write_edge_list
 
 
 def test_parse_example_shape(example_graph):
@@ -65,7 +63,6 @@ def test_parse_drops_self_loops():
 def test_parse_ids_assigned_by_first_appearance():
     graph, _ = parse_edge_list(io.StringIO("7 3\n3 9\n"))
     assert graph.labels.tolist() == [7, 3, 9]
-    assert graph.label_to_internal == {7: 0, 3: 1, 9: 2}
 
 
 def test_parse_errors_carry_line_numbers():

@@ -73,8 +73,9 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(p, budgets=(0,))
     with pytest.raises(UsageError, match="c must"):
         ExperimentConfig(p, c_values=(0,))
-    with pytest.raises(UsageError, match="c-frac"):
-        ExperimentConfig(p, c_fractions=(1.5,))
+    for bad in (1.5, "a", None):  # a non-number fails as an out-of-range one, not with TypeError
+        with pytest.raises(UsageError, match=r"c-frac must lie in \(0, 1\]"):
+            ExperimentConfig(p, c_fractions=(bad,))
     with pytest.raises(UsageError, match="format"):
         ExperimentConfig(p, output_format="yaml")
     with pytest.raises(UsageError, match="weights"):
@@ -84,6 +85,8 @@ def test_experiment_config_validation(tmp_path):
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(UsageError, match="alpha must be finite and >= 0"):
             ExperimentConfig(p, alpha=bad)
+    with pytest.raises(UsageError, match="alpha must be a real number"):
+        ExperimentConfig(p, alpha="a")
     for bad in (2.0**63, 1.7976931348623157e308):
         with pytest.raises(UsageError, match=r"alpha must be < 2\^63"):
             ExperimentConfig(p, alpha=bad)

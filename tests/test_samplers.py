@@ -15,24 +15,17 @@ from conftest import make_graph, random_connected_graph
 from walksample import (
     ConvergenceError,
     SamplerError,
-    SamplerKind,
     WalkConfig,
-    build_graph,
     dense_transition_matrix,
     derive_seed,
-    jump_set,
-    make_rng,
-    resolve_cap,
     run_walk,
     run_walks,
     samplers,
-    self_transition_probabilities,
     stationary_closed_form,
     stationary_numeric,
-    step,
-    transition_row,
 )
-from walksample.samplers import WalkLaw
+from walksample.graph import build_graph
+from walksample.samplers import SamplerKind, WalkLaw, _transition_rows, make_rng, self_transition_probabilities
 
 ALL_KINDS = [
     ("srw", {}),
@@ -45,6 +38,11 @@ ALL_KINDS = [
 
 def config(kind: str, **kw) -> WalkConfig:
     return WalkConfig(kind=kind, **kw)
+
+
+def one_row(graph, cfg: WalkConfig, v: int) -> np.ndarray:
+    """Row v of the walk's transition matrix, built on its own."""
+    return _transition_rows(graph, cfg, v, v + 1)[0]
 
 
 # ---------------------------------------------------------------- config
@@ -66,7 +64,11 @@ def test_config_requires_alpha_only_for_escaping_walk():
             config("rwe", alpha=bad)
     with pytest.raises(SamplerError):
         config("srw", alpha=1.0)
+    for bad in ("a", "1.0", 1j, [1.0]):  # not numpy's or the comparison's TypeError
+        with pytest.raises(SamplerError, match="alpha must be a real number"):
+            config("rwe", alpha=bad)
     assert config("rwe", alpha=0.0).alpha == 0.0
+    assert config("rwe", alpha=np.float32(0.5)).alpha == 0.5 and config("rwe", alpha=2).alpha == 2.0
     # an alpha of 2^63 or more, the largest finite double among them, would
     # overflow a padded size or a stationary total
     for bad in (2.0**63, np.finfo(np.float64).max):
@@ -124,41 +126,38 @@ def test_a_walk_of_2_62_nodes_raises_sampler_error_before_numpy_sizes_its_path(e
             walk(example_graph, WalkConfig("srw", budget=2**62))
 
 
-def test_resolve_cap(example_graph):
-    assert resolve_cap(example_graph, config("md")) == 4
-    assert resolve_cap(example_graph, config("gmd", c=3)) == 3
-    assert resolve_cap(example_graph, config("srw")) is None
+def test_law_cap_is_d_max_for_md_else_c(example_graph):
+    caps = [WalkLaw(example_graph, cfg).cap for cfg in (config("md"), config("gmd", c=3), config("srw"))]
+    assert caps == [4.0, 3.0, 0.0]
+    assert all(type(cap) is float for cap in caps)
 
 
 # ------------------------------------------------------------- jump set
 
 
 def test_jump_set_example(example_graph):
-    js = jump_set(example_graph, 3)
-    assert js.members.tolist() == [1, 4]  # the two degree-2 nodes
-    assert js.size == 2
-    assert js.total_alpha == 2
+    # wjrw at c escapes to U = {v : d_v < c}, each padded by c - d_v.
+    law = WalkLaw(example_graph, config("wjrw", c=3))
+    assert law.targets.tolist() == [1, 4]  # the two degree-2 nodes
+    assert law.pad[law.targets].sum() == 2
     # The law escapes to the padded nodes: U for wjrw, every node for rwe.
-    assert np.array_equal(WalkLaw(example_graph, config("wjrw", c=3)).targets, js.members)
     assert np.array_equal(WalkLaw(example_graph, config("rwe", alpha=0.5)).targets, np.arange(example_graph.n))
 
 
 def test_jump_set_empty_when_threshold_below_degrees(example_graph):
-    js = jump_set(example_graph, 1)
-    assert js.size == 0 and js.total_alpha == 0
-    with pytest.raises(SamplerError, match="c must be >= 1"):
-        jump_set(example_graph, 0)
+    # No node pads, so the law escapes nowhere: it is the simple walk's.
+    law = WalkLaw(example_graph, config("wjrw", c=1))
+    assert law.targets is None and law.pad.sum() == 0
 
 
-def test_jump_set_total_is_exact_and_a_huge_or_non_integer_c_raises_sampler_error():
+def test_jump_set_at_a_huge_c_is_every_node():
+    # c = 2^62 pads in float64 (WalkConfig refuses a c of 2^63 or more), so
+    # every padded size, and their sum, is finite.
     graph = make_graph("1 2\n1 3\n1 4\n2 3\n")  # degrees 3, 2, 2, 1
-    js = jump_set(graph, 2**62)
-    assert js.members.tolist() == [0, 1, 2, 3]
-    assert js.total_alpha == 4 * 2**62 - 8 == 2**64 - 8  # not the float sum's 2^64
-    with pytest.raises(SamplerError, match=r"c must be < 2\^63"):  # not numpy's OverflowError
-        jump_set(graph, 2**63)
-    with pytest.raises(SamplerError, match="c must be an integer"):
-        jump_set(graph, 2.5)
+    law = WalkLaw(graph, config("wjrw", c=2**62))
+    assert law.targets.tolist() == [0, 1, 2, 3]
+    assert np.isfinite(law.big).all()
+    assert law.pad[law.targets].sum() == 2.0**64  # the exact 2^64 - 8, rounded
 
 
 # ------------------------------------------------------- transition rows
@@ -177,7 +176,7 @@ def test_rows_are_distributions_for_every_kind():
         ]
         for cfg in cases:
             for v in range(g.n):
-                row = transition_row(g, cfg, v)
+                row = one_row(g, cfg, v)
                 assert np.all(row >= 0)
                 assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -200,13 +199,13 @@ def test_golden_rows_on_reference_graph(example_graph):
     ]
     for cfg, want in [(config("srw"), want_srw), (config("wjrw", c=3), want_wjrw)]:
         for v in range(5):
-            got = transition_row(example_graph, cfg, v)
+            got = one_row(example_graph, cfg, v)
             assert np.max(np.abs(got - np.array([float(x) for x in want[v]]))) <= 1e-15
 
 
 def test_escaping_walk_row_values(example_graph):
     # node 0 has degree 4; with alpha=2 the jump share is 2/(6*5) per node
-    row = transition_row(example_graph, config("rwe", alpha=2.0), 0)
+    row = one_row(example_graph, config("rwe", alpha=2.0), 0)
     expect = np.full(5, 2 / 30)
     expect[[1, 2, 3, 4]] += 1 / 6
     assert np.max(np.abs(row - expect)) <= 1e-15
@@ -215,8 +214,8 @@ def test_escaping_walk_row_values(example_graph):
 def test_md_rows_equal_gmd_rows_at_max_degree(example_graph):
     g = example_graph
     for v in range(g.n):
-        md = transition_row(g, config("md"), v)
-        gmd = transition_row(g, config("gmd", c=g.d_max), v)
+        md = one_row(g, config("md"), v)
+        gmd = one_row(g, config("gmd", c=g.d_max), v)
         assert np.array_equal(md, gmd)
 
 
@@ -224,22 +223,17 @@ def test_wjrw_without_padding_equals_srw(example_graph):
     g = example_graph
     for v in range(g.n):
         assert np.array_equal(
-            transition_row(g, config("wjrw", c=1), v),
-            transition_row(g, config("srw"), v),
+            one_row(g, config("wjrw", c=1), v),
+            one_row(g, config("srw"), v),
         )
 
 
 def test_isolated_node_has_no_transition():
     g = build_graph(np.array([0]), np.array([1]), 3)  # node 2 isolated
-    with pytest.raises(SamplerError, match="no outgoing transition"):
-        transition_row(g, config("srw"), 2)
-    with pytest.raises(SamplerError, match="no outgoing transition"):
-        step(g, config("srw"), None, 2, make_rng(0))
-    for v in (-1, 3):
-        with pytest.raises(SamplerError, match=f"node {v} out of range"):
-            transition_row(g, config("srw"), v)
-        with pytest.raises(SamplerError, match=f"node {v} out of range"):
-            step(g, config("srw"), None, v, make_rng(0))
+    with pytest.raises(SamplerError, match="no outgoing transition from isolated node 2"):
+        one_row(g, config("srw"), 2)
+    with pytest.raises(SamplerError, match="no outgoing transition from isolated node 2"):
+        run_walk(g, config("srw", budget=2, start_policy="fixed", start_node=2))
     # the diagonal raises where the rows raise, rather than dividing 0 by 0
     for cfg in (config("srw"), config("rwe", alpha=0.0)):
         with pytest.raises(SamplerError, match="no outgoing transition from isolated node 2"):
@@ -249,31 +243,35 @@ def test_isolated_node_has_no_transition():
 # ---------------------------------------------------------------- walks
 
 
-def test_step_matches_fixed_start_walk(example_graph):
+def test_fixed_start_walk_steps_along_rows_in_both_engines(example_graph):
     for kind, kw in ALL_KINDS:
         cfg = config(kind, budget=6, seed=77, start_policy="fixed", start_node=2, **kw)
         trace = run_walk(example_graph, cfg)
-        rng = make_rng(77)
-        v = 2
-        for i in range(1, 6):
-            v = step(example_graph, cfg, None, v, rng)
-            assert v == trace.nodes[i]
+        assert trace.start == trace.nodes[0] == 2
+        assert np.array_equal(run_walks(example_graph, [cfg])[0].nodes, trace.nodes)
+        entries = dense_transition_matrix(example_graph, cfg).entries
+        assert (entries[trace.nodes[:-1], trace.nodes[1:]] > 0).all(), kind
 
 
 def test_empirical_step_frequencies_match_rows(example_graph):
+    # A walk's exits from a node are independent draws from that node's row,
+    # so the first 6000 exits from each node, over one lockstep batch of long
+    # walks that start at every node, sample each row as 6000 one-step walks
+    # from it would.
     g = example_graph
     reps = 6000
     for kind, kw in ALL_KINDS:
-        cfg = config(kind, **kw)
-        rng = make_rng(11)
-        counts = np.zeros((g.n, g.n))
+        walks = [
+            config(kind, budget=1500, seed=derive_seed(11, i), start_policy="fixed", start_node=i % g.n, **kw)
+            for i in range(50)
+        ]
+        paths = [trace.nodes for trace in run_walks(g, walks)]
+        tails, heads = np.concatenate([p[:-1] for p in paths]), np.concatenate([p[1:] for p in paths])
+        want = dense_transition_matrix(g, config(kind, **kw)).entries
         for v in range(g.n):
-            for _ in range(reps):
-                counts[v, step(g, cfg, None, v, rng)] += 1
-        emp = counts / reps
-        for v in range(g.n):
-            want = transition_row(g, cfg, v)
-            assert np.max(np.abs(emp[v] - want)) < 0.025, kind
+            exits = heads[tails == v][:reps]
+            assert len(exits) == reps, (kind, v)
+            assert np.max(np.abs(np.bincount(exits, minlength=g.n) / reps - want[v])) < 0.025, kind
 
 
 def test_walk_is_deterministic(example_graph):
@@ -434,7 +432,7 @@ def test_numeric_matches_dense_left_eigenvector():
     g = random_connected_graph(rng, 9)
     cfg = config("wjrw", c=int(max(2, g.d_max - 1)))
     pi = stationary_numeric(g, cfg)
-    dense = np.array([transition_row(g, cfg, v) for v in range(g.n)])
+    dense = np.array([one_row(g, cfg, v) for v in range(g.n)])
     assert np.max(np.abs(pi @ dense - pi)) <= 1e-12
 
 
@@ -454,7 +452,7 @@ def test_padded_jump_closed_form_exact_when_jump_set_has_one_degree():
         gap = float(np.abs(closed - stationary_numeric(g, cfg)).sum())
         assert gap <= 1e-10, gap
         # numeric returns this closed form itself, so check it against P too
-        dense = np.array([transition_row(g, cfg, v) for v in range(g.n)])
+        dense = np.array([one_row(g, cfg, v) for v in range(g.n)])
         assert np.max(np.abs(closed @ dense - closed)) <= 1e-15
         checked += 1
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -8,6 +9,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+
+import walksample
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -87,3 +90,30 @@ def test_readme_quickstart_runs(capsys):
     assert label == "KL(true || estimate)" and 0 <= float(kl) < 0.01
     label, eig = eig_line.split(": ")
     assert label == "signed second-largest eigenvalue" and -1 < float(eig) < 1
+
+
+def _readme_public_api() -> list[str]:
+    """The names listed under the README's "Public API" heading: every
+    backticked name in that section's bullets."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (section,) = re.findall(r"^## Public API\n(.*?)(?=^## )", readme, flags=re.M | re.S)
+    bullets = re.findall(r"^- .*(?:\n  .*)*", section, flags=re.M)
+    return [name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet)]
+
+
+def test_all_is_the_readme_public_api():
+    listed = _readme_public_api()
+    assert len(listed) == len(set(listed)), "a name is listed twice"
+    assert sorted(walksample.__all__) == sorted(listed)
+    assert all(hasattr(walksample, name) for name in listed)
+
+
+@pytest.mark.parametrize("path", [*SCRIPTS, ROOT / "perfbench" / "probe.py"], ids=lambda p: p.name)
+def test_names_scripts_import_from_the_package_are_public(path):
+    # The benchmark's set-up probe and the scripts import only what
+    # ``__all__`` promises (or a submodule), so no name they need can leave
+    # the package's top level unnoticed.
+    imports = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.ImportFrom)]
+    names = {alias.name for node in imports if node.module == "walksample" for alias in node.names}
+    modules = {"cli", "estimation", "graph", "harness", "samplers", "spectral"}
+    assert names - modules <= set(walksample.__all__)
