@@ -5,8 +5,9 @@ Graphs are loaded from whitespace-separated edge lists ("<u> <v>" per line,
 0..n-1 in order of first appearance, through a hash table that grows as
 blocks of the input arrive (internal ids are int32, so a graph holds at most
 2**31 - 1 nodes); self-loops and duplicate edges are dropped and counted.
-The resulting structure is read-only and safe to share across threads or
-forked workers.
+A ``Graph`` is its three arrays, ``indptr``, ``indices`` and ``labels``;
+``n``, ``m`` and ``degrees`` are derived from them when it is built. It is
+read-only and safe to share across threads or forked workers.
 
 The ingest holds the edges in one growing key buffer, sorted in place, then
 in one (2m,) arc buffer that becomes ``indices``: at its peak about 1.6
@@ -17,7 +18,8 @@ beside it, which adds about 24 bytes per kept edge at the selection's peak
 (see ``largest_connected_component``). A graph caches nothing of size m.
 
 ``load_edge_list`` keeps what it parses in a dataset cache addressed by each
-file's content, so a file is parsed once however many commands read it;
+file's content, so a file is parsed once however many commands read it. A
+record is those three arrays after a 7-word header, in one flat int64 file.
 ``parse_edge_list`` never touches the cache.
 """
 
@@ -29,7 +31,7 @@ import stat
 import sys
 import tempfile
 from contextlib import suppress
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
@@ -71,24 +73,31 @@ class IngestReport:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph with per-node sorted adjacency.
+    """Undirected simple graph with per-node sorted adjacency: its three
+    arrays. ``n``, ``m`` and ``degrees`` are derived from them once, when the
+    graph is built.
 
     Attributes
     ----------
-    n : number of nodes (internal ids 0..n-1)
-    m : number of undirected edges
     indptr : (n+1,) int64, row offsets into ``indices``
     indices : (2m,) int64, neighbor lists, sorted within each row
-    degrees : (n,) int64, ``degrees[v] == indptr[v+1] - indptr[v]``
     labels : (n,) int64, original external id for each internal id
+    n : number of nodes (internal ids 0..n-1), ``len(indptr) - 1``
+    m : number of undirected edges, ``len(indices) // 2``
+    degrees : (n,) int64, ``np.diff(indptr)``
     """
 
-    n: int
-    m: int
     indptr: np.ndarray
     indices: np.ndarray
-    degrees: np.ndarray
     labels: np.ndarray
+    n: int = field(init=False)
+    m: int = field(init=False)
+    degrees: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", len(self.indptr) - 1)
+        object.__setattr__(self, "m", len(self.indices) // 2)
+        object.__setattr__(self, "degrees", np.diff(self.indptr))
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of node ``v`` (a view, do not mutate)."""
@@ -142,10 +151,8 @@ class Graph:
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation."""
-        assert self.indptr.shape == (self.n + 1,)
-        assert self.indptr[0] == 0 and self.indptr[-1] == 2 * self.m
-        assert np.array_equal(np.diff(self.indptr), self.degrees)
-        assert int(self.degrees.sum()) == 2 * self.m
+        assert self.indptr[0] == 0 and self.indptr[-1] == len(self.indices)
+        assert len(self.labels) == self.n
         for v in range(self.n):
             nbrs = self.neighbors(v)
             assert np.all(np.diff(nbrs) > 0), f"row {v} not sorted/unique"
@@ -183,14 +190,7 @@ def build_graph(
     arcs &= 0xFFFFFFFF
     if labels is None:
         labels = np.arange(n, dtype=np.int64)
-    return Graph(
-        n=n,
-        m=m,
-        indptr=indptr,
-        indices=arcs,
-        degrees=np.diff(indptr),
-        labels=np.asarray(labels, dtype=np.int64),
-    )
+    return Graph(indptr=indptr, indices=arcs, labels=np.asarray(labels, dtype=np.int64))
 
 
 # Edge lists are read in blocks of whole lines of about this many characters.
@@ -542,14 +542,16 @@ def parse_edge_list(stream: Iterable[str]) -> tuple[Graph, IngestReport]:
 
 
 # The dataset cache: ``load_edge_list`` keeps each file's graph and report
-# under ``<cache dir>/walksample/<key>.npy``, the key being the BLAKE2b-256 of
-# ``_CACHE_TAG`` and the file's bytes. A record is consecutive .npy arrays
-# (read by ``_read_int64s``: no pickle, no zip archive):
-# an int64 header (``_CACHE_VERSION``, n, m and the four report counts), then
-# ``indptr``, ``indices`` and ``labels``. A change to what ``parse_edge_list``
-# returns must bump ``_CACHE_VERSION``, which retires every older record.
-_CACHE_VERSION = 1
+# under ``<cache dir>/walksample/<key>.csr``, the key being the BLAKE2b-256 of
+# ``_CACHE_TAG`` and the file's bytes. A record is one file of native-endian
+# int64 words: a header of ``_HEADER_WORDS`` (``_CACHE_VERSION``, n, m and the
+# four report counts), then ``indptr``, ``indices`` and ``labels``, so
+# exactly 8 * (2n + 2m + 8) bytes. A byte-swapped record never reads as this
+# version. A change to what ``parse_edge_list`` returns must bump
+# ``_CACHE_VERSION``, which retires every older record.
+_CACHE_VERSION = 2
 _CACHE_TAG = b"walksample edge-list graph %d\n" % _CACHE_VERSION
+_HEADER_WORDS = 7
 _HASH_BUFFER = 1 << 16
 
 # BLAKE2b-256 from the interpreter's own module: ``hashlib``'s sha256 loads
@@ -603,50 +605,42 @@ class _HashingReader(io.RawIOBase):
         return count
 
 
-def _read_int64s(fh) -> np.ndarray:
-    """The next array of a record: a version 1.0 .npy array, 1-d int64,
-    whose header claims no more elements than the rest of the file holds,
-    so a damaged header cannot make the reader size a huge array."""
-    if np.lib.format.read_magic(fh) != (1, 0):
-        raise ValueError("not a version 1.0 .npy array")
-    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if dtype != np.int64 or len(shape) != 1 or not 0 <= shape[0] <= left // 8:
-        raise ValueError("not a 1-d int64 array within the file")
-    array = np.empty(shape[0], dtype=np.int64)
-    if fh.readinto(array) != array.nbytes:
-        raise ValueError("truncated array")
-    return array
+def _record(folder: Path, digest) -> Path:
+    return folder / f"{digest.hexdigest()}.csr"
 
 
 def _read_cached(folder: Path, digest) -> tuple[Graph, IngestReport] | None:
     """The graph and report stored in ``folder`` under ``digest``, or None when the record
     is missing, unreadable or fails a structural check.
 
-    The checks cost O(n + m): every array is 1-d int64 of the header's
-    lengths, ``indptr`` runs from 0 to 2m without decreasing, every index is
-    in [0, n), the report kept m edges and nothing follows the arrays. The
-    content itself is vouched for by the key.
+    Before anything past the header is read, the header must hold this
+    version and a report that kept its m >= 1 edges, and the file's size must
+    be exactly 8 * (2n + 2m + 8) for its n and m: ``np.fromfile`` drops a
+    trailing partial word, so the size is what refuses trailing bytes. The
+    other checks cost O(n + m): ``indptr`` runs from 0 to 2m without
+    decreasing and every index is in [0, n). The content itself is vouched
+    for by the key.
     """
     try:
-        with open(folder / f"{digest.hexdigest()}.npy", "rb") as fh:
-            arrays = [_read_int64s(fh) for _ in range(4)]
-            if fh.read(1):
+        with open(_record(folder, digest), "rb") as fh:
+            head = fh.read(8 * _HEADER_WORDS)
+            if len(head) != 8 * _HEADER_WORDS:
                 return None
-        header, indptr, indices, labels = arrays
-        if len(header) != 7 or header[0] != _CACHE_VERSION:
-            return None
-        n, m, kept, self_loops, duplicates, comments = header[1:].tolist()
-        if n < 1 or kept != m or (len(indptr), len(indices), len(labels)) != (n + 1, 2 * m, n):
-            return None
-        degrees = np.diff(indptr)
-        if indptr[0] != 0 or indptr[-1] != 2 * m or degrees.min() < 0:
-            return None
-        if m and not (indices.min() >= 0 and indices.max() < n):
-            return None
-    except (OSError, ValueError):  # no record, or not one of .npy arrays
+            version, n, m, kept, self_loops, duplicates, comments = np.frombuffer(head, dtype=np.int64).tolist()
+            if version != _CACHE_VERSION or kept != m or m < 1 or n < 1:
+                return None
+            if os.fstat(fh.fileno()).st_size != 8 * (2 * n + 2 * m + 8):
+                return None
+            words = np.fromfile(fh, dtype=np.int64)
+    except OSError:  # no record, or not a file
         return None
-    graph = Graph(n=n, m=m, indptr=indptr, indices=indices, degrees=degrees, labels=labels)
+    if len(words) != 2 * n + 2 * m + 1:  # the file was cut short since its size was read
+        return None
+    graph = Graph(indptr=words[: n + 1], indices=words[n + 1 : n + 1 + 2 * m], labels=words[n + 1 + 2 * m :])
+    if graph.indptr[0] != 0 or graph.indptr[-1] != 2 * m or graph.degrees.min() < 0:
+        return None
+    if not (graph.indices.min() >= 0 and graph.indices.max() < n):
+        return None
     return graph, IngestReport(kept, self_loops, duplicates, comments)
 
 
@@ -663,8 +657,8 @@ def _store(folder: Path, digest, graph: Graph, report: IngestReport) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             for array in (header, graph.indptr, graph.indices, graph.labels):
-                np.save(fh, array, allow_pickle=False)
-        os.replace(tmp, folder / f"{digest.hexdigest()}.npy")
+                array.tofile(fh)
+        os.replace(tmp, _record(folder, digest))
     except BaseException as exc:
         with suppress(OSError):
             os.unlink(tmp)
@@ -743,12 +737,9 @@ def largest_connected_component(graph: Graph) -> Graph:
     keep = comp == np.argmax(np.bincount(comp, minlength=ncomp))
     new_id = np.cumsum(keep, dtype=np.int32) - 1
     indices = new_id[graph.indices[np.repeat(keep, graph.degrees)]].astype(np.int64)
-    degrees = graph.degrees[keep]
-    indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    return Graph(
-        n=len(degrees), m=len(indices) // 2, indptr=indptr, indices=indices, degrees=degrees, labels=graph.labels[keep]
-    )
+    indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
+    np.cumsum(graph.degrees[keep], out=indptr[1:])
+    return Graph(indptr=indptr, indices=indices, labels=graph.labels[keep])
 
 
 def average_degree(graph: Graph) -> float:

@@ -22,9 +22,9 @@ padded size is finite.
 
 ``WalkLaw`` holds big, pad and U, the padded nodes that rwe and wjrw
 escape to, for one (graph, config). The seeded stepper, the closed-form and
-numeric stationary distributions, the transition matrix's rows (all of them
-for the dense matrix of ``spectral``) and its diagonal are all derived from
-it here.
+numeric stationary distributions and the transition matrix's rows (all of
+them for the dense matrix of ``spectral``) are all derived from it here; its
+diagonal is the law's own ``escape_share``.
 
 Walks run on two engines that give the same traces, int32 node ids at 4
 bytes a step. ``run_walk`` is the scalar reference: one walker, one Python
@@ -195,9 +195,9 @@ class WalkLaw:
     neighbor (``big = d + pad``). An escape lands on a uniform member of
     ``targets``, the padded nodes (rwe, wjrw), or stays at v when ``targets``
     is None (md, gmd, and any law that pads no node). Built once per (graph,
-    config). P's rows (``_transition_rows``) and diagonal read
-    ``escape_share``, both stationary distributions read ``reversible``, and
-    the engines read the rest.
+    config). P's rows (``_transition_rows``) and ``spectral``'s repeat
+    probability read ``escape_share``, both stationary distributions read
+    ``reversible``, and the engines read the rest.
     """
 
     __slots__ = ("cap", "alpha", "big", "pad", "targets")
@@ -265,11 +265,6 @@ def _transition_rows(graph: Graph, config: WalkConfig, lo: int, hi: int) -> np.n
     tails = np.repeat(np.arange(hi - lo), graph.degrees[lo:hi])
     rows[tails, graph.indices[graph.indptr[lo] : graph.indptr[hi]]] += 1.0 / law.big[lo + tails]
     return rows
-
-
-def self_transition_probabilities(graph: Graph, config: WalkConfig) -> np.ndarray:
-    """Diagonal of the transition matrix, one value per node."""
-    return WalkLaw(graph, config).escape_share()
 
 
 def _draw_start(graph: Graph, config: WalkConfig, rng: np.random.Generator) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .estimation import Distribution
 from .graph import Graph
-from .samplers import SamplerError, WalkConfig, _transition_rows, self_transition_probabilities
+from .samplers import SamplerError, WalkConfig, WalkLaw, _transition_rows
 
 DENSE_CAP = 4096
 
@@ -39,11 +39,14 @@ _CROSS_CHECK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class WalkMatrix:
-    """Dense row-stochastic one-step transition matrix of a configured walk."""
+    """Dense row-stochastic one-step transition matrix of a configured walk:
+    its n x n ``entries``."""
 
-    n: int
     entries: np.ndarray
-    config: WalkConfig
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
 
     def validate(self) -> None:
         if self.entries.shape != (self.n, self.n):
@@ -79,11 +82,11 @@ class SpectrumReport:
             raise ValueError("eigenvalue summary exceeds 1")
 
 
-def dense_transition_matrix(graph: Graph, config: WalkConfig, cap: int = DENSE_CAP) -> WalkMatrix:
-    """The full transition matrix in one dense array (n <= cap)."""
-    if graph.n > cap:
-        raise SamplerError(f"graph has {graph.n} nodes; dense analysis capped at {cap}")
-    matrix = WalkMatrix(n=graph.n, entries=_transition_rows(graph, config, 0, graph.n), config=config)
+def dense_transition_matrix(graph: Graph, config: WalkConfig) -> WalkMatrix:
+    """The full transition matrix in one dense array (n <= ``DENSE_CAP``)."""
+    if graph.n > DENSE_CAP:
+        raise SamplerError(f"graph has {graph.n} nodes; dense analysis capped at {DENSE_CAP}")
+    matrix = WalkMatrix(_transition_rows(graph, config, 0, graph.n))
     matrix.validate()
     return matrix
 
@@ -160,7 +163,7 @@ def expected_repeat_probability(graph: Graph, config: WalkConfig, pi: Distributi
     Equals sum over nodes of pi_v times the self-transition probability of
     the configured walk at v.
     """
-    return float(_dense_pi(graph.n, pi) @ self_transition_probabilities(graph, config))
+    return float(_dense_pi(graph.n, pi) @ WalkLaw(graph, config).escape_share())
 
 
 def reversibility_residual(matrix: WalkMatrix, pi: Distribution) -> float:

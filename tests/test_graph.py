@@ -3,12 +3,14 @@ from __future__ import annotations
 import io
 import os
 import re
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import walksample.graph as graph_module
@@ -105,15 +107,12 @@ def test_neighbors_sorted_and_invariants_hold():
 
 
 def test_validate_rejects_broken_hand_built_graphs():
-    def graph(rows, degrees=None, m=None):
+    def graph(rows, extra=(), nodes=None):
         lengths = [len(r) for r in rows]
         return Graph(
-            n=len(rows),
-            m=sum(lengths) // 2 if m is None else m,
             indptr=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
-            indices=np.array([v for r in rows for v in r], dtype=np.int64),
-            degrees=np.array(lengths if degrees is None else degrees, dtype=np.int64),
-            labels=np.arange(len(rows), dtype=np.int64),
+            indices=np.array([v for r in rows for v in r] + list(extra), dtype=np.int64),
+            labels=np.arange(len(rows) if nodes is None else nodes, dtype=np.int64),
         )
 
     graph([[1, 2], [0, 2], [0, 1]]).validate()  # the triangle
@@ -123,8 +122,10 @@ def test_validate_rejects_broken_hand_built_graphs():
         graph([[0, 1], [0, 1]]).validate()
     with pytest.raises(AssertionError, match="adjacency not symmetric"):
         graph([[1, 2], [2], [0]]).validate()
-    with pytest.raises(AssertionError):  # indptr and degrees disagree
-        graph([[1, 2], [0, 2], [0, 1]], degrees=[1, 2, 3]).validate()
+    with pytest.raises(AssertionError):  # indptr[-1] != len(indices)
+        graph([[1, 2], [0, 2], [0, 1]], extra=[0, 1]).validate()
+    with pytest.raises(AssertionError):  # labels of the wrong length
+        graph([[1, 2], [0, 2], [0, 1]], nodes=2).validate()
 
 
 def test_write_read_roundtrip():
@@ -840,7 +841,7 @@ def test_a_cache_hit_equals_a_fresh_parse(crawl_file, dataset_cache, monkeypatch
     _assert_same_load(load_edge_list(crawl_file), fresh)  # a miss
     (record,) = _records(dataset_cache)
     graph = fresh[0]
-    assert record.stat().st_size - 8 * (2 * graph.m + 2 * graph.n + 1) < 1024  # four small .npy headers
+    assert record.stat().st_size == 8 * (2 * graph.n + 2 * graph.m + 8)  # a 7-word header and the three arrays
     monkeypatch.setattr(graph_module, "parse_edge_list", _no_parse)
     tracemalloc.start()
     try:
@@ -868,34 +869,50 @@ def test_a_file_rewritten_at_the_same_size_and_mtime_is_parsed_again(tmp_path, d
     assert len(_records(dataset_cache)) == 2
 
 
-def _rewrite_record(record, change):
-    """Rewrite the record's arrays after ``change(arrays)``."""
-    with open(record, "rb") as fh:
-        arrays = [np.load(fh) for _ in range(4)]
-    change(arrays)
+def _parts(words):
+    """The header, ``indptr``, ``indices`` and ``labels`` of a record's
+    words, as views."""
+    n, m = words[1], words[2]
+    return np.split(words, [7, 8 + n, 8 + n + 2 * m])
+
+
+def _set(which, at, value):
+    """A damage that sets word ``at`` of part ``which`` of the record."""
+
+    def damage(record):
+        words = np.fromfile(record, dtype=np.int64)
+        _parts(words)[which][at] = value
+        words.tofile(record)
+
+    return damage
+
+
+def _int32_labels(record):
+    """Rewrite the record with its labels as int32: a size that is not a
+    multiple of 8, as the fixture has an odd n."""
+    *parts, labels = _parts(np.fromfile(record, dtype=np.int64))
     with open(record, "wb") as fh:
-        for array in arrays:
+        for array in (*parts, labels.astype(np.int32)):
+            array.tofile(fh)
+    assert record.stat().st_size % 8
+
+
+def _as_version_1(record):
+    """Rewrite the record as version 1 stored it: its header, with version 1,
+    and the three arrays as consecutive .npy arrays."""
+    header, *arrays = _parts(np.fromfile(record, dtype=np.int64))
+    header[0] = 1
+    with open(record, "wb") as fh:
+        for array in (header, *arrays):
             np.save(fh, array)
 
 
 def _claim_huge_indices(record):
-    """Rewrite the record with an ``indices`` header that claims 10^15
-    elements, where the file holds its real 2m."""
-    with open(record, "rb") as fh:
-        arrays = [np.load(fh) for _ in range(4)]
-    with open(record, "wb") as fh:
-        np.save(fh, arrays[0])
-        np.save(fh, arrays[1])
-        np.lib.format.write_array_header_1_0(fh, {"descr": "<i8", "fortran_order": False, "shape": (10**15,)})
-        fh.write(arrays[2].tobytes())
-        np.save(fh, arrays[3])
-
-
-def _set(which, at, value):
-    def change(arrays):
-        arrays[which][at] = value
-
-    return change
+    """Set the header's m, and the report's kept edges with it, to 10^15:
+    far more words than the file holds."""
+    words = np.fromfile(record, dtype=np.int64)
+    words[2:4] = 10**15
+    words.tofile(record)
 
 
 DAMAGES = {
@@ -904,12 +921,16 @@ DAMAGES = {
     "a zip archive": lambda record: record.write_bytes(b"PK\x03\x04" + bytes(100)),
     "empty": lambda record: record.write_bytes(b""),
     "trailing bytes": lambda record: record.write_bytes(record.read_bytes() + b"\0"),
-    "old version": lambda record: _rewrite_record(record, _set(0, 0, graph_module._CACHE_VERSION - 1)),
-    "index out of range": lambda record: _rewrite_record(record, _set(2, 0, 10**6)),
-    "decreasing indptr": lambda record: _rewrite_record(record, _set(1, 1, -1)),
-    "report off m": lambda record: _rewrite_record(record, _set(0, 3, 0)),
-    "int32 labels": lambda record: _rewrite_record(record, lambda arrays: arrays.__setitem__(3, arrays[3].astype(np.int32))),
+    "trailing word": lambda record: record.write_bytes(record.read_bytes() + bytes(8)),
+    "old version": _as_version_1,
+    "version 1 header": _set(0, 0, 1),
+    "byte-swapped": lambda record: np.fromfile(record, dtype=np.int64).byteswap().tofile(record),
+    "index out of range": _set(2, 0, 10**6),
+    "decreasing indptr": _set(1, 1, -1),
+    "report off m": _set(0, 3, 0),
+    "int32 labels": _int32_labels,
     "huge indices header": _claim_huge_indices,
+    "huge node count": _set(0, 1, 10**15),
     "a directory": lambda record: (record.unlink(), record.mkdir()),
 }
 
@@ -930,6 +951,53 @@ def test_a_damaged_cache_record_is_parsed_again_and_rewritten(tmp_path, dataset_
         monkeypatch.setattr(graph_module, "parse_edge_list", _no_parse)
         _assert_same_load(load_edge_list(path), fresh)
     assert _records(dataset_cache) == [record]
+
+
+def test_a_record_cut_short_while_it_is_read_is_parsed_again(tmp_path, dataset_cache, monkeypatch):
+    # np.fromfile reads what the file holds, so a record cut short after its
+    # size was checked reads fewer words than the header claims.
+    path = tmp_path / "edges.txt"
+    path.write_text(EXAMPLE_EDGES, encoding="utf-8")
+    fresh = _parse_file(path)
+    load_edge_list(path)
+    fromfile = np.fromfile
+    monkeypatch.setattr(np, "fromfile", lambda *args, **kwargs: fromfile(*args, **kwargs)[:-1])
+    parses = []
+    monkeypatch.setattr(graph_module, "parse_edge_list", lambda stream: parses.append(1) or parse_edge_list(stream))
+    _assert_same_load(load_edge_list(path), fresh)
+    assert parses == [1]
+
+
+@st.composite
+def _small_edge_list(draw) -> str:
+    """A small edge list over ids in a few disjoint groups (so often several
+    components), with self-loops, duplicates in either orientation, and
+    comment and blank lines; at least one edge is kept."""
+    edges = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=40))
+    assume(any(a != b for _, a, b in edges))
+    lines = []
+    for group, a, b in edges:
+        lines.append(f"{100 * group + a} {100 * group + b}\n")
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["# a comment\n", "  # indented\n", "\n"])))
+    return "".join(lines)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(text=_small_edge_list())
+def test_a_parse_a_cache_miss_and_a_cache_hit_agree(text):
+    fresh = parse_edge_list(io.StringIO(text))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "edges.txt"
+        path.write_text(text, encoding="utf-8")
+        cache = Path(tmp) / "cache"
+        patch.setenv("XDG_CACHE_HOME", str(cache))
+        _assert_same_load(load_edge_list(path), fresh)  # a miss
+        (record,) = _records(cache / "walksample")
+        graph = fresh[0]
+        assert record.stat().st_size == 8 * (2 * graph.n + 2 * graph.m + 8)
+        patch.setattr(graph_module, "parse_edge_list", _no_parse)
+        _assert_same_load(load_edge_list(path), fresh)  # a hit
 
 
 def test_an_unwritable_cache_directory_still_loads(tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ from walksample import (
     stationary_numeric,
 )
 from walksample.graph import build_graph
-from walksample.samplers import SamplerKind, WalkLaw, _transition_rows, make_rng, self_transition_probabilities
+from walksample.samplers import SamplerKind, WalkLaw, _transition_rows, make_rng
 
 ALL_KINDS = [
     ("srw", {}),
@@ -237,7 +237,7 @@ def test_isolated_node_has_no_transition():
     # the diagonal raises where the rows raise, rather than dividing 0 by 0
     for cfg in (config("srw"), config("rwe", alpha=0.0)):
         with pytest.raises(SamplerError, match="no outgoing transition from isolated node 2"):
-            self_transition_probabilities(g, cfg)
+            WalkLaw(g, cfg).escape_share()
 
 
 # ---------------------------------------------------------------- walks

@@ -23,7 +23,7 @@ from walksample import (
     stationary_closed_form,
     stationary_numeric,
 )
-from walksample.samplers import _transition_rows, self_transition_probabilities
+from walksample.samplers import WalkLaw, _transition_rows
 
 MU_WJRW = (math.sqrt(5) - 1) / 6
 MU_SRW = (math.sqrt(7) - 1) / 6
@@ -38,25 +38,26 @@ def test_walk_matrix_validation(example_graph):
     cfg = WalkConfig(kind="srw")
     wm = dense_transition_matrix(example_graph, cfg)
     wm.validate()
-    bad = WalkMatrix(n=2, entries=np.array([[0.5, 0.6], [0.5, 0.5]]), config=cfg)
+    bad = WalkMatrix(np.array([[0.5, 0.6], [0.5, 0.5]]))
     with pytest.raises(ValueError):
         bad.validate()
-    neg = WalkMatrix(n=2, entries=np.array([[1.5, -0.5], [0.5, 0.5]]), config=cfg)
+    neg = WalkMatrix(np.array([[1.5, -0.5], [0.5, 0.5]]))
     with pytest.raises(ValueError):
         neg.validate()
-    nan = WalkMatrix(n=2, entries=np.array([[np.nan, 0.5], [0.5, 0.5]]), config=cfg)
+    nan = WalkMatrix(np.array([[np.nan, 0.5], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="sum to 1"):
         nan.validate()
-    wide = WalkMatrix(n=2, entries=np.full((2, 4), 0.25), config=cfg)
+    wide = WalkMatrix(np.full((2, 4), 0.25))
     with pytest.raises(ValueError, match="n x n"):
         wide.validate()
 
 
-def test_dense_cap_enforced():
+def test_dense_cap_enforced(monkeypatch):
     rng = np.random.default_rng(1)
     g = random_connected_graph(rng, 8)
-    with pytest.raises(SamplerError, match="capped"):
-        dense_transition_matrix(g, WalkConfig(kind="srw"), cap=4)
+    monkeypatch.setattr(spectral_module, "DENSE_CAP", 4)
+    with pytest.raises(SamplerError, match="capped at 4"):
+        dense_transition_matrix(g, WalkConfig(kind="srw"))
 
 
 def test_second_largest_eigenvalues_on_reference_graph(example_graph):
@@ -133,7 +134,7 @@ def test_self_transition_diagonal_matches_dense_matrix(example_graph):
         WalkConfig(kind="wjrw", c=3),
     ]
     for cfg in cases:
-        diag = self_transition_probabilities(example_graph, cfg)
+        diag = WalkLaw(example_graph, cfg).escape_share()
         dense = np.diag(dense_transition_matrix(example_graph, cfg).entries)
         assert np.max(np.abs(diag - dense)) <= 1e-15
 
@@ -153,7 +154,7 @@ def test_dense_matrix_equals_stacked_rows_bit_for_bit():
             rows = np.concatenate([_transition_rows(g, cfg, v, v + 1) for v in range(g.n)])
             dense = dense_transition_matrix(g, cfg).entries
             assert np.array_equal(dense, rows), cfg.kind
-            assert np.array_equal(self_transition_probabilities(g, cfg), np.diag(dense)), cfg.kind
+            assert np.array_equal(WalkLaw(g, cfg).escape_share(), np.diag(dense)), cfg.kind
 
 
 def test_expected_repeat_probability_examples(example_graph):
@@ -241,11 +242,10 @@ def test_blocked_residual_equals_one_shot_on_random_graphs(monkeypatch, block_by
 def test_blocked_residual_equals_one_shot_at_block_edges(monkeypatch, n, rows):
     monkeypatch.setattr(spectral_module, "_RESIDUAL_BLOCK_BYTES", 8 * n * rows)
     rng = np.random.default_rng(n * 100 + rows)
-    cfg = WalkConfig(kind="srw")
     for _ in range(3):
         raw = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
         raw[np.arange(n), rng.integers(0, n, n)] += 0.1  # no empty row
-        wm = WalkMatrix(n=n, entries=raw / raw.sum(axis=1, keepdims=True), config=cfg)
+        wm = WalkMatrix(raw / raw.sum(axis=1, keepdims=True))
         pi = Distribution.from_weights(np.arange(n), rng.random(n))
         got = reversibility_residual(wm, pi)
         assert got > 0 and got == one_shot_residual(wm, pi)
@@ -259,7 +259,7 @@ def test_blocked_residual_propagates_nan_from_a_later_block(monkeypatch):
     entries = np.full((4, 4), 0.25)
     entries[0, 1], entries[0, 2] = 0.5, 0.0
     entries[3, 3] = np.nan
-    wm = WalkMatrix(n=4, entries=entries, config=WalkConfig(kind="srw"))
+    wm = WalkMatrix(entries)
     assert math.isnan(reversibility_residual(wm, node_dist(np.full(4, 0.25))))
 
 
