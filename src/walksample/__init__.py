@@ -51,7 +51,6 @@ from .samplers import (
 )
 from .spectral import (
     SpectrumReport,
-    WalkMatrix,
     characteristic_polynomial,
     dense_transition_matrix,
     expected_repeat_probability,
@@ -75,7 +74,6 @@ __all__ = [
     "Trace",
     "UsageError",
     "WalkConfig",
-    "WalkMatrix",
     "WalkTooLongError",
     "ZeroInclusionProbability",
     "average_degree",

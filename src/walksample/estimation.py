@@ -13,7 +13,7 @@ Accuracy is scored with KL divergence and total variation distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -21,7 +21,7 @@ if TYPE_CHECKING:
     from .graph import Graph
     from .samplers import Trace
 
-WeightFunction = Union[np.ndarray, "list[float]", Callable[[int], float]]
+WeightFunction = Union[np.ndarray, "list[float]"]
 
 _MASS_TOL = 1e-12
 
@@ -30,7 +30,7 @@ class ZeroInclusionProbability(ValueError):
     """A visited node has zero inclusion probability under the given weights."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability mass over integer categories (node ids or degree values).
 
@@ -63,12 +63,6 @@ class Distribution:
         if total <= 0:
             raise ValueError("weights must have positive total")
         return cls(np.asarray(support, dtype=np.int64), weights / total)
-
-    @classmethod
-    def over_nodes(cls, mass) -> "Distribution":
-        """Distribution whose support is the full node range 0..n-1."""
-        mass = np.asarray(mass, dtype=np.float64)
-        return cls(np.arange(len(mass), dtype=np.int64), mass)
 
 
 def _aligned(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,11 +109,7 @@ def _trace_nodes(trace) -> np.ndarray:
 
 
 def _node_values(fn: WeightFunction, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate a node function given as an indexable array or a callable."""
-    if callable(fn):
-        uniq, inverse = np.unique(nodes, return_inverse=True)
-        vals = np.asarray([float(fn(int(v))) for v in uniq])
-        return vals[inverse]
+    """A node function's value at each node, read from its n-long array."""
     return np.asarray(fn, dtype=np.float64).take(nodes)
 
 

@@ -71,7 +71,7 @@ class IngestReport:
     comment_lines: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph with per-node sorted adjacency: its three
     arrays. ``n``, ``m`` and ``degrees`` are derived from them once, when the

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimation import Distribution, degree_estimate_from_pi, kl_divergence, true_degree_distribution, unique_count
+from .estimation import degree_estimate_from_pi, kl_divergence, true_degree_distribution, unique_count
 from .graph import Graph, average_degree, graph_stats, largest_connected_component, load_edge_list
 from .samplers import (
     KINDS_READING,
@@ -516,7 +516,6 @@ def cmd_analyze(config: ExperimentConfig) -> str:
     report = spectrum(matrix)
     closed = stationary_closed_form(graph, cfg)
     numeric = stationary_numeric(graph, cfg)
-    numeric_dist = Distribution.over_nodes(numeric)
     payload = {
         "dataset": Path(config.dataset_path).stem,
         "sampler": kind,
@@ -533,7 +532,7 @@ def cmd_analyze(config: ExperimentConfig) -> str:
         "stationary_closed_form": [_round12(x) for x in closed.tolist()],
         "stationary_numeric": [_round12(x) for x in numeric.tolist()],
         "closed_vs_numeric_l1_gap": _round12(float(np.abs(closed - numeric).sum())),
-        "expected_repeat_probability": _round12(expected_repeat_probability(graph, cfg, numeric_dist)),
-        "reversibility_residual": _round12(reversibility_residual(matrix, numeric_dist)),
+        "expected_repeat_probability": _round12(expected_repeat_probability(graph, cfg, numeric)),
+        "reversibility_residual": _round12(reversibility_residual(matrix, numeric)),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

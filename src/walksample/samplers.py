@@ -22,9 +22,9 @@ padded size is finite.
 
 ``WalkLaw`` holds big, pad and U, the padded nodes that rwe and wjrw
 escape to, for one (graph, config). The seeded stepper, the closed-form and
-numeric stationary distributions and the transition matrix's rows (all of
-them for the dense matrix of ``spectral``) are all derived from it here; its
-diagonal is the law's own ``escape_share``.
+numeric stationary distributions and the dense transition matrix that
+``spectral`` analyses are all derived from it here; the matrix's diagonal is
+the law's own ``escape_share``.
 
 Walks run on two engines that give the same traces, int32 node ids at 4
 bytes a step. ``run_walk`` is the scalar reference: one walker, one Python
@@ -149,7 +149,7 @@ class WalkConfig:
             raise SamplerError("start_node must be given exactly for the fixed policy")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     """Ordered node visits of one walk, with its provenance.
 
@@ -195,7 +195,7 @@ class WalkLaw:
     neighbor (``big = d + pad``). An escape lands on a uniform member of
     ``targets``, the padded nodes (rwe, wjrw), or stays at v when ``targets``
     is None (md, gmd, and any law that pads no node). Built once per (graph,
-    config). P's rows (``_transition_rows``) and ``spectral``'s repeat
+    config). P (``_transition_matrix``) and ``spectral``'s repeat
     probability read ``escape_share``, both stationary distributions read
     ``reversible``, and the engines read the rest.
     """
@@ -210,15 +210,14 @@ class WalkLaw:
         jumps = config.kind in (SamplerKind.RWE, SamplerKind.WJRW) and pad.any()
         self.targets = np.flatnonzero(pad) if jumps else None  # never an empty array
 
-    def escape_share(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-        """P(v -> t) for each node v in ``lo:hi`` and each of v's escape
-        destinations t (v itself, or every target). The targets are the padded
-        nodes, so this is also P's diagonal. Raises for an isolated node."""
-        big, pad = self.big[lo:hi], self.pad[lo:hi]
-        isolated = np.flatnonzero(big == 0)
+    def escape_share(self) -> np.ndarray:
+        """P(v -> t) for each node v and each of v's escape destinations t
+        (v itself, or every target). The targets are the padded nodes, so
+        this is also P's diagonal. Raises for an isolated node."""
+        isolated = np.flatnonzero(self.big == 0)
         if len(isolated):
-            raise SamplerError(f"no outgoing transition from isolated node {lo + isolated[0]}")
-        return pad / big if self.targets is None else pad / (big * len(self.targets))
+            raise SamplerError(f"no outgoing transition from isolated node {isolated[0]}")
+        return self.pad / self.big if self.targets is None else self.pad / (self.big * len(self.targets))
 
     @property
     def reversible(self) -> bool:
@@ -253,18 +252,18 @@ def _stepper(graph: Graph, law: WalkLaw):
     return advance
 
 
-def _transition_rows(graph: Graph, config: WalkConfig, lo: int, hi: int) -> np.ndarray:
-    """Rows ``lo:hi`` of the walk's transition matrix, as one dense array."""
+def _transition_matrix(graph: Graph, config: WalkConfig) -> np.ndarray:
+    """The walk's n x n transition matrix, as one dense array."""
     law = WalkLaw(graph, config)
-    share = law.escape_share(lo, hi)
-    rows = np.zeros((hi - lo, graph.n))
+    share = law.escape_share()
+    entries = np.zeros((graph.n, graph.n))
     if law.targets is None:
-        rows[np.arange(hi - lo), np.arange(lo, hi)] = share
+        np.fill_diagonal(entries, share)
     else:
-        rows[:, law.targets] = share[:, None]
-    tails = np.repeat(np.arange(hi - lo), graph.degrees[lo:hi])
-    rows[tails, graph.indices[graph.indptr[lo] : graph.indptr[hi]]] += 1.0 / law.big[lo + tails]
-    return rows
+        entries[:, law.targets] = share[:, None]
+    tails = np.repeat(np.arange(graph.n), graph.degrees)
+    entries[tails, graph.indices] += 1.0 / law.big[tails]
+    return entries
 
 
 def _draw_start(graph: Graph, config: WalkConfig, rng: np.random.Generator) -> int:

@@ -1,10 +1,12 @@
 """Dense exact analysis of walk matrices on small graphs.
 
-Takes the full transition matrix of any configured sampler from its walk law
-(``samplers``, which alone turns a law into probabilities), computes its
-eigenvalue spectrum (second-largest signed eigenvalue and second-largest
-eigenvalue modulus), the expected repeat probability of a walk at
-stationarity, and a detailed-balance residual for reversibility checks.
+Plain linear algebra on numpy arrays: a walk's transition matrix P is an
+(n, n) array and a stationary distribution pi an (n,) array over node ids.
+Takes the full P of any configured sampler from its walk law (``samplers``,
+which alone turns a law into probabilities), computes its eigenvalue
+spectrum (second-largest signed eigenvalue and second-largest eigenvalue
+modulus), the expected repeat probability of a walk at stationarity, and a
+detailed-balance residual for reversibility checks.
 
 Everything here is dense and exact-arithmetic-friendly on purpose: it is a
 diagnostic path for small graphs (n <= 4096 by default), not a scalable
@@ -23,9 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimation import Distribution
 from .graph import Graph
-from .samplers import SamplerError, WalkConfig, WalkLaw, _transition_rows
+from .samplers import SamplerError, WalkConfig, WalkLaw, _transition_matrix
 
 DENSE_CAP = 4096
 
@@ -37,29 +38,19 @@ _CROSS_CHECK_N = 4
 _CROSS_CHECK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class WalkMatrix:
-    """Dense row-stochastic one-step transition matrix of a configured walk:
-    its n x n ``entries``."""
-
-    entries: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def validate(self) -> None:
-        if self.entries.shape != (self.n, self.n):
-            raise ValueError("entries must be n x n")
-        if np.any(self.entries < 0):
-            raise ValueError("negative transition probability")
-        rows = self.entries.sum(axis=1)
-        # Written as not (<= tol) so that a NaN entry fails too.
-        if not np.max(np.abs(rows - 1.0)) <= 1e-12:
-            raise ValueError("rows must sum to 1")
+def _check_stochastic(entries: np.ndarray) -> None:
+    """Refuse anything but a square row-stochastic matrix."""
+    n = len(entries)
+    if entries.shape != (n, n):
+        raise ValueError("entries must be n x n")
+    if np.any(entries < 0):
+        raise ValueError("negative transition probability")
+    # Written as not (<= tol) so that a NaN entry fails too.
+    if not np.max(np.abs(entries.sum(axis=1) - 1.0)) <= 1e-12:
+        raise ValueError("rows must sum to 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Eigenvalues sorted by descending real part, with the two gap summaries.
 
@@ -82,13 +73,13 @@ class SpectrumReport:
             raise ValueError("eigenvalue summary exceeds 1")
 
 
-def dense_transition_matrix(graph: Graph, config: WalkConfig) -> WalkMatrix:
-    """The full transition matrix in one dense array (n <= ``DENSE_CAP``)."""
+def dense_transition_matrix(graph: Graph, config: WalkConfig) -> np.ndarray:
+    """The full n x n transition matrix in one dense array (n <= ``DENSE_CAP``)."""
     if graph.n > DENSE_CAP:
         raise SamplerError(f"graph has {graph.n} nodes; dense analysis capped at {DENSE_CAP}")
-    matrix = WalkMatrix(_transition_rows(graph, config, 0, graph.n))
-    matrix.validate()
-    return matrix
+    entries = _transition_matrix(graph, config)
+    _check_stochastic(entries)
+    return entries
 
 
 def characteristic_polynomial(entries: Sequence[Sequence[Fraction]]) -> list[Fraction]:
@@ -125,12 +116,12 @@ def _cross_check_small(entries: np.ndarray, eigenvalues: np.ndarray) -> None:
         )
 
 
-def spectrum(matrix: WalkMatrix) -> SpectrumReport:
-    """Full spectrum of a walk matrix, sorted by descending real part."""
-    matrix.validate()
-    eig = np.linalg.eigvals(matrix.entries)
-    if matrix.n <= _CROSS_CHECK_N:
-        _cross_check_small(matrix.entries, eig)
+def spectrum(entries: np.ndarray) -> SpectrumReport:
+    """Full spectrum of a transition matrix, sorted by descending real part."""
+    _check_stochastic(entries)
+    eig = np.linalg.eigvals(entries)
+    if len(entries) <= _CROSS_CHECK_N:
+        _cross_check_small(entries, eig)
     order = np.lexsort((-eig.imag, -eig.real))
     eig = eig[order]
     lead = int(np.argmin(np.abs(eig - 1.0)))
@@ -147,45 +138,37 @@ def spectrum(matrix: WalkMatrix) -> SpectrumReport:
     return report
 
 
-def _dense_pi(n: int, pi: Distribution) -> np.ndarray:
-    """pi as a dense length-n vector; its support must be node ids."""
-    support = pi.support
-    if len(support) and (support.min() < 0 or support.max() >= n):
-        raise ValueError("distribution support is not a set of node ids")
-    out = np.zeros(n)
-    out[support] = pi.mass
-    return out
-
-
-def expected_repeat_probability(graph: Graph, config: WalkConfig, pi: Distribution) -> float:
+def expected_repeat_probability(graph: Graph, config: WalkConfig, pi: np.ndarray) -> float:
     """Chance the next sample repeats the current one, averaged under pi.
 
     Equals sum over nodes of pi_v times the self-transition probability of
-    the configured walk at v.
+    the configured walk at v; ``pi`` is an (n,) array over node ids.
     """
-    return float(_dense_pi(graph.n, pi) @ WalkLaw(graph, config).escape_share())
+    return float(pi @ WalkLaw(graph, config).escape_share())
 
 
-def reversibility_residual(matrix: WalkMatrix, pi: Distribution) -> float:
+def reversibility_residual(entries: np.ndarray, pi: np.ndarray) -> float:
     """Worst detailed-balance violation max |pi_v P_vu - pi_u P_uv|.
 
-    Zero (to rounding) iff the chain is reversible under pi. The support of
-    pi is validated against the matrix.
+    Zero (to rounding) iff the chain is reversible under pi. ``entries`` is
+    the (n, n) transition matrix P and ``pi`` an (n,) array over node ids;
+    any other shape is refused, as a length-1 pi would otherwise broadcast.
 
     Works on blocks of rows of about ``_RESIDUAL_BLOCK_BYTES`` each: rows
     ``lo:hi`` of the flow ``pi_v P_vu`` minus the same rows of its transpose
     are the same products as in the whole ``flow - flow.T``, so the result is
     the same to the bit.
     """
-    matrix.validate()
-    p = _dense_pi(matrix.n, pi)
-    entries = matrix.entries
-    step = max(1, _RESIDUAL_BLOCK_BYTES // (8 * max(matrix.n, 1)))  # float64 rows
+    _check_stochastic(entries)
+    n = len(entries)
+    if pi.shape != (n,):
+        raise ValueError(f"pi has shape {pi.shape}, not ({n},)")
+    step = max(1, _RESIDUAL_BLOCK_BYTES // (8 * max(n, 1)))  # float64 rows
     block_max = []
-    for lo in range(0, matrix.n, step):
+    for lo in range(0, n, step):
         hi = lo + step
-        diff = p[lo:hi, None] * entries[lo:hi]
-        diff -= (p[:, None] * entries[:, lo:hi]).T
+        diff = pi[lo:hi, None] * entries[lo:hi]
+        diff -= (pi[:, None] * entries[:, lo:hi]).T
         block_max.append(np.max(np.abs(diff, out=diff)))
     # np.max, not max(): a NaN in any block propagates, as it does one-shot.
     return float(np.max(block_max))

@@ -18,7 +18,6 @@ import pytest
 
 from conftest import DATASET_FILES, data_dir, make_graph, random_connected_graph
 from walksample import (
-    Distribution,
     WalkConfig,
     characteristic_polynomial,
     dense_transition_matrix,
@@ -109,7 +108,7 @@ def test_criterion_01_golden_transition_matrices(example_graph):
     for kind, c, golden in (("srw", None, SRW_MATRIX), ("gmd", 3, GMD_MATRIX), ("wjrw", 3, WJRW_MATRIX)):
         matrix = dense_transition_matrix(example_graph, WalkConfig(kind=kind, c=c))
         expected = np.array([[float(x) for x in row] for row in golden])
-        worst = max(worst, float(np.max(np.abs(matrix.entries - expected))))
+        worst = max(worst, float(np.max(np.abs(matrix - expected))))
     elapsed = time.perf_counter() - t0
     report(1, worst <= 1e-15 and elapsed < 1.0, f"max entry gap {worst:.3g} (tol 1e-15) in {elapsed:.3f}s (< 1s)")
 
@@ -129,7 +128,7 @@ def test_criterion_02_second_largest_eigenvalues(example_graph, path3_graph):
         for kind, kw in (("srw", {}), ("rwe", {"alpha": 1.5}), ("md", {}), ("gmd", {"c": 3}), ("wjrw", {"c": 3})):
             matrix = dense_transition_matrix(graph, WalkConfig(kind=kind, **kw))
             rep = spectrum(matrix)  # n <= 4 also triggers the internal cross-check
-            roots = np.sort_complex(np.roots([float(x) for x in characteristic_polynomial(matrix.entries)]))
+            roots = np.sort_complex(np.roots([float(x) for x in characteristic_polynomial(matrix)]))
             cross_worst = max(cross_worst, float(np.max(np.abs(roots - np.sort_complex(rep.eigenvalues)))))
     ok = worst <= 1e-9 and ordered and cross_worst <= 1e-8
     report(
@@ -154,18 +153,12 @@ def test_criterion_03_repeat_probability_ordering():
             continue
         graphs += 1
         cfg_md = WalkConfig(kind="md")
-        e_md = expected_repeat_probability(
-            g, cfg_md, Distribution.over_nodes(stationary_numeric(g, cfg_md))
-        )
+        e_md = expected_repeat_probability(g, cfg_md, stationary_numeric(g, cfg_md))
         for c in thresholds:
             cfg_gmd = WalkConfig(kind="gmd", c=c)
             cfg_wj = WalkConfig(kind="wjrw", c=c)
-            e_gmd = expected_repeat_probability(
-                g, cfg_gmd, Distribution.over_nodes(stationary_numeric(g, cfg_gmd))
-            )
-            e_wj = expected_repeat_probability(
-                g, cfg_wj, Distribution.over_nodes(stationary_numeric(g, cfg_wj))
-            )
+            e_gmd = expected_repeat_probability(g, cfg_gmd, stationary_numeric(g, cfg_gmd))
+            e_wj = expected_repeat_probability(g, cfg_wj, stationary_numeric(g, cfg_wj))
             worst_slack = min(worst_slack, e_md - e_gmd, e_gmd - e_wj)
             comparisons += 1
     elapsed = time.perf_counter() - t0
@@ -182,7 +175,7 @@ def test_criterion_04_stationary_closed_vs_numeric(example_graph, path3_graph):
     # stationary_numeric returns the closed form of a reversible law, so each
     # closed form is also checked as a left fixed point of the dense P.
     def fixed_point_l1(g, cfg, pi):
-        return l1(pi @ dense_transition_matrix(g, cfg).entries, pi)
+        return l1(pi @ dense_transition_matrix(g, cfg), pi)
 
     rng = np.random.default_rng(77)
     worst = worst_residual = 0.0
@@ -338,8 +331,8 @@ def test_criterion_09_threshold_sweep_and_full_padding_identity(example_graph):
     graphs = [example_graph] + [random_connected_graph(rng, int(rng.integers(4, 20))) for _ in range(10)]
     identity_worst = 0.0
     for g in graphs:
-        md = dense_transition_matrix(g, WalkConfig(kind="md")).entries
-        gmd = dense_transition_matrix(g, WalkConfig(kind="gmd", c=g.d_max)).entries
+        md = dense_transition_matrix(g, WalkConfig(kind="md"))
+        gmd = dense_transition_matrix(g, WalkConfig(kind="gmd", c=g.d_max))
         identity_worst = max(identity_worst, float(np.max(np.abs(md - gmd))))
     identity_ok = identity_worst == 0.0
 

@@ -60,8 +60,8 @@ def test_tvd_examples(example_graph):
     q = dist([0, 1], [0.0, 1.0])
     assert tvd(p, p) == 0.0
     assert tvd(p, q) == 1.0
-    srw = Distribution.over_nodes(stationary_closed_form(example_graph, WalkConfig(kind="srw")))
-    uniform = Distribution.over_nodes(np.full(5, 0.2))
+    srw = dist(np.arange(5), stationary_closed_form(example_graph, WalkConfig(kind="srw")))
+    uniform = dist(np.arange(5), np.full(5, 0.2))
     assert tvd(srw, uniform) == pytest.approx(4 / 35, abs=1e-12)
 
 
@@ -122,12 +122,14 @@ def test_scale_invariance(example_graph):
     assert b == pytest.approx(a, rel=1e-12)
 
 
-def test_callable_weight_and_function(example_graph):
+def test_callable_weight_or_function_refused(example_graph):
+    # pi and f are n-long arrays; a callable is not evaluated node by node
     trace = run_walk(example_graph, WalkConfig(kind="srw", budget=100, seed=5))
-    deg = example_graph.degrees
-    a = ht_ratio_estimate(trace, lambda v: float(deg[v]), lambda v: float(deg[v] == 2))
-    b = ht_ratio_estimate(trace, deg.astype(float), (deg == 2).astype(float))
-    assert a == pytest.approx(b, rel=1e-12)
+    deg = example_graph.degrees.astype(float)
+    with pytest.raises(TypeError):
+        ht_ratio_estimate(trace, lambda v: deg[v], deg == 2)
+    with pytest.raises(TypeError):
+        ht_ratio_estimate(trace, deg, lambda v: float(deg[v] == 2))
 
 
 def test_zero_inclusion_probability_rejected(example_graph):

@@ -25,7 +25,7 @@ from walksample import (
     stationary_numeric,
 )
 from walksample.graph import build_graph
-from walksample.samplers import SamplerKind, WalkLaw, _transition_rows, make_rng
+from walksample.samplers import SamplerKind, WalkLaw, _transition_matrix, make_rng
 
 ALL_KINDS = [
     ("srw", {}),
@@ -41,8 +41,8 @@ def config(kind: str, **kw) -> WalkConfig:
 
 
 def one_row(graph, cfg: WalkConfig, v: int) -> np.ndarray:
-    """Row v of the walk's transition matrix, built on its own."""
-    return _transition_rows(graph, cfg, v, v + 1)[0]
+    """Row v of the walk's transition matrix, built without validation."""
+    return _transition_matrix(graph, cfg)[v]
 
 
 # ---------------------------------------------------------------- config
@@ -249,7 +249,7 @@ def test_fixed_start_walk_steps_along_rows_in_both_engines(example_graph):
         trace = run_walk(example_graph, cfg)
         assert trace.start == trace.nodes[0] == 2
         assert np.array_equal(run_walks(example_graph, [cfg])[0].nodes, trace.nodes)
-        entries = dense_transition_matrix(example_graph, cfg).entries
+        entries = dense_transition_matrix(example_graph, cfg)
         assert (entries[trace.nodes[:-1], trace.nodes[1:]] > 0).all(), kind
 
 
@@ -267,7 +267,7 @@ def test_empirical_step_frequencies_match_rows(example_graph):
         ]
         paths = [trace.nodes for trace in run_walks(g, walks)]
         tails, heads = np.concatenate([p[:-1] for p in paths]), np.concatenate([p[1:] for p in paths])
-        want = dense_transition_matrix(g, config(kind, **kw)).entries
+        want = dense_transition_matrix(g, config(kind, **kw))
         for v in range(g.n):
             exits = heads[tails == v][:reps]
             assert len(exits) == reps, (kind, v)
@@ -404,7 +404,7 @@ def test_closed_form_at_degree_classes_has_the_bits_of_the_vector():
 def _fixed_point_l1(g, cfg, pi) -> float:
     """||pi P - pi||_1 against the dense transition matrix, which does not
     go through ``stationary_numeric``."""
-    return float(np.abs(pi @ dense_transition_matrix(g, cfg).entries - pi).sum())
+    return float(np.abs(pi @ dense_transition_matrix(g, cfg) - pi).sum())
 
 
 def test_numeric_matches_closed_form_for_reversible_kinds():
@@ -432,7 +432,7 @@ def test_numeric_matches_dense_left_eigenvector():
     g = random_connected_graph(rng, 9)
     cfg = config("wjrw", c=int(max(2, g.d_max - 1)))
     pi = stationary_numeric(g, cfg)
-    dense = np.array([one_row(g, cfg, v) for v in range(g.n)])
+    dense = _transition_matrix(g, cfg)
     assert np.max(np.abs(pi @ dense - pi)) <= 1e-12
 
 
@@ -452,7 +452,7 @@ def test_padded_jump_closed_form_exact_when_jump_set_has_one_degree():
         gap = float(np.abs(closed - stationary_numeric(g, cfg)).sum())
         assert gap <= 1e-10, gap
         # numeric returns this closed form itself, so check it against P too
-        dense = np.array([one_row(g, cfg, v) for v in range(g.n)])
+        dense = _transition_matrix(g, cfg)
         assert np.max(np.abs(closed @ dense - closed)) <= 1e-15
         checked += 1
 
@@ -605,7 +605,7 @@ def test_numeric_is_a_fixed_point_of_the_dense_matrix():
     for g, kinds in cases:
         for kind, kw in kinds:
             cfg = config(kind, **kw)
-            entries = dense_transition_matrix(g, cfg).entries
+            entries = dense_transition_matrix(g, cfg)
             for tol in (1e-12, 1e-13):
                 pi = stationary_numeric(g, cfg, tol=tol)
                 residual = float(np.abs(pi @ entries - pi).sum())

@@ -11,6 +11,8 @@ from unittest import mock
 import pytest
 
 import walksample
+from conftest import make_graph
+from walksample import WalkConfig, dense_transition_matrix, run_walk, spectrum, true_degree_distribution
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -117,3 +119,23 @@ def test_names_scripts_import_from_the_package_are_public(path):
     names = {alias.name for node in imports if node.module == "walksample" for alias in node.names}
     modules = {"cli", "estimation", "graph", "harness", "samplers", "spectral"}
     assert names - modules <= set(walksample.__all__)
+
+
+# Each value type that holds arrays, built from a graph: the same build twice
+# gives equal arrays in two distinct objects.
+ARRAY_HOLDERS = {
+    "Graph": lambda g: g,
+    "Trace": lambda g: run_walk(g, WalkConfig(kind="srw", budget=8, seed=3)),
+    "Distribution": true_degree_distribution,
+    "SpectrumReport": lambda g: spectrum(dense_transition_matrix(g, WalkConfig(kind="srw"))),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holding_values_compare_by_identity(build):
+    # Field-wise equality would ask numpy for the truth of an array (a
+    # ValueError) and hash an ndarray (a TypeError); identity does neither.
+    a, b = (build(make_graph("1 2\n2 3\n3 4\n4 1\n")) for _ in range(2))
+    assert a == a and a != b
+    assert a in [a] and a not in [b]
+    assert len({a, b}) == 2 and hash(a) == hash(a)

@@ -10,11 +10,9 @@ import pytest
 from conftest import preferential_graph, random_connected_graph
 from walksample import spectral as spectral_module
 from walksample import (
-    Distribution,
     SamplerError,
     SpectrumReport,
     WalkConfig,
-    WalkMatrix,
     characteristic_polynomial,
     dense_transition_matrix,
     expected_repeat_probability,
@@ -23,33 +21,47 @@ from walksample import (
     stationary_closed_form,
     stationary_numeric,
 )
-from walksample.samplers import WalkLaw, _transition_rows
+from walksample.samplers import WalkLaw
 
 MU_WJRW = (math.sqrt(5) - 1) / 6
 MU_SRW = (math.sqrt(7) - 1) / 6
 MU_GMD = math.sqrt(2) / 3
 
 
-def node_dist(weights) -> Distribution:
-    return Distribution.over_nodes(np.asarray(weights, dtype=float))
+# Each matrix that is not square row-stochastic, with the refusal it earns.
+BAD_MATRICES = [
+    (np.array([[0.5, 0.6], [0.5, 0.5]]), "sum to 1"),
+    (np.array([[1.5, -0.5], [0.5, 0.5]]), "negative"),
+    (np.array([[np.nan, 0.5], [0.5, 0.5]]), "sum to 1"),
+    (np.full((2, 4), 0.25), "n x n"),
+]
 
 
 def test_walk_matrix_validation(example_graph):
-    cfg = WalkConfig(kind="srw")
-    wm = dense_transition_matrix(example_graph, cfg)
-    wm.validate()
-    bad = WalkMatrix(np.array([[0.5, 0.6], [0.5, 0.5]]))
+    check = spectral_module._check_stochastic
+    check(dense_transition_matrix(example_graph, WalkConfig(kind="srw")))
+    for entries, message in BAD_MATRICES:
+        with pytest.raises(ValueError, match=message):
+            check(entries)
+
+
+@pytest.mark.parametrize("entries, message", BAD_MATRICES)
+def test_spectrum_and_residual_refuse_a_bad_matrix(entries, message):
+    with pytest.raises(ValueError, match=message):
+        spectrum(entries)
+    with pytest.raises(ValueError, match=message):
+        reversibility_residual(entries, np.full(2, 0.5))
+
+
+@pytest.mark.parametrize("length", [1, 6])
+def test_pi_of_the_wrong_length_refused(example_graph, length):
+    # A length-1 pi would broadcast over every row if it were not refused.
+    cfg = WalkConfig(kind="md")
+    pi = np.full(length, 1 / length)
+    with pytest.raises(ValueError, match=r"pi has shape"):
+        reversibility_residual(dense_transition_matrix(example_graph, cfg), pi)
     with pytest.raises(ValueError):
-        bad.validate()
-    neg = WalkMatrix(np.array([[1.5, -0.5], [0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        neg.validate()
-    nan = WalkMatrix(np.array([[np.nan, 0.5], [0.5, 0.5]]))
-    with pytest.raises(ValueError, match="sum to 1"):
-        nan.validate()
-    wide = WalkMatrix(np.full((2, 4), 0.25))
-    with pytest.raises(ValueError, match="n x n"):
-        wide.validate()
+        expected_repeat_probability(example_graph, cfg, pi)
 
 
 def test_dense_cap_enforced(monkeypatch):
@@ -95,16 +107,16 @@ def test_characteristic_polynomial_known_matrices():
 
 
 def test_eigensolver_agrees_with_polynomial_roots(path3_graph, monkeypatch):
-    wm = dense_transition_matrix(path3_graph, WalkConfig(kind="wjrw", c=3))
-    rep = spectrum(wm)  # n <= 4 triggers the internal cross-check too
-    coeffs = characteristic_polynomial([[Fraction(x) for x in row] for row in wm.entries])
+    matrix = dense_transition_matrix(path3_graph, WalkConfig(kind="wjrw", c=3))
+    rep = spectrum(matrix)  # n <= 4 triggers the internal cross-check too
+    coeffs = characteristic_polynomial([[Fraction(x) for x in row] for row in matrix])
     roots = np.sort_complex(np.roots([float(c) for c in coeffs]))
     assert np.max(np.abs(np.sort_complex(rep.eigenvalues) - roots)) < 1e-9
     # the cross-check catches an eigensolver that is off
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) + 1e-6)
     with pytest.raises(ArithmeticError, match="disagrees with characteristic polynomial roots"):
-        spectrum(wm)
+        spectrum(matrix)
 
 
 def test_spectrum_invariants_on_random_graphs():
@@ -135,11 +147,11 @@ def test_self_transition_diagonal_matches_dense_matrix(example_graph):
     ]
     for cfg in cases:
         diag = WalkLaw(example_graph, cfg).escape_share()
-        dense = np.diag(dense_transition_matrix(example_graph, cfg).entries)
+        dense = np.diag(dense_transition_matrix(example_graph, cfg))
         assert np.max(np.abs(diag - dense)) <= 1e-15
 
 
-def test_dense_matrix_equals_stacked_rows_bit_for_bit():
+def test_dense_diagonal_equals_escape_share_bit_for_bit():
     rng = np.random.default_rng(41)
     for _ in range(6):
         g = random_connected_graph(rng, int(rng.integers(4, 14)))
@@ -151,28 +163,23 @@ def test_dense_matrix_equals_stacked_rows_bit_for_bit():
             WalkConfig(kind="gmd", c=c),
             WalkConfig(kind="wjrw", c=c),
         ):
-            rows = np.concatenate([_transition_rows(g, cfg, v, v + 1) for v in range(g.n)])
-            dense = dense_transition_matrix(g, cfg).entries
-            assert np.array_equal(dense, rows), cfg.kind
+            dense = dense_transition_matrix(g, cfg)
             assert np.array_equal(WalkLaw(g, cfg).escape_share(), np.diag(dense)), cfg.kind
 
 
 def test_expected_repeat_probability_examples(example_graph):
     g = example_graph
-    uniform = node_dist(np.full(5, 0.2))
+    uniform = np.full(5, 0.2)
     assert expected_repeat_probability(g, WalkConfig(kind="srw"), uniform) == 0.0
     md = expected_repeat_probability(g, WalkConfig(kind="md"), uniform)
     assert md == pytest.approx(0.3, abs=1e-12)
     gmd_cfg = WalkConfig(kind="gmd", c=3)
-    gmd = expected_repeat_probability(g, gmd_cfg, node_dist(stationary_numeric(g, gmd_cfg)))
+    gmd = expected_repeat_probability(g, gmd_cfg, stationary_numeric(g, gmd_cfg))
     assert gmd == pytest.approx(1 / 8, abs=1e-12)
     wj_cfg = WalkConfig(kind="wjrw", c=3)
-    wj = expected_repeat_probability(g, wj_cfg, node_dist(stationary_numeric(g, wj_cfg)))
+    wj = expected_repeat_probability(g, wj_cfg, stationary_numeric(g, wj_cfg))
     assert wj == pytest.approx(1 / 16, abs=1e-12)
     assert md >= gmd >= wj
-    beyond = Distribution(np.array([0, 5]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="not a set of node ids"):
-        expected_repeat_probability(g, WalkConfig(kind="md"), beyond)
 
 
 def test_repeat_probability_ordering_smoke():
@@ -187,37 +194,35 @@ def test_repeat_probability_ordering_smoke():
             md_cfg = WalkConfig(kind="md")
             gmd_cfg = WalkConfig(kind="gmd", c=c)
             wj_cfg = WalkConfig(kind="wjrw", c=c)
-            e_md = expected_repeat_probability(g, md_cfg, node_dist(stationary_numeric(g, md_cfg)))
-            e_gmd = expected_repeat_probability(g, gmd_cfg, node_dist(stationary_numeric(g, gmd_cfg)))
-            e_wj = expected_repeat_probability(g, wj_cfg, node_dist(stationary_numeric(g, wj_cfg)))
+            e_md = expected_repeat_probability(g, md_cfg, stationary_numeric(g, md_cfg))
+            e_gmd = expected_repeat_probability(g, gmd_cfg, stationary_numeric(g, gmd_cfg))
+            e_wj = expected_repeat_probability(g, wj_cfg, stationary_numeric(g, wj_cfg))
             assert e_md >= e_gmd - 1e-12
             assert e_gmd >= e_wj - 1e-12
 
 
 def test_reversibility_residuals(example_graph, path3_graph):
     srw = WalkConfig(kind="srw")
-    wm = dense_transition_matrix(example_graph, srw)
-    assert reversibility_residual(wm, node_dist(stationary_closed_form(example_graph, srw))) < 1e-14
+    matrix = dense_transition_matrix(example_graph, srw)
+    assert reversibility_residual(matrix, stationary_closed_form(example_graph, srw)) < 1e-14
 
     rwe = WalkConfig(kind="rwe", alpha=1.0)
-    wm = dense_transition_matrix(example_graph, rwe)
-    assert reversibility_residual(wm, node_dist(stationary_closed_form(example_graph, rwe))) < 1e-14
+    matrix = dense_transition_matrix(example_graph, rwe)
+    assert reversibility_residual(matrix, stationary_closed_form(example_graph, rwe)) < 1e-14
 
     gmd = WalkConfig(kind="gmd", c=3)
-    wm = dense_transition_matrix(example_graph, gmd)
-    assert reversibility_residual(wm, node_dist(stationary_closed_form(example_graph, gmd))) < 1e-14
+    matrix = dense_transition_matrix(example_graph, gmd)
+    assert reversibility_residual(matrix, stationary_closed_form(example_graph, gmd)) < 1e-14
 
     wj = WalkConfig(kind="wjrw", c=3)
-    wm = dense_transition_matrix(path3_graph, wj)
-    residual = reversibility_residual(wm, node_dist(stationary_closed_form(path3_graph, wj)))
+    matrix = dense_transition_matrix(path3_graph, wj)
+    residual = reversibility_residual(matrix, stationary_closed_form(path3_graph, wj))
     assert residual > 0.01
 
 
-def one_shot_residual(matrix: WalkMatrix, pi: Distribution) -> float:
+def one_shot_residual(entries: np.ndarray, pi: np.ndarray) -> float:
     """The residual over whole n x n temporaries, as first written."""
-    p = np.zeros(matrix.n)
-    p[pi.support] = pi.mass
-    flow = p[:, None] * matrix.entries
+    flow = pi[:, None] * entries
     return float(np.max(np.abs(flow - flow.T)))
 
 
@@ -231,9 +236,9 @@ def test_blocked_residual_equals_one_shot_on_random_graphs(monkeypatch, block_by
         kinds = [("srw", {}), ("rwe", {"alpha": float(rng.uniform(0.2, 3))}), ("md", {}), ("gmd", {"c": c}), ("wjrw", {"c": c})]
         for kind, kw in kinds:
             cfg = WalkConfig(kind=kind, **kw)
-            wm = dense_transition_matrix(g, cfg)
-            pi = node_dist(stationary_closed_form(g, cfg))
-            assert reversibility_residual(wm, pi) == one_shot_residual(wm, pi)
+            matrix = dense_transition_matrix(g, cfg)
+            pi = stationary_closed_form(g, cfg)
+            assert reversibility_residual(matrix, pi) == one_shot_residual(matrix, pi)
 
 
 # (n, rows per block): below one block, exactly one, one block plus one row,
@@ -245,34 +250,34 @@ def test_blocked_residual_equals_one_shot_at_block_edges(monkeypatch, n, rows):
     for _ in range(3):
         raw = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
         raw[np.arange(n), rng.integers(0, n, n)] += 0.1  # no empty row
-        wm = WalkMatrix(raw / raw.sum(axis=1, keepdims=True))
-        pi = Distribution.from_weights(np.arange(n), rng.random(n))
-        got = reversibility_residual(wm, pi)
-        assert got > 0 and got == one_shot_residual(wm, pi)
+        matrix = raw / raw.sum(axis=1, keepdims=True)
+        weights = rng.random(n)
+        pi = weights / weights.sum()
+        got = reversibility_residual(matrix, pi)
+        assert got > 0 and got == one_shot_residual(matrix, pi)
 
 
 def test_blocked_residual_propagates_nan_from_a_later_block(monkeypatch):
     # Validation rejects NaN entries; with it bypassed, a NaN in the last
     # block must still reach the result, as np.max does one-shot.
     monkeypatch.setattr(spectral_module, "_RESIDUAL_BLOCK_BYTES", 1)
-    monkeypatch.setattr(WalkMatrix, "validate", lambda self: None)
+    monkeypatch.setattr(spectral_module, "_check_stochastic", lambda entries: None)
     entries = np.full((4, 4), 0.25)
     entries[0, 1], entries[0, 2] = 0.5, 0.0
     entries[3, 3] = np.nan
-    wm = WalkMatrix(entries)
-    assert math.isnan(reversibility_residual(wm, node_dist(np.full(4, 0.25))))
+    assert math.isnan(reversibility_residual(entries, np.full(4, 0.25)))
 
 
 def test_residual_peak_memory_is_a_fraction_of_the_matrix():
     g = preferential_graph(1500, 3, seed=5)
     cfg = WalkConfig(kind="wjrw", c=max(1, g.d_max // 2))
-    wm = dense_transition_matrix(g, cfg)
-    pi = node_dist(stationary_closed_form(g, cfg))
+    matrix = dense_transition_matrix(g, cfg)
+    pi = stationary_closed_form(g, cfg)
     tracemalloc.start()
     try:
-        residual = reversibility_residual(wm, pi)
+        residual = reversibility_residual(matrix, pi)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert residual > 0
-    assert peak < wm.entries.nbytes / 2, f"peak {peak / wm.entries.nbytes:.2f} x the matrix"
+    assert peak < matrix.nbytes / 2, f"peak {peak / matrix.nbytes:.2f} x the matrix"
