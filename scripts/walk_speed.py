@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> None:
         s, want = timed(lambda: [run_walk(graph, cfg) for cfg in configs], args.repeats)
         w, _ = timed(lambda: run_walks(graph, configs[-1:]), args.repeats)
         b, got = timed(lambda: run_walks(graph, configs), args.repeats)
-        if not all(np.array_equal(x.nodes, y.nodes) for x, y in zip(want, got)):
+        if not all(np.array_equal(x, y) for x, y in zip(want, got)):
             raise SystemExit(f"{kind}: run_walks differs from run_walk")
         steps = sum(cfg.budget for cfg in configs)
         for row, rate in zip(rows.values(), (steps / s, configs[-1].budget / w, steps / b)):

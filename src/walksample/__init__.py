@@ -40,7 +40,6 @@ from .harness import UsageError, estimation_weights
 from .samplers import (
     ConvergenceError,
     SamplerError,
-    Trace,
     WalkConfig,
     WalkTooLongError,
     derive_seed,
@@ -71,7 +70,6 @@ __all__ = [
     "IngestReport",
     "SamplerError",
     "SpectrumReport",
-    "Trace",
     "UsageError",
     "WalkConfig",
     "WalkTooLongError",

@@ -1,4 +1,4 @@
-"""Ratio estimation from walk traces and distribution comparison metrics.
+"""Ratio estimation from walk traces, scored against the true distribution.
 
 The core estimator reweights every trace occurrence s by 1/pi(s), where pi
 is the sampler's stationary distribution (or any positive multiple of it;
@@ -7,7 +7,8 @@ the ratio form cancels normalization):
     estimate = sum_s f(s)/pi(s)  /  sum_s 1/pi(s)
 
 Degree-distribution estimates apply the same weights per degree category.
-Accuracy is scored with KL divergence and total variation distance.
+Accuracy is scored with KL divergence. A trace is the array of node ids a
+walk visits, repeats included.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .graph import Graph
-    from .samplers import Trace
 
 WeightFunction = Union[np.ndarray, "list[float]"]
 
@@ -77,12 +77,6 @@ def _aligned(p: Distribution, q: Distribution) -> tuple[np.ndarray, np.ndarray, 
     return union, pv, qv
 
 
-def tvd(p: Distribution, q: Distribution) -> float:
-    """Total variation distance 0.5 * sum |p - q| over the union support."""
-    _, pv, qv = _aligned(p, q)
-    return 0.5 * float(np.abs(pv - qv).sum())
-
-
 def kl_divergence(true_p: Distribution, est_q: Distribution, eps: float = 1e-12) -> float:
     """KL(true || estimated) in nats, with additive smoothing of the estimate.
 
@@ -98,9 +92,9 @@ def kl_divergence(true_p: Distribution, est_q: Distribution, eps: float = 1e-12)
     return float(np.sum(pv[pos] * np.log(pv[pos] / q_smooth[pos])))
 
 
-def _trace_nodes(trace) -> np.ndarray:
+def _trace_nodes(nodes) -> np.ndarray:
     """A trace's node ids: int32 ones (a walk's) as they are, others as int64."""
-    nodes = np.asarray(getattr(trace, "nodes", trace))
+    nodes = np.asarray(nodes)
     if nodes.dtype != np.int32:
         nodes = nodes.astype(np.int64, copy=False)
     if nodes.size == 0:
@@ -123,26 +117,26 @@ def _inverse(pivals: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return 1.0 / pivals
 
 
-def ht_ratio_estimate(trace, pi: WeightFunction, f: WeightFunction) -> float:
+def ht_ratio_estimate(nodes, pi: WeightFunction, f: WeightFunction) -> float:
     """Self-normalized importance-weighted estimate of the mean of f.
 
     All trace occurrences, repeats included, enter both sums. ``pi`` may be
     unnormalized; any positive scaling cancels in the ratio.
     """
-    nodes = _trace_nodes(trace)
+    nodes = _trace_nodes(nodes)
     w = _inverse(_node_values(pi, nodes), nodes)
     fvals = _node_values(f, nodes)
     return float((w * fvals).sum() / w.sum())
 
 
-def degree_distribution_estimate(trace, pi: WeightFunction, graph: "Graph") -> Distribution:
+def degree_distribution_estimate(nodes, pi: WeightFunction, graph: "Graph") -> Distribution:
     """Estimated degree distribution from a trace.
 
     Each occurrence of node s adds 1/pi(s) to the mass of degree d_s; masses
     are normalized. The support covers every degree value present in the
     graph, so degrees never visited carry explicit zero mass.
     """
-    nodes = _trace_nodes(trace)
+    nodes = _trace_nodes(nodes)
     return degree_estimate_from_pi(nodes, _node_values(pi, nodes), graph)
 
 
@@ -161,7 +155,7 @@ def true_degree_distribution(graph: "Graph") -> Distribution:
     return Distribution.from_weights(support, counts.astype(np.float64))
 
 
-def unique_count(trace) -> int:
+def unique_count(nodes) -> int:
     """Number of distinct node ids in a trace."""
-    nodes = np.sort(_trace_nodes(trace))
+    nodes = np.sort(_trace_nodes(nodes))
     return 1 + int(np.count_nonzero(nodes[1:] != nodes[:-1]))

@@ -35,7 +35,7 @@ from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -705,15 +705,6 @@ def load_edge_list(path: str | Path) -> tuple[Graph, IngestReport]:
     return graph, report
 
 
-def write_edge_list(graph: Graph, stream: IO[str]) -> None:
-    """Serialize as one "<label_u> <label_v>" line per edge (u < v order)."""
-    labels = graph.labels
-    for v in range(graph.n):
-        for u in graph.neighbors(v):
-            if v < u:
-                stream.write(f"{labels[v]} {labels[u]}\n")
-
-
 def largest_connected_component(graph: Graph) -> Graph:
     """Induced subgraph on the largest component, ids re-densified.
 
@@ -749,24 +740,9 @@ def average_degree(graph: Graph) -> float:
     return 2.0 * graph.m / graph.n
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    """Headline statistics of a loaded graph."""
-
-    n: int
-    m: int
-    d_max: int
-    tvd_srw_vs_uniform: float
-
-
-def graph_stats(graph: Graph) -> GraphStats:
-    """n, m, max degree, and the total variation distance between the
-    degree-proportional distribution and the uniform distribution."""
+def tvd_srw_vs_uniform(graph: Graph) -> float:
+    """Total variation distance between the degree-proportional distribution
+    (the simple random walk's stationary one) and the uniform one."""
     if graph.m == 0:  # the degree-proportional distribution needs an edge
         raise EmptyGraphError("stats of a graph without edges are undefined")
-    return GraphStats(
-        n=graph.n,
-        m=graph.m,
-        d_max=graph.d_max,
-        tvd_srw_vs_uniform=0.5 * float(np.abs(graph.degrees / (2.0 * graph.m) - 1.0 / graph.n).sum()),
-    )
+    return 0.5 * float(np.abs(graph.degrees / (2.0 * graph.m) - 1.0 / graph.n).sum())

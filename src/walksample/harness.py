@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimation import degree_estimate_from_pi, kl_divergence, true_degree_distribution, unique_count
-from .graph import Graph, average_degree, graph_stats, largest_connected_component, load_edge_list
+from .graph import Graph, average_degree, largest_connected_component, load_edge_list, tvd_srw_vs_uniform
 from .samplers import (
     KINDS_READING,
     RNG_ALGORITHM,
@@ -236,13 +236,12 @@ def _walk_slice(span: range, sweep: tuple = ()) -> list[ReportRow]:
     traces = run_walks(graph, walks)
     walk_s_per_step = (time.perf_counter() - t0) / sum(w.burn_in + w.budget for w in walks)
     rows = []
-    for (_, rep), walk, trace in zip(places, walks, traces):
+    for (_, rep), walk, nodes in zip(places, walks, traces):
         t0 = time.perf_counter()
         pi, by_class = weights[walk.kind, walk.c, walk.alpha]
-        nodes = trace.nodes
         estimate = degree_estimate_from_pi(nodes, pi.take(category.take(nodes) if by_class else nodes), graph)
         kl = kl_divergence(truth, estimate)
-        unique = unique_count(trace)
+        unique = unique_count(nodes)
         walk_s = walk_s_per_step * (walk.burn_in + walk.budget)
         millis = (walk_s + time.perf_counter() - t0) * 1000.0 if config.timing else None
         rows.append(
@@ -268,7 +267,8 @@ def _run_tasks(config: ExperimentConfig, graph: Graph, groups: Sequence[tuple]) 
     per walk, in walk order: each group's R walks in a row.
 
     The truth and each law's weights are computed once, here (under
-    ``paper`` one value per degree class, not an (n,) vector); the walk
+    ``paper`` one value per degree class, read off the closed form's (n,)
+    vector, which is not kept); the walk
     indices are then cut once into ranges of about equal walk steps, and
     this process or a process pool maps ``_walk_slice`` over them, which
     lists each range's walks itself. Pool workers receive the config,
@@ -278,11 +278,15 @@ def _run_tasks(config: ExperimentConfig, graph: Graph, groups: Sequence[tuple]) 
     per CPU in that set.
     """
     truth = true_degree_distribution(graph)
+    support, category = graph.degree_classes
     weights: dict = {}  # law -> (pi, whether pi is indexed by degree class rather than node)
     for kind, c, alpha in dict.fromkeys(group[:3] for group in groups):
         law = WalkConfig(kind=kind, c=c, alpha=alpha)
         if config.weight_mode == "paper":
-            weights[law.kind, law.c, law.alpha] = (stationary_closed_form(graph, law, graph.degree_classes[0]), True)
+            # Every class has a node, so every slot is written.
+            by_class = np.empty(len(support))
+            by_class[category] = stationary_closed_form(graph, law)
+            weights[law.kind, law.c, law.alpha] = (by_class, True)
         else:
             weights[law.kind, law.c, law.alpha] = (estimation_weights(graph, law, "oracle"), False)
     sweep = (config, graph, groups, truth, weights)
@@ -427,15 +431,15 @@ def _walk_groups(config: ExperimentConfig, graph: Graph, samplers: Sequence[str]
 def cmd_stats(config: ExperimentConfig) -> str:
     """Whole-graph and largest-component statistics as a JSON object."""
     graph, report = load_edge_list(config.dataset_path)
-    stats = graph_stats(graph)
+    tvd = tvd_srw_vs_uniform(graph)
     lcc = largest_connected_component(graph)
     payload = {
         "dataset": Path(config.dataset_path).stem,
-        "n": stats.n,
-        "m": stats.m,
-        "d_max": stats.d_max,
+        "n": graph.n,
+        "m": graph.m,
+        "d_max": graph.d_max,
         "avg_degree": _round12(average_degree(graph)),
-        "tvd_srw_vs_uniform": _round12(stats.tvd_srw_vs_uniform),
+        "tvd_srw_vs_uniform": _round12(tvd),
         "lcc_n": lcc.n,
         "lcc_m": lcc.m,
         "dropped_self_loops": report.dropped_self_loops,

@@ -26,16 +26,17 @@ numeric stationary distributions and the dense transition matrix that
 ``spectral`` analyses are all derived from it here; the matrix's diagonal is
 the law's own ``escape_share``.
 
-Walks run on two engines that give the same traces, int32 node ids at 4
-bytes a step. ``run_walk`` is the scalar reference: one walker, one Python
-step at a time (~1 us a step). ``run_walks`` is the lockstep engine: it
-advances a whole batch of walkers, each with its own law (its cap and alpha,
-no table per law), budget, burn-in, start and Philox stream, one numpy step
-at a time (~15 us a step at any width), so it pays off from a few dozen
-walkers on; the harness runs every sweep through it. It picks neighbours
-from the graph's own ``indices`` and escapes from a small pool of the node
-ids and the jumping laws' targets, so beyond the graph a batch holds its
-traces, that pool and fixed-size chunk buffers.
+Walks run on two engines that give the same traces: a walk's trace is the
+int32 array of the node ids it visits, 4 bytes a step. ``run_walk`` is the
+scalar reference: one walker, one Python step at a time (~1 us a step).
+``run_walks`` is the lockstep engine: it advances a whole batch of walkers,
+each with its own law (its cap and alpha, no table per law), budget,
+burn-in, start and Philox stream, one numpy step at a time (~15 us a step at
+any width), so it pays off from a few dozen walkers on; the harness runs
+every sweep through it. It picks neighbours from the graph's own ``indices``
+and escapes from a small pool of the node ids and the jumping laws' targets,
+so beyond the graph a batch holds its traces, that pool and fixed-size chunk
+buffers.
 
 The closed form weights each node by big_v. That is exact for every law
 whose escape targets pad equally (srw, md, gmd, rwe, and wjrw when all of U
@@ -43,11 +44,9 @@ shares one degree): such a law is reversible with pi proportional to big.
 Otherwise (wjrw) the closed form spreads the padding evenly over U, which is
 what the ``paper`` estimation-weights mode uses. A node's closed-form
 weight depends on its degree alone, so a sweep keeps one value per degree
-class and law (``stationary_closed_form`` given degrees), not an n-long
-vector per law.
-The ``oracle`` mode uses the numeric
-stationary, there one conjugate-gradient solve of the law's balance
-equations.
+class and law, read off ``stationary_closed_form``'s vector, not an n-long
+vector per law. The ``oracle`` mode uses the numeric stationary, there one
+conjugate-gradient solve of the law's balance equations.
 """
 
 from __future__ import annotations
@@ -147,24 +146,6 @@ class WalkConfig:
             raise SamplerError(f"unknown start policy {self.start_policy!r}")
         if (self.start_node is None) == (self.start_policy == "fixed"):
             raise SamplerError("start_node must be given exactly for the fixed policy")
-
-
-@dataclass(frozen=True, eq=False)
-class Trace:
-    """Ordered node visits of one walk, with its provenance.
-
-    ``nodes`` are int32 node ids, 4 bytes a step. With a burn-in, ``nodes``
-    is a view of the walk's whole path, whose base keeps the ``burn_in``
-    unrecorded nodes alive: ``burn_in + budget`` nodes a walk, as the harness
-    counts them when it cuts a sweep into batches.
-    """
-
-    nodes: np.ndarray
-    config: WalkConfig
-    start: int
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def padding(cap, alpha, degrees) -> np.ndarray:
@@ -293,27 +274,30 @@ def _empty_path(config: WalkConfig) -> np.ndarray:
         ) from None
 
 
-def run_walk(graph: Graph, config: WalkConfig) -> Trace:
-    """Run one seeded walk; the trace has exactly ``budget`` nodes.
+def run_walk(graph: Graph, config: WalkConfig) -> np.ndarray:
+    """Run one seeded walk; its trace is ``budget`` int32 node ids.
 
     The walk records its whole path of ``burn_in + budget`` nodes: the start,
     then the node after each step. Its trace is the path's tail after the
-    burn-in, so burn-in steps do not count toward the budget. Identical
-    (graph, config) always produce the identical trace.
+    burn-in, so burn-in steps do not count toward the budget. That tail is a
+    view, whose base keeps the ``burn_in`` unrecorded nodes alive:
+    ``burn_in + budget`` nodes a walk, as the harness counts them when it
+    cuts a sweep into batches. Identical (graph, config) always produce the
+    identical trace.
     """
     if graph.n == 0:
         raise SamplerError("cannot walk an empty graph")
     advance = _stepper(graph, WalkLaw(graph, config))
     rng = make_rng(config.seed)
     path = _empty_path(config)
-    path[0] = v = start = _draw_start(graph, config, rng)
+    path[0] = v = _draw_start(graph, config, rng)
     chunk = 1 << 15
     for first in range(1, len(path), chunk):  # first: the index the chunk's first step fills
         k = min(chunk, len(path) - first)
         buf = rng.random(2 * k).tolist()
         for t, r_mode, r_pick in zip(range(first, first + k), buf[::2], buf[1::2]):
             path[t] = v = advance(v, r_mode, r_pick)
-    return Trace(nodes=path[config.burn_in :], config=config, start=start)
+    return path[config.burn_in :]
 
 
 # Steps x walkers advanced per chunk of drawn variates (two per step), so a
@@ -321,7 +305,7 @@ def run_walk(graph: Graph, config: WalkConfig) -> Trace:
 _LOCKSTEP_CHUNK = 1 << 15
 
 
-def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
+def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[np.ndarray]:
     """Run many seeded walks in lockstep; trace i equals ``run_walk(graph, configs[i])``.
 
     Every walker of the batch takes its step t in the same numpy operations,
@@ -422,11 +406,11 @@ def run_walks(graph: Graph, configs: Sequence[WalkConfig]) -> list[Trace]:
         for i in range(active):
             paths[i][done + 1 : done + 1 + k] = visits[: totals[i] - done, i]
         done += k
-    traces = [Trace(nodes=path[w.burn_in :], config=w, start=start) for w, path, start in zip(walkers, paths, starts)]
+    traces = [path[w.burn_in :] for w, path in zip(walkers, paths)]
     return [traces[i] for i in np.argsort(order)]  # in config order
 
 
-def stationary_closed_form(graph: Graph, config: WalkConfig, degrees: Optional[np.ndarray] = None) -> np.ndarray:
+def stationary_closed_form(graph: Graph, config: WalkConfig) -> np.ndarray:
     """Stationary distribution by formula, normalized to sum 1.
 
     Proportional to ``big = d + pad``, which is exact for a reversible law:
@@ -434,27 +418,16 @@ def stationary_closed_form(graph: Graph, config: WalkConfig, degrees: Optional[n
     members of U share one degree. Otherwise (wjrw) the mass escaping to the
     targets is spread evenly over them: each member of U gets d_v plus the
     average padding sum(c - d_u)/|U| (see module docstring).
-
-    A node's mass depends on its degree alone. Given int64 ``degrees``, the
-    result is instead the mass of a node of each of those degrees, with no
-    n-long result beyond the transient one its total is summed over; each
-    mass is one correctly rounded division, so it equals the distribution's
-    value at such a node bit for bit.
     """
     law = WalkLaw(graph, config)
-    share = None if law.reversible else law.pad.sum() / len(law.targets)
-
-    def weights(d: np.ndarray) -> np.ndarray:
-        pad = padding(law.cap, law.alpha, d)
-        if share is not None:
-            pad[pad > 0] = share
-        return d + pad
-
-    every = weights(graph.degrees)
-    total = every.sum()
+    weights = law.big
+    if not law.reversible:
+        weights = graph.degrees.astype(np.float64)
+        weights[law.targets] += law.pad.sum() / len(law.targets)
+    total = weights.sum()
     if total <= 0:
         raise SamplerError("graph has no edges; stationary undefined")
-    return (every if degrees is None else weights(degrees)) / total
+    return weights / total
 
 
 def stationary_numeric(

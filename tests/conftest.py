@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import os
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ def preferential_graph(n: int, attach: int, seed: int) -> Graph:
     u = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
     w = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
     return build_graph(u, w, n)
+
+
+def write_edge_list(graph: Graph, stream: IO[str]) -> None:
+    """Serialize as one "<label_u> <label_v>" line per edge (u < v order)."""
+    labels = graph.labels
+    for v in range(graph.n):
+        for u in graph.neighbors(v):
+            if v < u:
+                stream.write(f"{labels[v]} {labels[u]}\n")
 
 
 def data_dir() -> Path:

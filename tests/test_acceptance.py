@@ -32,7 +32,7 @@ from walksample import (
     stationary_numeric,
 )
 from walksample.cli import main
-from walksample.graph import graph_stats
+from walksample.graph import tvd_srw_vs_uniform
 from walksample.harness import ExperimentConfig, cmd_sweep_budget, cmd_sweep_c
 
 F = Fraction
@@ -252,18 +252,18 @@ def test_criterion_06_dataset_statistics():
     parts = []
     for name, path in present:
         graph, _ = load_edge_list(str(path))
-        stats = graph_stats(graph)
+        tvd = tvd_srw_vs_uniform(graph)
         n_exp, m_exp, dmax_exp, tvd_exp = DATASET_STATS[name]
         good = (
-            stats.n == n_exp
-            and stats.m == m_exp
-            and stats.d_max == dmax_exp
-            and abs(stats.tvd_srw_vs_uniform - tvd_exp) <= 0.01
+            graph.n == n_exp
+            and graph.m == m_exp
+            and graph.d_max == dmax_exp
+            and abs(tvd - tvd_exp) <= 0.01
         )
         ok = ok and good
         parts.append(
-            f"{name}: n={stats.n} m={stats.m} d_max={stats.d_max} "
-            f"tvd={stats.tvd_srw_vs_uniform:.3f} ({'ok' if good else 'MISMATCH'})"
+            f"{name}: n={graph.n} m={graph.m} d_max={graph.d_max} "
+            f"tvd={tvd:.3f} ({'ok' if good else 'MISMATCH'})"
         )
     report(6, ok, "; ".join(parts) + f" [{len(present)}/4 files present]")
 

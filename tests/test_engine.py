@@ -8,6 +8,7 @@ whatever else shares the batch.
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,10 +62,15 @@ def _assert_same(graph, configs):
     assert len(got) == len(configs)
     for cfg, trace in zip(configs, got):
         want = run_walk(graph, cfg)
-        assert trace.config == cfg
-        assert trace.start == want.start, cfg
-        assert trace.nodes.dtype == want.nodes.dtype
-        assert np.array_equal(trace.nodes, want.nodes), cfg
+        assert trace.dtype == want.dtype == np.int32
+        assert np.array_equal(trace, want), cfg
+    # A walk's start is the first node of its walk with no burn-in, of
+    # burn_in + budget nodes, whose tail after the burn-in is the trace.
+    burned = [(cfg, trace) for cfg, trace in zip(configs, got) if cfg.burn_in]
+    fulls = [replace(cfg, burn_in=0, budget=cfg.burn_in + cfg.budget) for cfg, _ in burned]
+    for (cfg, trace), full, path in zip(burned, fulls, run_walks(graph, fulls)):
+        assert path[0] == run_walk(graph, full)[0], cfg
+        assert np.array_equal(path[cfg.burn_in :], trace), cfg
 
 
 def test_mixed_batch_equals_scalar_walks(heavy_graph):

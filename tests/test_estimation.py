@@ -20,7 +20,7 @@ from walksample import (
     stationary_numeric,
     true_degree_distribution,
 )
-from walksample.estimation import tvd, unique_count
+from walksample.estimation import unique_count
 
 
 def dist(support, mass) -> Distribution:
@@ -53,16 +53,6 @@ def test_distribution_from_weights_normalizes():
 
 
 # ------------------------------------------------------------- metrics
-
-
-def test_tvd_examples(example_graph):
-    p = dist([0, 1], [1.0, 0.0])
-    q = dist([0, 1], [0.0, 1.0])
-    assert tvd(p, p) == 0.0
-    assert tvd(p, q) == 1.0
-    srw = dist(np.arange(5), stationary_closed_form(example_graph, WalkConfig(kind="srw")))
-    uniform = dist(np.arange(5), np.full(5, 0.2))
-    assert tvd(srw, uniform) == pytest.approx(4 / 35, abs=1e-12)
 
 
 def test_kl_examples():

@@ -13,9 +13,8 @@ import hashlib
 
 import pytest
 
-from conftest import preferential_graph
+from conftest import preferential_graph, write_edge_list
 from walksample import WalkConfig, derive_seed, run_walk
-from walksample.graph import write_edge_list
 from walksample.cli import main
 
 
@@ -49,7 +48,7 @@ TRACES = [
 def test_walk_trace_is_frozen(heavy_graph, fields, want):
     trace = run_walk(heavy_graph, WalkConfig(seed=SEED, **fields))
     assert len(trace) == fields["budget"]
-    assert _digest(trace.nodes.astype("<i8").tobytes()) == want
+    assert _digest(trace.astype("<i8").tobytes()) == want
 
 
 SWEEP_DIGEST = "19f9ae78869f8c2a425d5d4a9f99785005472051dfa3316395a830934109428a"

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import walksample.graph as graph_module
-from conftest import EXAMPLE_EDGES, make_graph, preferential_graph, random_connected_graph
+from conftest import EXAMPLE_EDGES, make_graph, preferential_graph, random_connected_graph, write_edge_list
 from walksample import (
     EdgeListParseError,
     EmptyGraphError,
@@ -25,7 +25,7 @@ from walksample import (
     load_edge_list,
     parse_edge_list,
 )
-from walksample.graph import build_graph, graph_stats, write_edge_list
+from walksample.graph import build_graph, tvd_srw_vs_uniform
 
 
 def test_parse_example_shape(example_graph):
@@ -221,12 +221,11 @@ def test_average_degree(example_graph):
     assert average_degree(example_graph) == pytest.approx(2.8)
 
 
-def test_graph_stats_example(example_graph):
-    st = graph_stats(example_graph)
-    assert (st.n, st.m, st.d_max) == (5, 7, 4)
-    assert st.tvd_srw_vs_uniform == pytest.approx(4 / 35, abs=1e-12)
+def test_tvd_srw_vs_uniform_example(example_graph):
+    assert (example_graph.n, example_graph.m, example_graph.d_max) == (5, 7, 4)
+    assert tvd_srw_vs_uniform(example_graph) == pytest.approx(4 / 35, abs=1e-12)
     with pytest.raises(EmptyGraphError, match="without edges"):
-        graph_stats(build_graph([], [], 3))
+        tvd_srw_vs_uniform(build_graph([], [], 3))
 
 
 def test_degrees_match_edge_count():

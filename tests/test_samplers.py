@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from walksample import (
     WalkConfig,
     dense_transition_matrix,
     derive_seed,
+    harness,
     run_walk,
     run_walks,
     samplers,
@@ -247,10 +249,10 @@ def test_fixed_start_walk_steps_along_rows_in_both_engines(example_graph):
     for kind, kw in ALL_KINDS:
         cfg = config(kind, budget=6, seed=77, start_policy="fixed", start_node=2, **kw)
         trace = run_walk(example_graph, cfg)
-        assert trace.start == trace.nodes[0] == 2
-        assert np.array_equal(run_walks(example_graph, [cfg])[0].nodes, trace.nodes)
+        assert trace[0] == 2
+        assert np.array_equal(run_walks(example_graph, [cfg])[0], trace)
         entries = dense_transition_matrix(example_graph, cfg)
-        assert (entries[trace.nodes[:-1], trace.nodes[1:]] > 0).all(), kind
+        assert (entries[trace[:-1], trace[1:]] > 0).all(), kind
 
 
 def test_empirical_step_frequencies_match_rows(example_graph):
@@ -265,7 +267,7 @@ def test_empirical_step_frequencies_match_rows(example_graph):
             config(kind, budget=1500, seed=derive_seed(11, i), start_policy="fixed", start_node=i % g.n, **kw)
             for i in range(50)
         ]
-        paths = [trace.nodes for trace in run_walks(g, walks)]
+        paths = run_walks(g, walks)
         tails, heads = np.concatenate([p[:-1] for p in paths]), np.concatenate([p[1:] for p in paths])
         want = dense_transition_matrix(g, config(kind, **kw))
         for v in range(g.n):
@@ -278,38 +280,38 @@ def test_walk_is_deterministic(example_graph):
     cfg = config("wjrw", c=3, budget=400, seed=123)
     a = run_walk(example_graph, cfg)
     b = run_walk(example_graph, cfg)
-    assert np.array_equal(a.nodes, b.nodes)
-    assert a.start == b.start
+    assert np.array_equal(a, b)  # the start, a[0], among the rest
 
 
 def test_different_seeds_give_different_walks(example_graph):
     a = run_walk(example_graph, config("srw", budget=400, seed=derive_seed(0, 0)))
     b = run_walk(example_graph, config("srw", budget=400, seed=derive_seed(0, 1)))
-    assert not np.array_equal(a.nodes, b.nodes)
+    assert not np.array_equal(a, b)
 
 
 def test_burn_in_drops_a_prefix(example_graph):
     # Both engines: the trace is the tail of the burn-in-0 walk of
-    # burn_in + budget nodes, from the same start.
+    # burn_in + budget nodes, from the same start, that walk's first node.
     configs = [config(kind, budget=40, seed=9, burn_in=20, **kw) for kind, kw in ALL_KINDS]
-    lockstep = run_walks(example_graph, configs)
-    for (kind, kw), cfg, batched in zip(ALL_KINDS, configs, lockstep):
-        full = run_walk(example_graph, config(kind, budget=60, seed=9, **kw))
+    fulls = [config(kind, budget=60, seed=9, **kw) for kind, kw in ALL_KINDS]
+    lockstep, lockstep_fulls = run_walks(example_graph, configs), run_walks(example_graph, fulls)
+    for cfg, full_cfg, batched, batched_full in zip(configs, fulls, lockstep, lockstep_fulls):
+        full = run_walk(example_graph, full_cfg)
+        assert batched_full[0] == full[0]
         for burned in (run_walk(example_graph, cfg), batched):
-            assert np.array_equal(burned.nodes, full.nodes[20:])
-            assert burned.start == full.start
+            assert np.array_equal(burned, full[20:])
 
 
 def test_budget_one(example_graph):
     tr = run_walk(example_graph, config("srw", budget=1, seed=3))
-    assert tr.nodes.tolist() == [tr.start]
+    assert tr.tolist() == [run_walk(example_graph, config("srw", budget=5, seed=3))[0]]  # the start
     tr2 = run_walk(example_graph, config("srw", budget=1, seed=3, burn_in=5))
     assert len(tr2) == 1
 
 
 def test_fixed_start_policy(example_graph):
     tr = run_walk(example_graph, config("srw", budget=3, seed=1, start_policy="fixed", start_node=4))
-    assert tr.start == 4 and tr.nodes[0] == 4
+    assert tr[0] == 4
     with pytest.raises(SamplerError):
         run_walk(example_graph, config("srw", budget=3, start_policy="fixed", start_node=99))
 
@@ -320,8 +322,8 @@ def test_start_policy_distributions(example_graph):
     uni = np.zeros(g.n)
     deg = np.zeros(g.n)
     for r in range(reps):
-        uni[run_walk(g, config("srw", budget=1, seed=derive_seed(1, r))).start] += 1
-        deg[run_walk(g, config("srw", budget=1, seed=derive_seed(2, r), start_policy="degree")).start] += 1
+        uni[run_walk(g, config("srw", budget=1, seed=derive_seed(1, r)))[0]] += 1
+        deg[run_walk(g, config("srw", budget=1, seed=derive_seed(2, r), start_policy="degree"))[0]] += 1
     assert np.max(np.abs(uni / reps - 1 / g.n)) < 0.03
     assert np.max(np.abs(deg / reps - g.degrees / (2 * g.m))) < 0.03
 
@@ -329,7 +331,7 @@ def test_start_policy_distributions(example_graph):
 def test_escaping_walk_with_zero_alpha_tracks_simple_walk(example_graph):
     a = run_walk(example_graph, config("srw", budget=300, seed=42))
     b = run_walk(example_graph, config("rwe", alpha=0.0, budget=300, seed=42))
-    assert np.array_equal(a.nodes, b.nodes)
+    assert np.array_equal(a, b)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -353,13 +355,15 @@ def test_lockstep_walks_equal_scalar_walks_at_any_chunk(data, graph_seed, n, chu
         seed=st.integers(0, 2**64 - 1),
     )
     configs = data.draw(st.lists(walk, min_size=1, max_size=8))
+    # A walk's start is the first node of its walk with no burn-in.
+    fulls = [replace(cfg, burn_in=0, budget=cfg.burn_in + cfg.budget) for cfg in configs]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(samplers, "_LOCKSTEP_CHUNK", chunk)
         got = run_walks(g, configs)
-    for cfg, trace in zip(configs, got):
-        want = run_walk(g, cfg)
-        assert trace.start == want.start
-        assert np.array_equal(trace.nodes, want.nodes), cfg
+        starts = [path[0] for path in run_walks(g, fulls)]
+    for cfg, full, trace, start in zip(configs, fulls, got, starts):
+        assert start == run_walk(g, full)[0]
+        assert np.array_equal(trace, run_walk(g, cfg)), cfg
 
 
 def test_a_draw_below_one_picks_below_every_size():
@@ -387,18 +391,26 @@ def test_closed_form_values_on_reference_graph(example_graph):
     assert np.allclose(stationary_closed_form(g, config("wjrw", c=3)), np.array([4, 3, 3, 3, 3]) / 16, atol=1e-15)
 
 
-def test_closed_form_at_degree_classes_has_the_bits_of_the_vector():
-    # A node's closed-form mass depends on its degree alone: given the degree
-    # classes, the masses per class equal the vector's at every node, bit for
-    # bit, for reversible laws and for wjrw with unequal padding alike.
+def test_closed_form_at_degree_classes_has_the_bits_of_the_vector(monkeypatch):
+    # A node's closed-form mass depends on its degree alone: the harness's
+    # ``paper`` table, one mass per degree class scattered from the vector,
+    # read back at every node gives the vector, bit for bit, for reversible
+    # laws and for wjrw with unequal padding alike.
     rng = np.random.default_rng(11)
     g = random_connected_graph(rng, 40, 0.05, 0.3)
-    support, category = g.degree_classes
+    category = g.degree_classes[1]
     least, most = g.min_degree, g.d_max
     laws = [config("srw"), config("rwe", alpha=0.7), config("md")]
     laws += [config(kind, c=c) for kind in ("gmd", "wjrw") for c in (least, least + 2, most + 3, 2**53 + 1)]
+    sweeps = []
+    monkeypatch.setattr(harness, "_walk_slice", lambda span, sweep: sweeps.append(sweep) or [])
+    groups = [(cfg.kind.value, cfg.c, cfg.alpha, 10) for cfg in laws]
+    harness._run_tasks(harness.ExperimentConfig("graph.txt", repetitions=1, parallel=1), g, groups)
+    [(*_, weights)] = sweeps
     for cfg in laws:
-        assert stationary_closed_form(g, cfg, support)[category].tobytes() == stationary_closed_form(g, cfg).tobytes(), cfg
+        table, by_class = weights[cfg.kind, cfg.c, cfg.alpha]
+        assert by_class and len(table) == len(g.degree_classes[0])
+        assert table[category].tobytes() == stationary_closed_form(g, cfg).tobytes(), cfg
 
 
 def _fixed_point_l1(g, cfg, pi) -> float:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import preferential_graph, random_connected_graph
+from conftest import make_graph, preferential_graph, random_connected_graph
 from walksample import spectral as spectral_module
 from walksample import (
     SamplerError,
@@ -21,11 +21,15 @@ from walksample import (
     stationary_closed_form,
     stationary_numeric,
 )
+from walksample.cli import main
 from walksample.samplers import WalkLaw
 
 MU_WJRW = (math.sqrt(5) - 1) / 6
 MU_SRW = (math.sqrt(7) - 1) / 6
 MU_GMD = math.sqrt(2) / 3
+
+K4_EDGES = "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+STAR_EDGES = "1 2\n1 3\n1 4\n"
 
 
 # Each matrix that is not square row-stochastic, with the refusal it earns.
@@ -95,6 +99,10 @@ def test_full_spectra_on_reference_graph(example_graph):
     want = sorted([1.0, MU_GMD, 0.0, -1 / 3, -MU_GMD], reverse=True)
     assert np.max(np.abs(rep_gmd.eigenvalues.real - want)) < 1e-9
 
+    # K4's simple walk: 1 and a triple -1/3
+    rep_k4 = spectrum(dense_transition_matrix(make_graph(K4_EDGES), WalkConfig(kind="srw")))
+    assert np.max(np.abs(rep_k4.eigenvalues - [1, -1 / 3, -1 / 3, -1 / 3])) < 1e-12
+
 
 def test_characteristic_polynomial_known_matrices():
     # swap matrix: x^2 - 1
@@ -106,17 +114,25 @@ def test_characteristic_polynomial_known_matrices():
     assert coeffs == [Fraction(1), Fraction(0), Fraction(-3, 4), Fraction(-1, 4)]
 
 
-def test_eigensolver_agrees_with_polynomial_roots(path3_graph, monkeypatch):
+def test_eigensolver_agrees_with_polynomial_roots(path3_graph):
     matrix = dense_transition_matrix(path3_graph, WalkConfig(kind="wjrw", c=3))
-    rep = spectrum(matrix)  # n <= 4 triggers the internal cross-check too
+    rep = spectrum(matrix)
     coeffs = characteristic_polynomial([[Fraction(x) for x in row] for row in matrix])
     roots = np.sort_complex(np.roots([float(c) for c in coeffs]))
     assert np.max(np.abs(np.sort_complex(rep.eigenvalues) - roots)) < 1e-9
-    # the cross-check catches an eigensolver that is off
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) + 1e-6)
-    with pytest.raises(ArithmeticError, match="disagrees with characteristic polynomial roots"):
-        spectrum(matrix)
+
+
+@pytest.mark.parametrize("edges", [K4_EDGES, STAR_EDGES], ids=["K4", "star"])
+def test_analyze_exits_0_on_repeated_eigenvalues(tmp_path, edges):
+    # K4's walks have a triple eigenvalue and the star's md walk a double one.
+    # The roots of their characteristic polynomials are accurate only to
+    # about eps^(1/3) and eps^(1/2) there, so the spectrum must not be held
+    # to them: the eigensolver is the accurate one.
+    dataset = tmp_path / "graph.txt"
+    dataset.write_text(edges, encoding="utf-8")
+    for sampler in (["srw"], ["rwe", "--alpha", "1"], ["md"], ["gmd", "--c", "2"], ["wjrw", "--c", "2"]):
+        argv = ["analyze", "--dataset", str(dataset), "--sampler", *sampler, "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 0, sampler
 
 
 def test_spectrum_invariants_on_random_graphs():
