@@ -19,7 +19,6 @@ if "OPENBLAS_THREAD_TIMEOUT" not in os.environ and "GOTO_THREAD_TIMEOUT" not in 
     os.environ["OPENBLAS_THREAD_TIMEOUT"] = "20"
 
 from .estimation import (
-    Distribution,
     ZeroInclusionProbability,
     degree_distribution_estimate,
     ht_ratio_estimate,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 # name stays in its module, for the package's own use, and may change.
 __all__ = [
     "ConvergenceError",
-    "Distribution",
     "EdgeListParseError",
     "EmptyGraphError",
     "Graph",

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import random_connected_graph
 from walksample import (
-    Distribution,
     WalkConfig,
     ZeroInclusionProbability,
     degree_distribution_estimate,
@@ -20,51 +19,54 @@ from walksample import (
     stationary_numeric,
     true_degree_distribution,
 )
-from walksample.estimation import unique_count
+from walksample.estimation import degree_estimate_from_pi, unique_count
+from walksample.graph import build_graph
 
-
-def dist(support, mass) -> Distribution:
-    return Distribution(np.asarray(support), np.asarray(mass, dtype=float))
-
-
-# --------------------------------------------------------- Distribution
+# ------------------------------------------------- distribution checks
 
 
 def test_distribution_validation():
-    d = dist([1, 2], [0.25, 0.75])
-    assert d.mass.sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="increasing"):
-        dist([2, 1], [0.5, 0.5])
-    with pytest.raises(ValueError, match="negative"):
-        dist([1, 2], [-0.1, 1.1])
-    with pytest.raises(ValueError, match="sums"):
-        dist([1, 2], [0.5, 0.6])
-    with pytest.raises(ValueError, match="sums"):
-        dist([1, 2], [np.nan, 1.0])
-    with pytest.raises(ValueError):
-        Distribution(np.array([[1]]), np.array([[1.0]]))
+    # kl_divergence checks both mass arrays it is given
+    ok = np.array([0.25, 0.75])
+    assert kl_divergence(ok, ok) == pytest.approx(0.0, abs=1e-12)
+    for bad, match in [
+        ([-0.1, 1.1], "negative"),
+        ([0.5, 0.6], "sums"),
+        ([np.nan, 1.0], "sums"),
+        ([[1.0]], "1-d"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            kl_divergence(bad, ok)
+        with pytest.raises(ValueError, match=match):
+            kl_divergence(ok, bad)
+    with pytest.raises(ValueError, match="categories"):
+        kl_divergence(ok, [0.25, 0.25, 0.5])
 
 
-def test_distribution_from_weights_normalizes():
-    d = Distribution.from_weights([3, 5, 9], [2.0, 6.0, 0.0])
-    assert np.allclose(d.mass, [0.25, 0.75, 0.0])
-    with pytest.raises(ValueError):
-        Distribution.from_weights([1], [0.0])
+def test_normalised_refuses_a_total_that_is_not_positive_and_finite(example_graph):
+    est = degree_distribution_estimate(np.array([0, 1, 1]), np.array([1.0, 2.0, 1.0, 1.0, 1.0]), example_graph)
+    assert np.allclose(est, [0.5, 0.0, 0.5])  # degree classes [2, 3, 4]
+    nodes = np.array([1, 3])
+    for pivals in ([np.inf, np.inf], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="total"):
+            degree_estimate_from_pi(nodes, np.array(pivals), example_graph)
+    with pytest.raises(ValueError, match="total"):
+        true_degree_distribution(build_graph(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 0))
 
 
 # ------------------------------------------------------------- metrics
 
 
 def test_kl_examples():
-    p = dist([0, 1], [0.5, 0.5])
+    p = np.array([0.5, 0.5])
     assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-9)
-    q = dist([0, 1], [0.25, 0.75])
+    q = np.array([0.25, 0.75])
     assert kl_divergence(p, q) == pytest.approx(0.5 * math.log(4 / 3), abs=1e-12)
 
 
 def test_kl_smoothing_keeps_missing_categories_finite():
-    p = dist([1, 2], [0.5, 0.5])
-    q = dist([1], [1.0])  # no mass at category 2
+    p = np.array([0.5, 0.5])
+    q = np.array([1.0, 0.0])  # no mass at the second category
     value = kl_divergence(p, q)
     assert math.isfinite(value)
     expected = 0.5 * math.log(0.5 / 1.0) + 0.5 * math.log(0.5 / 1e-12)
@@ -75,15 +77,14 @@ def test_kl_nonnegative_on_random_pairs():
     rng = np.random.default_rng(6)
     for _ in range(50):
         k = int(rng.integers(2, 8))
-        p = Distribution.from_weights(np.arange(k), rng.random(k) + 1e-9)
-        q = Distribution.from_weights(np.arange(k), rng.random(k) + 1e-9)
+        p, q = (w / w.sum() for w in (rng.random(k) + 1e-9, rng.random(k) + 1e-9))
         assert kl_divergence(p, q) >= -1e-12
     assert kl_divergence(p, p) <= 1e-9
 
 
 def test_kl_ignores_zero_true_mass_categories():
-    p = dist([1, 2, 3], [0.5, 0.5, 0.0])
-    q = dist([1, 2, 3], [0.25, 0.25, 0.5])
+    p = np.array([0.5, 0.5, 0.0])
+    q = np.array([0.25, 0.25, 0.5])
     direct = 0.5 * math.log(0.5 / 0.25) * 2
     assert kl_divergence(p, q) == pytest.approx(direct, rel=1e-9)
 
@@ -184,22 +185,25 @@ def test_degree_distribution_estimate_single_cover(example_graph):
     # mass 14/2 per node, degree-3 mass 14/3, degree-4 mass 14/4
     pi = stationary_closed_form(example_graph, WalkConfig(kind="srw"))
     est = degree_distribution_estimate(np.arange(5), pi, example_graph)
-    assert est.support.tolist() == [2, 3, 4]
-    assert np.max(np.abs(est.mass - np.array([12, 8, 3]) / 23)) <= 1e-12
+    assert example_graph.degree_classes[0].tolist() == [2, 3, 4]
+    assert est.dtype == np.float64 and est.shape == (3,)
+    assert np.max(np.abs(est - np.array([12, 8, 3]) / 23)) <= 1e-12
 
 
 def test_true_degree_distribution(example_graph):
     d = true_degree_distribution(example_graph)
-    assert d.support.tolist() == [2, 3, 4]
-    assert np.allclose(d.mass, [0.4, 0.4, 0.2])
+    assert example_graph.degree_classes[0].tolist() == [2, 3, 4]
+    assert d.dtype == np.float64
+    assert np.allclose(d, [0.4, 0.4, 0.2])
 
 
 def test_unvisited_degree_gets_zero_mass(example_graph):
     # trace avoids node 0, the only degree-4 node
     est = degree_distribution_estimate(np.array([1, 2, 3]), np.full(5, 0.2), example_graph)
-    assert est.support.tolist() == [2, 3, 4]
-    assert est.mass[2] == 0.0
-    assert est.mass.sum() == pytest.approx(1.0, abs=1e-12)
+    assert example_graph.degree_classes[0].tolist() == [2, 3, 4]
+    assert est.shape == (3,)
+    assert est[2] == 0.0
+    assert est.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degree_estimate_sums_to_one_on_random_walks():
@@ -208,8 +212,9 @@ def test_degree_estimate_sums_to_one_on_random_walks():
     cfg = WalkConfig(kind="wjrw", c=max(1, g.d_max // 2), budget=500, seed=1)
     pi = stationary_closed_form(g, cfg)
     est = degree_distribution_estimate(run_walk(g, cfg), pi, g)
-    assert est.mass.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(est.mass >= 0)
+    assert est.shape == g.degree_classes[0].shape
+    assert est.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(est >= 0)
 
 
 def test_unique_count(example_graph):
@@ -218,3 +223,42 @@ def test_unique_count(example_graph):
     assert unique_count(np.arange(5)) == 5
     trace = run_walk(example_graph, WalkConfig(kind="srw", budget=50, seed=2))
     assert unique_count(trace) <= 50
+
+
+# ------------------------------------------------------ input checking
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [[-1], [5], np.array([1.9]), np.array([True, False]), np.array([2**63], dtype=np.uint64)],
+    ids=["negative", "past-n", "float", "bool", "uint64-past-int64"],
+)
+def test_estimators_refuse_node_ids_that_are_not_nodes(example_graph, nodes):
+    # n = 5: take() wrapped -1 to node 4, astype truncated 1.9 to node 1
+    pi, f = np.full(5, 0.2), example_graph.degrees.astype(float)
+    with pytest.raises(ValueError, match="node ids"):
+        ht_ratio_estimate(nodes, pi, f)
+    with pytest.raises(ValueError, match="node ids"):
+        degree_distribution_estimate(nodes, pi, example_graph)
+
+
+def test_estimators_refuse_node_arrays_of_another_length(example_graph):
+    nodes, f = np.arange(5), example_graph.degrees.astype(float)
+    for pi in (np.ones(10), np.ones(4), np.ones((5, 1)), np.ones(())):
+        with pytest.raises(ValueError, match="^pi "):
+            degree_distribution_estimate(nodes, pi, example_graph)
+    # ht_ratio_estimate's n is len(pi): node 4 is not among 4 nodes
+    with pytest.raises(ValueError, match="node ids"):
+        ht_ratio_estimate(nodes, np.ones(4), np.ones(4))
+    with pytest.raises(ValueError, match="^pi "):
+        ht_ratio_estimate(nodes, np.ones((5, 1)), f)
+    with pytest.raises(ValueError, match="^f "):
+        ht_ratio_estimate(nodes, np.ones(5), f[:4])
+    # the empty trace is reported first, whatever the arrays
+    with pytest.raises(ValueError, match="empty"):
+        ht_ratio_estimate([], np.ones((2, 2)), np.ones(7))
+    with pytest.raises(ValueError, match="empty"):
+        degree_distribution_estimate(np.array([], dtype=np.int32), np.ones(9), example_graph)
+    # ids of any integer dtype, lists included, are read as they are
+    assert ht_ratio_estimate([0, 3], np.full(5, 0.2), f) == 3.5
+    assert ht_ratio_estimate(np.array([0, 3], dtype=np.uint8), np.full(5, 0.2), f) == 3.5

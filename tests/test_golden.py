@@ -1,7 +1,8 @@
-"""Golden traces: frozen hashes of seeded walks and of one sweep report.
+"""Golden traces: frozen hashes of seeded walks and of sweep reports.
 
 The hashes pin the exact node sequence every walk kind draws from its
-Philox stream, and the exact bytes of a small ``sweep-budget`` JSON report.
+Philox stream, and the exact bytes of small ``sweep-budget`` (paper and
+oracle weights, JSON) and ``sweep-c`` (CSV, with burn-in) reports.
 Any rewrite of the walk engine, the transition law or the report must keep
 them; a hash that changes means the walks or their scoring changed, not
 just their speed.
@@ -58,13 +59,38 @@ for _kind in ("srw", "rwe", "md", "gmd", "wjrw"):
     SWEEP_ARGS += ["--sampler", _kind]
 
 
-def test_sweep_budget_report_is_frozen(heavy_graph, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # the report names the dataset path
+def _report(heavy_graph, command: list[str]) -> bytes:
+    """The bytes ``command`` writes for the heavy graph, as ``heavy.txt``."""
     with open("heavy.txt", "w", encoding="utf-8") as fh:
         write_edge_list(heavy_graph, fh)
-    assert main(["sweep-budget", "--dataset", "heavy.txt", "--out", "report.json", *SWEEP_ARGS]) == 0
-    with open("report.json", "rb") as fh:
-        assert _digest(fh.read()) == SWEEP_DIGEST
+    assert main([command[0], "--dataset", "heavy.txt", "--out", "report", *command[1:]]) == 0
+    with open("report", "rb") as fh:
+        return fh.read()
+
+
+def test_sweep_budget_report_is_frozen(heavy_graph, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report names the dataset path
+    assert _digest(_report(heavy_graph, ["sweep-budget", *SWEEP_ARGS])) == SWEEP_DIGEST
+
+
+SWEEP_C_ARGS = ["--c-frac", "0.25", "--c-frac", "0.75", "--burn-in", "20", "--budget", "500", "--reps", "3"]
+SWEEP_C_ARGS += ["--seed", "11", "--parallel", "1"]
+
+# (id, command and its flags, sha256 of the report on the heavy graph)
+REPORTS = [
+    (
+        "sweep-budget-oracle-json",
+        ["sweep-budget", *SWEEP_ARGS, "--weights", "oracle"],
+        "4cb5ffd7fb85e88e67d20f5730924671cfac646f83c4e52c9e8d7e95bfed6196",
+    ),
+    ("sweep-c-csv", ["sweep-c", *SWEEP_C_ARGS], "3485209e2eb1c9933fdc80039ba1071795a0b7e1ef04c0f2493d421b23bf4e90"),
+]
+
+
+@pytest.mark.parametrize("command,want", [(c, w) for _, c, w in REPORTS], ids=[r[0] for r in REPORTS])
+def test_report_is_frozen(heavy_graph, tmp_path, monkeypatch, command, want):
+    monkeypatch.chdir(tmp_path)
+    assert _digest(_report(heavy_graph, command)) == want
 
 
 # sha256 of each command's output on the heavy graph among other components

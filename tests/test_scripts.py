@@ -12,7 +12,7 @@ import pytest
 
 import walksample
 from conftest import make_graph
-from walksample import WalkConfig, dense_transition_matrix, spectrum, true_degree_distribution
+from walksample import WalkConfig, dense_transition_matrix, spectrum
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -125,7 +125,6 @@ def test_names_scripts_import_from_the_package_are_public(path):
 # gives equal arrays in two distinct objects.
 ARRAY_HOLDERS = {
     "Graph": lambda g: g,
-    "Distribution": true_degree_distribution,
     "SpectrumReport": lambda g: spectrum(dense_transition_matrix(g, WalkConfig(kind="srw"))),
 }
 
